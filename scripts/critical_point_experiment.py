@@ -14,20 +14,13 @@ import argparse
 import numpy as np
 
 from lcn.arch import Architecture
-from lcn.critpoints import WeightedDistanceProblem, solve_critical_points, training_reduce
+from lcn.critpoints import WeightedDistanceProblem, seeded_problem, solve_critical_points
 from lcn.eddegree import arch_ed_degree
 from lcn.idealgen import vanishing_generators
 
 
 def run_training_case(arch, starts, seed, data_seed):
-    k = arch.out_size
-    s = arch.stride_product
-    d_out = 3
-    d0 = k + (d_out - 1) * s
-    rng = np.random.default_rng(data_seed)
-    X = rng.standard_normal((d0, d0 + 5))
-    Y = rng.standard_normal((d_out, d0 + 5))
-    problem = training_reduce(X, Y, arch)
+    _, _, problem = seeded_problem(arch, data_seed, 3)
     expected = arch_ed_degree(arch)
     report = solve_critical_points(problem, starts=starts, seed=seed, expected=expected)
     status = "ok" if report.saturated else "SHORT"

@@ -45,14 +45,6 @@ class Architecture:
         object.__setattr__(self, "filter_sizes", ks)
         object.__setattr__(self, "strides", ss)
 
-    @classmethod
-    def parse(cls, sizes: str, strides: str) -> "Architecture":
-        """Build from comma-separated literals, e.g. ``("3,2,2", "2,2,1")``."""
-        return cls(
-            tuple(int(v) for v in sizes.split(",")),
-            tuple(int(v) for v in strides.split(",")),
-        )
-
     @property
     def depth(self) -> int:
         return len(self.filter_sizes)
@@ -206,19 +198,6 @@ def conv_matrix(w: Sequence, stride: int, d_out: int) -> ConvMatrix:
             row[i * stride + j] = w[j]
         rows.append(tuple(row))
     return ConvMatrix(tuple(w), stride, d_out, d_in, tuple(rows))
-
-
-def apply_filter(w: Sequence, stride: int, x: Sequence, d_out: int) -> list:
-    """Apply the convolution to an input vector (or matrix given row-wise)."""
-    k = len(w)
-    out = []
-    for i in range(d_out):
-        acc = None
-        for j in range(k):
-            contrib = w[j] * x[i * stride + j]
-            acc = contrib if acc is None else acc + contrib
-        out.append(acc)
-    return out
 
 
 def sample_neuromanifold(arch: Architecture, rng_seed: int):

@@ -7,7 +7,9 @@ sampling and dimension checks), ``resultant`` (show the two-layer recipe and
 matrices) and ``compose`` (sample layer filters and their composition).
 
 Exit codes: 0 success, 1 a verification-style run found failures or fell
-short of the predicted count, 2 usage error.  All randomness is seeded
+short of the predicted count, 2 usage error (bad arguments, or an
+architecture the subcommand cannot handle).  Any other exception is a bug
+and propagates.  All randomness is seeded
 (defaults: ``--seed 42``, ``--data-seed 7``), so identical invocations print
 identical bytes.
 """
@@ -17,12 +19,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import prod
 from typing import Sequence
 
-import numpy as np
-
 from .arch import Architecture, reduce_arch, sample_neuromanifold
-from .critpoints import solve_critical_points, training_reduce
+from .critpoints import seeded_problem, solve_critical_points
 from .eddegree import (
     arch_ed_degree,
     generic_ed_degree,
@@ -44,6 +45,21 @@ def _parse_sizes(text: str) -> tuple:
         return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
+
+
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def check(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return check
 
 
 def _arch(args) -> Architecture:
@@ -104,17 +120,17 @@ def cmd_eddeg(args) -> int:
 
 
 def cmd_critpoints(args) -> int:
-    arch = _arch(args)
-    reduced = reduce_arch(arch)
+    reduced = reduce_arch(_arch(args))
+    # the data model uses the stride product, but Architecture stores s_L as 1
+    # and merging a trailing size-1 layer drops the stride before it
+    if prod(_parse_sizes(args.strides)) != reduced.stride_product:
+        raise UsageError(
+            f"critpoints needs a last stride of 1 (got -s {args.strides}, "
+            f"reduced to {reduced.describe()})"
+        )
     k = reduced.out_size
-    s = reduced.stride_product
-    d_out = args.out_dim
-    d0 = k + (d_out - 1) * s
-    rng = np.random.default_rng(args.data_seed)
-    X = rng.standard_normal((d0, d0 + 5))
-    Y = rng.standard_normal((d_out, d0 + 5))
     try:
-        problem = training_reduce(X, Y, reduced)
+        _, _, problem = seeded_problem(reduced, args.data_seed, args.out_dim)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     expected = arch_ed_degree(reduced)
@@ -239,16 +255,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, strides=True, seed=True):
+    positive = _at_least(1)
+    numpy_seed = _at_least(0)
+
+    def common(p, strides=True, seed=int):
         p.add_argument("-k", dest="sizes", required=True, help="comma-separated filter sizes")
         if strides:
             p.add_argument("-s", dest="strides", help="comma-separated strides")
         p.add_argument("--format", choices=("text", "json"), default="text")
         if seed:
-            p.add_argument("--seed", type=int, default=42)
+            p.add_argument("--seed", type=seed, default=42)
 
     p = sub.add_parser("ideal", help="generators of the filter variety")
-    common(p, seed=False)
+    common(p, seed=None)
     p.add_argument("--provenance", action="store_true", help="annotate each generator with its origin")
     p.set_defaults(func=cmd_ideal)
 
@@ -259,20 +278,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eddeg)
 
     p = sub.add_parser("critpoints", help="count critical points of a seeded training problem")
-    common(p)
-    p.add_argument("--starts", type=int, default=500)
-    p.add_argument("--data-seed", type=int, default=7)
-    p.add_argument("--out-dim", type=int, default=3, help="output dimension of the generated data")
-    p.add_argument("--json", dest="format", action="store_const", const="json")
+    common(p, seed=numpy_seed)
+    p.add_argument("--starts", type=positive, default=500)
+    p.add_argument("--data-seed", type=numpy_seed, default=7)
+    p.add_argument("--out-dim", type=positive, default=3, help="output dimension of the generated data")
     p.set_defaults(func=cmd_critpoints)
 
     p = sub.add_parser("verify", help="exact sampling and dimension checks")
     common(p)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=positive, default=100)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("resultant", help="two-layer resultant recipe")
-    common(p, seed=False)
+    common(p, seed=None)
     p.add_argument("--print-matrices", action="store_true")
     p.set_defaults(func=cmd_resultant)
 
@@ -292,9 +310,6 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -112,6 +112,20 @@ def training_reduce(X: np.ndarray, Y: np.ndarray, arch: Architecture) -> Weighte
     return WeightedDistanceProblem(k, T, u, gens.generators[0], offset)
 
 
+def seeded_problem(arch: Architecture, data_seed: int, d_out: int):
+    """Gaussian training data ``(X, Y)`` and the problem it reduces to.
+
+    ``X`` is ``d0 x (d0 + 5)`` and ``Y`` is ``d_out x (d0 + 5)`` with
+    ``d0 = k + (d_out - 1) * s``, both drawn in that order from
+    ``default_rng(data_seed)``.  Returns ``(X, Y, problem)``.
+    """
+    d0 = arch.out_size + (d_out - 1) * arch.stride_product
+    rng = np.random.default_rng(data_seed)
+    X = rng.standard_normal((d0, d0 + 5))
+    Y = rng.standard_normal((d_out, d0 + 5))
+    return X, Y, training_reduce(X, Y, arch)
+
+
 # -- multi-start Newton solver ----------------------------------------------
 
 

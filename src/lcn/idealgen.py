@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .arch import Architecture, reduce_arch
-from .polyring import dedup_key
+from .polyring import dedup_generators
 from .resultant import IdealGenerators, two_layer_ideal
 
 
@@ -71,22 +71,11 @@ def vanishing_generators(arch: Architecture) -> IdealGenerators:
     branch_b = _relabel(base, f"two_layer({ks[0]},{k2b};{ss[0]})", f"base({ks[0]},{k2b};{ss[0]})")
 
     # dedup across branches, first occurrence wins
-    gens = []
-    provs = []
-    seen = set()
-    for part in (branch_a, branch_b):
-        for g, p in zip(part.generators, part.provenance):
-            key = dedup_key(g)
-            if key in seen:
-                continue
-            seen.add(key)
-            gens.append(g)
-            provs.append(p)
+    provs, gens = dedup_generators(
+        pair for part in (branch_a, branch_b) for pair in zip(part.provenance, part.generators)
+    )
     return IdealGenerators(
-        branch_a.variables,
-        tuple(gens),
-        tuple(provs),
-        branch_a.raw_counts + branch_b.raw_counts,
+        branch_a.variables, gens, provs, branch_a.raw_counts + branch_b.raw_counts
     )
 
 

@@ -220,14 +220,6 @@ class MultiPoly:
             total += term
         return total
 
-    def evaluate_vector(self, point: Sequence) -> Fraction:
-        """Exact value at a point aligned with the variable list."""
-        if len(point) != len(self.vars):
-            raise ValueError(
-                f"point of length {len(point)} for {len(self.vars)} variables"
-            )
-        return self.evaluate(dict(zip(self.vars, point)))
-
     def differentiate(self, name: str) -> "MultiPoly":
         idx = self.vars.index(name)
         out = {}
@@ -325,14 +317,31 @@ def coefficient_symbols(k: int) -> tuple:
     return symbols(f"c{i}" for i in range(k))
 
 
-def term_key(p: MultiPoly) -> tuple:
-    """Canonical hashable form of the term map (used for dedup)."""
-    return tuple(sorted(p.terms.items()))
-
-
 def dedup_key(p: MultiPoly) -> tuple:
     """Canonical form identifying polynomials up to sign and integer content."""
-    return term_key(p.sign_normalized().primitive_part())
+    return tuple(sorted(p.sign_normalized().primitive_part().terms.items()))
+
+
+def dedup_generators(tagged: Iterable) -> tuple:
+    """Drop zeros, sign-normalize, keep the first of each :func:`dedup_key`.
+
+    ``tagged`` yields ``(tag, poly)`` pairs; the survivors come back as two
+    aligned tuples ``(tags, polys)`` in their original order.
+    """
+    tags = []
+    polys = []
+    seen = set()
+    for tag, poly in tagged:
+        if not poly.terms:
+            continue
+        poly = poly.sign_normalized()
+        key = dedup_key(poly)
+        if key in seen:
+            continue
+        seen.add(key)
+        tags.append(tag)
+        polys.append(poly)
+    return tuple(tags), tuple(polys)
 
 
 # -- polynomial matrices -------------------------------------------------------
@@ -439,18 +448,9 @@ def minor_expansion(m: PolyMatrix, size: int) -> Iterator:
 def minors(m: PolyMatrix, size: int) -> list:
     """Nonzero size x size minors, sign-normalized and deduplicated.
 
-    A size exceeding the matrix dimensions yields the empty list (the caller
-    may legitimately ask for minors of a matrix that is too small).
+    Duplicates are taken up to sign and integer content.  A size exceeding
+    the matrix dimensions yields the empty list (the caller may legitimately
+    ask for minors of a matrix that is too small).
     """
-    out = []
-    seen = set()
-    for _, _, det in minor_expansion(m, size):
-        if not det.terms:
-            continue
-        det = det.sign_normalized()
-        key = term_key(det)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(det)
-    return out
+    _, polys = dedup_generators((None, det) for _, _, det in minor_expansion(m, size))
+    return list(polys)

@@ -24,7 +24,7 @@ from .polyring import (
     MultiPoly,
     PolyMatrix,
     coefficient_symbols,
-    dedup_key,
+    dedup_generators,
     minor_expansion,
 )
 
@@ -166,63 +166,35 @@ class IdealGenerators:
         return [g.text() for g in self.generators]
 
 
-def _emit(candidates, variables):
-    """Sign-normalize, drop zeros, dedup up to sign and content."""
-    gens = []
-    provs = []
-    seen = set()
-    for prov, poly in candidates:
-        if not poly.terms:
-            continue
-        poly = poly.sign_normalized()
-        key = dedup_key(poly)
-        if key in seen:
-            continue
-        seen.add(key)
-        gens.append(poly)
-        provs.append(prov)
-    return IdealGenerators(tuple(variables), tuple(gens), tuple(provs), ())
-
-
 def two_layer_ideal(k1: int, k2: int, s1: int) -> IdealGenerators:
     """Generators whose zero locus is the two-layer filter variety.
 
-    Slots are the stride decomposition of generic symbols ``c0..c{k-1}``;
-    zero slots contribute no rows.  Minors come from the recipe in
-    :func:`plan_two_layer`; the returned list is sign-normalized and
-    deduplicated, while ``raw_counts`` keeps the pre-pruning minor counts.
+    The minors of the matrices from :func:`two_layer_matrices`; the returned
+    list is sign-normalized and deduplicated, while ``raw_counts`` keeps the
+    pre-pruning minor counts.
     """
-    recipe = plan_two_layer(k1, k2, s1)
-    syms = coefficient_symbols(recipe.out_size)
-    vars_ = syms[0].vars
-    slots = s_decompose(syms, s1)
-    nonzero = [q for q in slots if q]
+    matrices = two_layer_matrices(k1, k2, s1)
     label = f"two_layer({k1},{k2};{s1})"
-
     candidates = []
     raw = []
-    r1 = build_resultant(nonzero, recipe.l1)
-    count = 0
-    for ri, ci, det in minor_expansion(r1.matrix, recipe.size1):
-        candidates.append((f"{label}:I1[r={ri};c={ci}]", det))
-        count += 1
-    raw.append((f"{label}:I1", count))
-
-    if recipe.i2_active:
-        top = slots[: recipe.profile.r]
-        r2 = build_resultant(top, recipe.l2)
-        count = 0
-        for ri, ci, det in minor_expansion(r2.matrix, recipe.size2):
-            candidates.append((f"{label}:I2[r={ri};c={ci}]", det))
-            count += 1
-        raw.append((f"{label}:I2", count))
-
-    out = _emit(candidates, vars_)
-    return IdealGenerators(out.variables, out.generators, out.provenance, tuple(raw))
+    for name, size, rm in matrices:
+        dets = [
+            (f"{label}:{name}[r={ri};c={ci}]", det)
+            for ri, ci, det in minor_expansion(rm.matrix, size)
+        ]
+        candidates += dets
+        raw.append((f"{label}:{name}", len(dets)))
+    provs, gens = dedup_generators(candidates)
+    return IdealGenerators(matrices[0][2].matrix.variables, gens, provs, tuple(raw))
 
 
 def two_layer_matrices(k1: int, k2: int, s1: int) -> list:
-    """The labeled resultant matrices behind :func:`two_layer_ideal`."""
+    """The labeled resultant matrices behind :func:`two_layer_ideal`.
+
+    Slots are the stride decomposition of generic symbols ``c0..c{k-1}``;
+    zero slots contribute no rows.  Shift caps and minor sizes come from
+    :func:`plan_two_layer`.
+    """
     recipe = plan_two_layer(k1, k2, s1)
     syms = coefficient_symbols(recipe.out_size)
     slots = s_decompose(syms, s1)

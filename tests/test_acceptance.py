@@ -14,9 +14,9 @@ from lcn.arch import Architecture, sample_neuromanifold
 from lcn.critpoints import (
     WeightedDistanceProblem,
     psi_map,
+    seeded_problem,
     solve_critical_points,
     training_loss,
-    training_reduce,
 )
 from lcn.eddegree import arch_ed_degree, generic_ed_degree, merge_tree, two_layer_table
 from lcn.idealgen import vanishing_generators
@@ -67,17 +67,6 @@ def reduced_family(max_depth=3, max_size=5, max_stride=4, max_out=14):
 @lru_cache(maxsize=None)
 def cached_generators(arch):
     return vanishing_generators(arch)
-
-
-def training_problem(arch, data_seed):
-    k = arch.out_size
-    s = arch.stride_product
-    d_out = 3
-    d0 = k + (d_out - 1) * s
-    rng = np.random.default_rng(data_seed)
-    X = rng.standard_normal((d0, d0 + 5))
-    Y = rng.standard_normal((d_out, d0 + 5))
-    return X, Y, training_reduce(X, Y, arch)
 
 
 def test_criterion_1_ed_degree_table():
@@ -198,7 +187,7 @@ def test_criterion_7_critical_point_counts():
         for sizes, expected in [((2, 2), 6), ((3, 2), 10)]:
             arch = Architecture(sizes, (2, 1))
             assert arch_ed_degree(arch) == expected
-            _, _, prob = training_problem(arch, data_seed=7)
+            _, _, prob = seeded_problem(arch, 7, 3)
             report = solve_critical_points(prob, starts=2000, seed=42, expected=expected)
             assert report.distinct_count == expected, (sizes, report.distinct_count)
             assert report.saturated
@@ -229,7 +218,7 @@ def test_criterion_8_training_reduction_identity():
     def body():
         for sizes in [(2, 2), (3, 2)]:
             arch = Architecture(sizes, (2, 1))
-            X, Y, prob = training_problem(arch, data_seed=3)
+            X, Y, prob = seeded_problem(arch, 3, 3)
             k = arch.out_size
             rng = np.random.default_rng(8)
             w0 = np.zeros(k)

@@ -60,9 +60,6 @@ class TestArchitecture:
         with pytest.raises(ValueError):
             Architecture((2, 2), (0, 1))
 
-    def test_parse(self):
-        assert Architecture.parse("3,2,2", "2,2,1") == Architecture((3, 2, 2), (2, 2, 1))
-
     @given(arch_strategy)
     def test_out_size_formula(self, arch):
         dil = arch.dilations

@@ -80,6 +80,13 @@ class TestVerify:
         assert payload["failures"] == []
 
 
+    def test_negative_samples_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "-k", "2,2", "-s", "2,1", "--samples", "-1")
+        assert code == 2
+        assert out == ""
+        assert "argument --samples" in err
+
+
 class TestResultant:
     def test_recipe_and_matrices(self, capsys):
         code, out, _ = run(capsys, "resultant", "-k", "5,2", "-s", "3,1", "--print-matrices")
@@ -128,7 +135,7 @@ class TestCritpoints:
     def test_json(self, capsys):
         code, out, _ = run(
             capsys, "critpoints", "-k", "2,2", "-s", "2,1",
-            "--starts", "400", "--seed", "42", "--json",
+            "--starts", "400", "--seed", "42", "--format", "json",
         )
         assert code == 0
         payload = json.loads(out)
@@ -145,6 +152,30 @@ class TestCritpoints:
         code, _, err = run(capsys, "critpoints", "-k", "5,2", "-s", "3,1")
         assert code == 2
         assert "non-hypersurface" in err
+
+    # the second case loses its stride 3 when the size-1 layer is merged away
+    @pytest.mark.parametrize("sizes,strides", [("2,2", "2,3"), ("2,2,1", "2,3,1")])
+    def test_last_stride_rejected(self, capsys, sizes, strides):
+        code, out, err = run(capsys, "critpoints", "-k", sizes, "-s", strides)
+        assert code == 2
+        assert out == ""
+        assert "last stride" in err
+
+    def test_zero_out_dim_usage_error(self, capsys):
+        code, _, err = run(capsys, "critpoints", "-k", "2,2", "-s", "2,1", "--out-dim", "0")
+        assert code == 2
+        assert "--out-dim" in err
+
+    @pytest.mark.parametrize("flag", ["--seed", "--data-seed"])
+    def test_negative_seed_names_flag(self, capsys, flag):
+        code, _, err = run(capsys, "critpoints", "-k", "2,2", "-s", "2,1", flag, "-1")
+        assert code == 2
+        assert f"argument {flag}" in err
+
+    def test_json_flag_removed(self, capsys):
+        code, _, err = run(capsys, "critpoints", "-k", "2,2", "-s", "2,1", "--json")
+        assert code == 2
+        assert "--json" in err
 
 
 class TestDeterminism:

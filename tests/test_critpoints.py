@@ -1,3 +1,6 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,22 +8,13 @@ from lcn.arch import Architecture
 from lcn.critpoints import (
     WeightedDistanceProblem,
     psi_map,
+    seeded_problem,
     solve_critical_points,
     training_loss,
     training_reduce,
 )
 from lcn.eddegree import arch_ed_degree
 from lcn.idealgen import vanishing_generators
-
-
-def training_problem(arch, data_seed=7, d_out=3):
-    k = arch.out_size
-    s = arch.stride_product
-    d0 = k + (d_out - 1) * s
-    rng = np.random.default_rng(data_seed)
-    X = rng.standard_normal((d0, d0 + 5))
-    Y = rng.standard_normal((d_out, d0 + 5))
-    return X, Y, training_reduce(X, Y, arch)
 
 
 def random_spd(rng, n):
@@ -64,10 +58,36 @@ class TestPsiMap:
             psi_map(np.eye(7), 4, 2, 3)
 
 
+class TestSeededProblem:
+    @pytest.mark.parametrize("sizes,data_seed,d_out", [((2, 2), 7, 3), ((3, 2), 3, 3), ((4, 2), 11, 2)])
+    def test_same_draws_as_inline_rng(self, sizes, data_seed, d_out):
+        arch = Architecture(sizes, (2, 1))
+        X, Y, prob = seeded_problem(arch, data_seed, d_out)
+        # oracle: the draw every caller made by hand before seeded_problem
+        d0 = arch.out_size + (d_out - 1) * arch.stride_product
+        rng = np.random.default_rng(data_seed)
+        X0 = rng.standard_normal((d0, d0 + 5))
+        Y0 = rng.standard_normal((d_out, d0 + 5))
+        assert np.array_equal(X, X0)
+        assert np.array_equal(Y, Y0)
+        ref = training_reduce(X0, Y0, arch)
+        assert np.array_equal(prob.T, ref.T)
+        assert np.array_equal(prob.u, ref.u)
+        assert prob.f == ref.f
+
+
+class TestExperimentScript:
+    def test_training_case_saturates(self, capsys):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "critical_point_experiment.py"
+        script = runpy.run_path(str(path))
+        assert script["run_training_case"](Architecture((2, 2), (2, 1)), 400, 42, 7) is True
+        assert "[ok]" in capsys.readouterr().out
+
+
 class TestTrainingReduce:
     def test_loss_identity(self):
         arch = Architecture((2, 2), (2, 1))
-        X, Y, prob = training_problem(arch)
+        X, Y, prob = seeded_problem(arch, 7, 3)
         rng = np.random.default_rng(10)
         w0 = rng.standard_normal(4)
         offset = training_loss(w0, X, Y, 2) - (w0 - prob.u) @ prob.T @ (w0 - prob.u)
@@ -79,7 +99,7 @@ class TestTrainingReduce:
 
     def test_offset_field_matches_fit(self):
         arch = Architecture((3, 2), (2, 1))
-        X, Y, prob = training_problem(arch)
+        X, Y, prob = seeded_problem(arch, 7, 3)
         w = np.zeros(5)
         fitted = training_loss(w, X, Y, 2) - (w - prob.u) @ prob.T @ (w - prob.u)
         assert abs(prob.offset - fitted) <= 1e-9 * max(1.0, abs(fitted))
@@ -132,14 +152,14 @@ class TestTrainingReduce:
             )
 
     def test_spd_weight(self):
-        _, _, prob = training_problem(Architecture((3, 2), (2, 1)))
+        _, _, prob = seeded_problem(Architecture((3, 2), (2, 1)), 7, 3)
         assert np.all(np.linalg.eigvalsh(prob.T) > 0)
 
 
 class TestSolve:
     def test_count_2_2(self):
         arch = Architecture((2, 2), (2, 1))
-        _, _, prob = training_problem(arch)
+        _, _, prob = seeded_problem(arch, 7, 3)
         report = solve_critical_points(prob, starts=500, seed=42, expected=6)
         assert report.distinct_count == 6
         assert report.saturated
@@ -147,7 +167,7 @@ class TestSolve:
 
     def test_conjugation_closure_and_parity(self):
         arch = Architecture((2, 2), (2, 1))
-        _, _, prob = training_problem(arch)
+        _, _, prob = seeded_problem(arch, 7, 3)
         report = solve_critical_points(prob, starts=500, seed=42, expected=6)
         vecs = [np.concatenate([p.w, [p.multiplier]]) for p in report.points]
         for v in vecs:
@@ -159,7 +179,7 @@ class TestSolve:
 
     def test_points_satisfy_equations(self):
         arch = Architecture((2, 2), (2, 1))
-        _, _, prob = training_problem(arch)
+        _, _, prob = seeded_problem(arch, 7, 3)
         report = solve_critical_points(prob, starts=400, seed=1, expected=6)
         T, u = prob.T, prob.u
         for p in report.points:
@@ -211,7 +231,7 @@ class TestSolve:
 
     def test_shortfall_reported(self):
         arch = Architecture((2, 2), (2, 1))
-        _, _, prob = training_problem(arch)
+        _, _, prob = seeded_problem(arch, 7, 3)
         report = solve_critical_points(prob, starts=3, seed=0, expected=6)
         assert not report.saturated
         assert report.distinct_count < 6

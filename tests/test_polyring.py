@@ -8,6 +8,7 @@ from lcn.polyring import (
     MultiPoly,
     PolyMatrix,
     coefficient_symbols,
+    dedup_generators,
     determinant,
     minor_expansion,
     minors,
@@ -193,6 +194,18 @@ class TestMinors:
         # rows (A, B), (-A, -B), (0, 0): all 1x1 minors are A, B up to sign
         m = PolyMatrix(3, 2, (A, B, -A, -B, zero, zero))
         assert minors(m, 1) == [A, B]
+
+    @given(small_polys(), st.integers(2, 5))
+    def test_dedup_generators_keeps_first_tag(self, f, c):
+        zero = MultiPoly.zero(VARS3)
+        tags, polys = dedup_generators(
+            [("zero", zero), ("f", f), ("-f", -f), (f"{c}f", c * f), ("zero again", zero)]
+        )
+        if f.terms:
+            assert tags == ("f",)
+            assert polys == (f.sign_normalized(),)
+        else:
+            assert tags == polys == ()
 
     @given(st.lists(st.integers(-5, 5), min_size=12, max_size=12), st.integers(1, 3))
     def test_numeric_consistency(self, values, size):
