@@ -2,7 +2,6 @@
 
 from .arch import (
     Architecture,
-    ConvMatrix,
     compose_filters,
     conv_matrix,
     pi_s,
@@ -10,7 +9,6 @@ from .arch import (
     sample_neuromanifold,
 )
 from .critpoints import (
-    CriticalPointReport,
     WeightedDistanceProblem,
     psi_map,
     solve_critical_points,
@@ -18,7 +16,6 @@ from .critpoints import (
 )
 from .decomp import DecompProfile, profile, s_decompose, s_recompose
 from .eddegree import (
-    EDReport,
     arch_ed_degree,
     fully_connected_count,
     generic_ed_degree,
@@ -36,26 +33,18 @@ from .polyring import (
 )
 from .resultant import (
     IdealGenerators,
-    ResultantMatrix,
-    TwoLayerIdealRecipe,
     build_resultant,
     plan_two_layer,
     two_layer_ideal,
 )
-from .verify import VerificationReport, exact_rank, smoke_nonmembership, verify_ideal
+from .verify import exact_rank, smoke_nonmembership, verify_ideal
 
 __all__ = [
     "Architecture",
-    "ConvMatrix",
-    "CriticalPointReport",
     "DecompProfile",
-    "EDReport",
     "IdealGenerators",
     "MultiPoly",
     "PolyMatrix",
-    "ResultantMatrix",
-    "TwoLayerIdealRecipe",
-    "VerificationReport",
     "WeightedDistanceProblem",
     "arch_ed_degree",
     "build_resultant",

@@ -4,7 +4,8 @@ An architecture is a tuple of per-layer filter sizes and strides.  Composing
 the layers gives a single convolution whose end-to-end filter has size
 ``k = k_1 + sum_{l>=2} (k_l - 1) * S_l`` where ``S_l`` is the product of the
 strides before layer ``l``.  The last stride never influences the end-to-end
-filter, so it is stored as 1.
+filter, but it is kept as given: the stride of the composed convolution, and
+with it the training data model, is the product of all strides.
 
 Filters are plain sequences (ints, Fractions, floats or complex); all the
 helpers here are generic over the entry type so exact and numeric callers
@@ -40,8 +41,6 @@ class Architecture:
             )
         if any(v < 1 for v in ks) or any(v < 1 for v in ss):
             raise ValueError("filter sizes and strides must be positive")
-        # the final stride has no effect on the end-to-end filter
-        ss = ss[:-1] + (1,)
         object.__setattr__(self, "filter_sizes", ks)
         object.__setattr__(self, "strides", ss)
 

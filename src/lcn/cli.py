@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import prod
 from typing import Sequence
 
 from .arch import Architecture, reduce_arch, sample_neuromanifold
@@ -101,33 +100,27 @@ def cmd_ideal(args) -> int:
 
 
 def cmd_eddeg(args) -> int:
-    try:
-        sizes = _parse_sizes(args.sizes)
-        if args.table:
-            m1, m2 = args.table
-            rows = two_layer_table(m1, m2)
-            header = "k1\\k2\t" + "\t".join(str(k2) for k2 in range(2, m2 + 1))
-            print(header)
-            for k1, row in zip(range(2, m1 + 1), rows):
-                print(f"{k1}\t" + "\t".join(str(v) for v in row))
-        elif args.tree:
-            print("\n".join(tree_lines(merge_tree(sizes))))
-        else:
-            print(generic_ed_degree(sizes))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    sizes = _parse_sizes(args.sizes)
+    if any(v < 2 for v in sizes):
+        raise UsageError(f"filter sizes must be at least 2, got {sizes}")
+    if args.table:
+        m1, m2 = args.table
+        rows = two_layer_table(m1, m2)
+        header = "k1\\k2\t" + "\t".join(str(k2) for k2 in range(2, m2 + 1))
+        print(header)
+        for k1, row in zip(range(2, m1 + 1), rows):
+            print(f"{k1}\t" + "\t".join(str(v) for v in row))
+    elif args.tree:
+        if len(sizes) < 2:
+            raise UsageError("the merge tree needs at least two filter sizes")
+        print("\n".join(tree_lines(merge_tree(sizes))))
+    else:
+        print(generic_ed_degree(sizes))
     return 0
 
 
 def cmd_critpoints(args) -> int:
     reduced = reduce_arch(_arch(args))
-    # the data model uses the stride product, but Architecture stores s_L as 1
-    # and merging a trailing size-1 layer drops the stride before it
-    if prod(_parse_sizes(args.strides)) != reduced.stride_product:
-        raise UsageError(
-            f"critpoints needs a last stride of 1 (got -s {args.strides}, "
-            f"reduced to {reduced.describe()})"
-        )
     k = reduced.out_size
     try:
         _, _, problem = seeded_problem(reduced, args.data_seed, args.out_dim)
@@ -274,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eddeg", help="generic critical-point count")
     p.add_argument("-k", dest="sizes", required=True)
     p.add_argument("--tree", action="store_true", help="print the layer-merge tree")
-    p.add_argument("--table", type=int, nargs=2, metavar=("K1MAX", "K2MAX"), help="two-layer table as TSV")
+    p.add_argument("--table", type=_at_least(2), nargs=2, metavar=("K1MAX", "K2MAX"), help="two-layer table as TSV")
     p.set_defaults(func=cmd_eddeg)
 
     p = sub.add_parser("critpoints", help="count critical points of a seeded training problem")

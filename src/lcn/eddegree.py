@@ -14,19 +14,21 @@ sizes; strides play no role.  The same number governs the training loss of
 the matching convolutional network, which is what the rest of the package
 checks numerically.
 
-Everything here is exact big-integer arithmetic; each ``t``-term is an
-integer because ``(kbar - t)! / prod (n_j - i_j)!`` is a multinomial
-coefficient.
+The inner sum is the ``z^t`` coefficient of
+``prod_j sum_i binom(n_j + 1, i) z^i / (n_j - i)!``, so it is evaluated as
+one product of polynomials, each row scaled by ``n_j!`` to keep integer
+coefficients.  Everything here is exact big-integer arithmetic; each
+``t``-term is an integer because ``(kbar - t)! / prod (n_j - i_j)!`` is a
+multinomial coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, factorial
-from typing import Iterator, Sequence
+from math import comb, factorial, perm, prod
+from typing import Sequence
 
-from .arch import Architecture, reduce_arch
+from .arch import Architecture, _convolve, reduce_arch
 
 
 def _check_sizes(filter_sizes: Sequence[int]) -> tuple:
@@ -38,56 +40,21 @@ def _check_sizes(filter_sizes: Sequence[int]) -> tuple:
     return sizes
 
 
-def _bounded_compositions(total: int, bounds: Sequence[int]) -> Iterator[tuple]:
-    """All tuples with entry j in [0, bounds[j]] summing to ``total``."""
-    n = len(bounds)
-
-    def rec(j: int, remaining: int, acc: list):
-        if j == n - 1:
-            if remaining <= bounds[j]:
-                yield tuple(acc + [remaining])
-            return
-        cap = sum(bounds[j + 1 :])
-        lo = max(0, remaining - cap)
-        for i in range(lo, min(bounds[j], remaining) + 1):
-            yield from rec(j + 1, remaining - i, acc + [i])
-
-    yield from rec(0, total, [])
-
-
 def generic_ed_degree(filter_sizes: Sequence[int]) -> int:
     """Exact critical-point count for the given multiset of filter sizes."""
-    sizes = _check_sizes(filter_sizes)
-    dims = tuple(k - 1 for k in sizes)
+    dims = [k - 1 for k in _check_sizes(filter_sizes)]
     kbar = sum(dims)
+    # coeffs[t] = prod_j n_j! * (inner sum at t)
+    coeffs = [1]
+    for n in dims:
+        coeffs = _convolve(coeffs, [comb(n + 1, i) * perm(n, i) for i in range(n + 1)])
+    scale = prod(factorial(n) for n in dims)
     total = 0
-    for t in range(kbar + 1):
-        inner = Fraction(0)
-        for combo in _bounded_compositions(t, dims):
-            num = 1
-            den = 1
-            for n_j, i_j in zip(dims, combo):
-                num *= comb(n_j + 1, i_j)
-                den *= factorial(n_j - i_j)
-            inner += Fraction(num, den)
-        term = inner * factorial(kbar - t)
-        assert term.denominator == 1, "each t-term must clear its denominators"
-        total += (-1) ** t * (2 ** (kbar + 1 - t) - 1) * term.numerator
+    for t, c in enumerate(coeffs):
+        term, rest = divmod(c * factorial(kbar - t), scale)
+        assert rest == 0, "each t-term must clear its denominators"
+        total += (-1) ** t * (2 ** (kbar + 1 - t) - 1) * term
     return total
-
-
-@dataclass(frozen=True)
-class EDReport:
-    """Value of the count together with the inputs that determine it."""
-
-    filter_sizes: tuple
-    k_bar: int
-    value: int
-
-
-def ed_report(filter_sizes: Sequence[int]) -> EDReport:
-    sizes = _check_sizes(filter_sizes)
-    return EDReport(sizes, sum(k - 1 for k in sizes), generic_ed_degree(sizes))
 
 
 def arch_ed_degree(arch: Architecture) -> int:
@@ -112,16 +79,9 @@ def fully_connected_count(m: int, n: int, r: int) -> int:
 class MergeNode:
     """One node of the layer-merge tree, with children for each merge."""
 
-    report: EDReport
+    filter_sizes: tuple
+    value: int
     children: tuple
-
-    @property
-    def value(self) -> int:
-        return self.report.value
-
-    @property
-    def filter_sizes(self) -> tuple:
-        return self.report.filter_sizes
 
 
 def merge_tree(filter_sizes: Sequence[int]) -> MergeNode:
@@ -150,7 +110,7 @@ def merge_tree(filter_sizes: Sequence[int]) -> MergeNode:
                     continue
                 seen.add(key)
                 children.append(merge_tree(merged))
-    return MergeNode(ed_report(sizes), tuple(children))
+    return MergeNode(sizes, generic_ed_degree(sizes), tuple(children))
 
 
 def tree_lines(node: MergeNode, indent: int = 0) -> list:

@@ -52,7 +52,7 @@ class TestArchitecture:
 
     def test_last_stride_normalized(self):
         a = Architecture((2, 2), (2, 7))
-        assert a.strides == (2, 1)
+        assert a.strides == (2, 7)
 
     def test_nonpositive_entries(self):
         with pytest.raises(ValueError):
@@ -92,15 +92,16 @@ class TestReduce:
         assert reduce_arch(a) == a
 
     def test_unit_size_merge(self):
-        assert reduce_arch(Architecture((1, 3), (5, 1))) == Architecture((11,), (1,))
+        assert reduce_arch(Architecture((1, 3), (5, 1))) == Architecture((11,), (5,))
 
     def test_trailing_unit_size(self):
-        assert reduce_arch(Architecture((3, 1), (2, 1))) == Architecture((3,), (1,))
+        assert reduce_arch(Architecture((3, 1), (2, 1))) == Architecture((3,), (2,))
 
     @given(arch_strategy)
     def test_reduced_and_size_preserving(self, arch):
         red = reduce_arch(arch)
         assert red.out_size == arch.out_size
+        assert red.stride_product == arch.stride_product
         assert red.is_reduced or red.depth == 1
 
 
@@ -180,6 +181,7 @@ class TestConvMatrix:
         [
             Architecture((3, 2), (2, 1)),
             Architecture((2, 3), (3, 1)),
+            Architecture((3, 2), (2, 3)),
             Architecture((3, 2, 2), (2, 2, 1)),
         ],
         ids=str,

@@ -37,6 +37,16 @@ class TestEddeg:
         assert rows[1][1] == "6"
         assert rows[8][8] == "10218105"
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [(("-k", "2,3", "--table", "1", "5"), "--table"), (("-k", "5", "--tree"), "two filter sizes")],
+    )
+    def test_usage_error_prints_nothing(self, capsys, argv, message):
+        code, out, err = run(capsys, "eddeg", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
 
 class TestIdeal:
     def test_two_layer_text(self, capsys):
@@ -153,13 +163,16 @@ class TestCritpoints:
         assert code == 2
         assert "non-hypersurface" in err
 
-    # the second case loses its stride 3 when the size-1 layer is merged away
+    # the second case merges its size-1 layer away and keeps the stride product
     @pytest.mark.parametrize("sizes,strides", [("2,2", "2,3"), ("2,2,1", "2,3,1")])
-    def test_last_stride_rejected(self, capsys, sizes, strides):
-        code, out, err = run(capsys, "critpoints", "-k", sizes, "-s", strides)
-        assert code == 2
-        assert out == ""
-        assert "last stride" in err
+    def test_last_stride_kept(self, capsys, sizes, strides):
+        code, out, _ = run(
+            capsys, "critpoints", "-k", sizes, "-s", strides, "--starts", "300", "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["strides"] == [2, 3]
+        assert payload["distinct"] == payload["expected"] == 6
 
     def test_zero_out_dim_usage_error(self, capsys):
         code, _, err = run(capsys, "critpoints", "-k", "2,2", "-s", "2,1", "--out-dim", "0")

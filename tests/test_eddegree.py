@@ -1,10 +1,15 @@
+import runpy
+import sys
+from fractions import Fraction
+from math import comb, factorial
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
 from lcn.arch import Architecture
 from lcn.eddegree import (
     arch_ed_degree,
-    ed_report,
     fully_connected_count,
     generic_ed_degree,
     merge_tree,
@@ -37,6 +42,47 @@ MERGE_TREE_VALUES = {
 }
 
 
+def _bounded_compositions(total, bounds):
+    """All tuples with entry j in [0, bounds[j]] summing to ``total``."""
+    if len(bounds) == 1:
+        if total <= bounds[0]:
+            yield (total,)
+        return
+    lo = max(0, total - sum(bounds[1:]))
+    for i in range(lo, min(bounds[0], total) + 1):
+        for rest in _bounded_compositions(total - i, bounds[1:]):
+            yield (i,) + rest
+
+
+def composition_sum(sizes):
+    """The closed form summed term by term over bounded compositions (oracle)."""
+    dims = [k - 1 for k in sizes]
+    kbar = sum(dims)
+    total = 0
+    for t in range(kbar + 1):
+        inner = Fraction(0)
+        for combo in _bounded_compositions(t, dims):
+            num = den = 1
+            for n_j, i_j in zip(dims, combo):
+                num *= comb(n_j + 1, i_j)
+                den *= factorial(n_j - i_j)
+            inner += Fraction(num, den)
+        term = inner * factorial(kbar - t)
+        assert term.denominator == 1
+        total += (-1) ** t * (2 ** (kbar + 1 - t) - 1) * term.numerator
+    return total
+
+
+class TestAgainstCompositionSum:
+    def test_two_layer_table_to_20(self):
+        expected = [[composition_sum((k1, k2)) for k2 in range(2, 21)] for k1 in range(2, 21)]
+        assert two_layer_table(20, 20) == expected
+
+    @given(st.lists(st.integers(2, 7), min_size=1, max_size=6))
+    def test_random_multisets(self, sizes):
+        assert generic_ed_degree(sizes) == composition_sum(sizes)
+
+
 class TestTable:
     def test_all_64_entries(self):
         assert two_layer_table(9, 9) == TWO_LAYER_TABLE
@@ -58,12 +104,6 @@ class TestKnownValues:
     @pytest.mark.parametrize("sizes,value", sorted(MERGE_TREE_VALUES.items()))
     def test_node_values(self, sizes, value):
         assert generic_ed_degree(sizes) == value
-
-    def test_report(self):
-        rep = ed_report((2, 3, 4, 5))
-        assert rep.value == 2976084
-        assert rep.k_bar == 1 + 2 + 3 + 4
-        assert rep.value > 0
 
 
 class TestInvariance:
@@ -131,9 +171,12 @@ class TestMergeTree:
         assert len(keys) == len(set(keys)) == 6
 
     def test_merges_preserve_dimension(self):
+        def kbar(node):
+            return sum(k - 1 for k in node.filter_sizes)
+
         root = merge_tree((2, 3, 4, 5))
         for child in root.children:
-            assert child.report.k_bar == root.report.k_bar
+            assert kbar(child) == kbar(root) == 1 + 2 + 3 + 4
 
     def test_two_layer_leaf(self):
         root = merge_tree((2, 2))
@@ -144,3 +187,13 @@ class TestMergeTree:
         lines = tree_lines(merge_tree((2, 3, 8)))
         assert lines[0] == "C[2,3,8] = 12698"
         assert any(line.strip().startswith("C[") for line in lines[1:])
+
+
+class TestTablesScript:
+    def test_small_table_and_tree(self, capsys, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "ed_degree_tables.py"
+        argv = [str(path), "--max-k1", "3", "--max-k2", "3", "--tree", "2,3,8"]
+        monkeypatch.setattr(sys, "argv", argv)
+        runpy.run_path(str(path), run_name="__main__")
+        out = capsys.readouterr().out
+        assert "C[2,3,8] = 12698" in out.splitlines()
