@@ -100,7 +100,9 @@ def cmd_ideal(args) -> int:
 
 
 def cmd_eddeg(args) -> int:
-    sizes = _parse_sizes(args.sizes)
+    if args.sizes is None and not args.table:
+        raise UsageError("give filter sizes (-k) or a table (--table)")
+    sizes = () if args.sizes is None else _parse_sizes(args.sizes)
     if any(v < 2 for v in sizes):
         raise UsageError(f"filter sizes must be at least 2, got {sizes}")
     if args.table:
@@ -216,9 +218,9 @@ def cmd_resultant(args) -> int:
     else:
         print("matrix 2       : not needed")
     if args.print_matrices:
-        for name, size, rm in two_layer_matrices(k1, k2, s1):
-            print(f"{name} = R_{rm.shift_cap}  ({rm.matrix.rows}x{rm.matrix.cols}, minors of size {size})")
-            print(rm.matrix.text())
+        for name, shift_cap, size, matrix in two_layer_matrices(k1, k2, s1):
+            print(f"{name} = R_{shift_cap}  ({matrix.rows}x{matrix.cols}, minors of size {size})")
+            print(matrix.text())
     return 0
 
 
@@ -251,10 +253,9 @@ def _build_parser() -> argparse.ArgumentParser:
     positive = _at_least(1)
     numpy_seed = _at_least(0)
 
-    def common(p, strides=True, seed=int):
+    def common(p, seed=int):
         p.add_argument("-k", dest="sizes", required=True, help="comma-separated filter sizes")
-        if strides:
-            p.add_argument("-s", dest="strides", help="comma-separated strides")
+        p.add_argument("-s", dest="strides", help="comma-separated strides")
         p.add_argument("--format", choices=("text", "json"), default="text")
         if seed:
             p.add_argument("--seed", type=seed, default=42)
@@ -265,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ideal)
 
     p = sub.add_parser("eddeg", help="generic critical-point count")
-    p.add_argument("-k", dest="sizes", required=True)
+    p.add_argument("-k", dest="sizes", help="comma-separated filter sizes (not needed with --table)")
     p.add_argument("--tree", action="store_true", help="print the layer-merge tree")
     p.add_argument("--table", type=_at_least(2), nargs=2, metavar=("K1MAX", "K2MAX"), help="two-layer table as TSV")
     p.set_defaults(func=cmd_eddeg)

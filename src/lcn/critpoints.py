@@ -128,6 +128,9 @@ def seeded_problem(arch: Architecture, data_seed: int, d_out: int):
 
 # -- multi-start Newton solver ----------------------------------------------
 
+# Newton steps allowed per start before the start is given up.
+_MAX_NEWTON_STEPS = 100
+
 
 class _CompiledSystem:
     """One shot evaluation of f, its gradient and its Hessian.
@@ -154,16 +157,10 @@ class _CompiledSystem:
                 C[row, index[e]] = complex(c)
         self.C = C
 
-    def _values(self, w: np.ndarray) -> np.ndarray:
+    def __call__(self, w: np.ndarray):
+        """``(f, grad f, Hessian of f)`` at ``w``."""
         mono = np.prod(w[None, :] ** self.exps, axis=1)
-        return self.C @ mono
-
-    def f_grad(self, w: np.ndarray):
-        vals = self._values(w)
-        return vals[0], vals[1 : self.k + 1]
-
-    def f_grad_hess(self, w: np.ndarray):
-        vals = self._values(w)
+        vals = self.C @ mono
         k = self.k
         return vals[0], vals[1 : k + 1], vals[k + 1 :].reshape(k, k)
 
@@ -226,19 +223,18 @@ def solve_critical_points(
     tol = 1e-12 * scale
 
     def residual_vec(w, lam):
-        fv, grad = system.f_grad(w)
+        fv, grad, H = system(w)
         F = np.empty(k + 1, dtype=complex)
         F[0] = fv
         F[1:] = T @ (w - u) - lam * grad
-        return F, grad
+        return F, grad, H
 
-    def newton(w, lam, max_iter=100):
-        F, grad = residual_vec(w, lam)
+    def newton(w, lam):
+        F, grad, H = residual_vec(w, lam)
         nF = np.linalg.norm(F)
-        for _ in range(max_iter):
+        for _ in range(_MAX_NEWTON_STEPS):
             if nF < tol:
                 break
-            _, _, H = system.f_grad_hess(w)
             J = np.empty((k + 1, k + 1), dtype=complex)
             J[0, :k] = grad
             J[0, k] = 0.0
@@ -252,17 +248,17 @@ def solve_critical_points(
             while t > 1e-4:
                 w_new = w + t * step[:k]
                 lam_new = lam + t * step[k]
-                F_new, grad_new = residual_vec(w_new, lam_new)
+                F_new, grad_new, H_new = residual_vec(w_new, lam_new)
                 nF_new = np.linalg.norm(F_new)
                 if nF_new < (1 - 0.25 * t) * nF:
                     break
                 t *= 0.5
             else:
                 return None
-            w, lam, F, grad, nF = w_new, lam_new, F_new, grad_new, nF_new
+            w, lam, F, grad, H, nF = w_new, lam_new, F_new, grad_new, H_new, nF_new
         if nF >= tol:
             return None
-        return w, lam, float(nF)
+        return w, lam, grad, float(nF)
 
     rng = np.random.default_rng(seed)
     amp = max(1.0, float(np.linalg.norm(u)))
@@ -273,13 +269,12 @@ def solve_critical_points(
     for idx in range(starts):
         used = idx + 1
         w0 = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * amp / np.sqrt(2)
-        _, grad0 = system.f_grad(w0)
+        _, grad0, _ = system(w0)
         denom = np.vdot(grad0, grad0)
         lam0 = np.vdot(grad0, T @ (w0 - u)) / denom if abs(denom) > 1e-30 else 0.0 + 0.0j
         result = newton(w0, lam0)
         if result is not None:
-            w, lam, res = result
-            _, grad = system.f_grad(w)
+            w, lam, grad, res = result
             if np.linalg.norm(grad) >= 1e-8 * max(1.0, np.linalg.norm(w)):
                 # gradient nonzero: the point lies on the smooth locus
                 vec = np.concatenate([w, [lam]])

@@ -29,66 +29,34 @@ from .polyring import (
 )
 
 
-@dataclass(frozen=True)
-class ResultantMatrix:
-    """R_l for a list of coefficient rows, with per-row provenance.
-
-    ``row_provenance[t] = (input index, shift)``: the row holds the
-    coefficients of input polynomial ``input index`` placed in columns
-    ``shift .. shift + degree``.
-    """
-
-    shift_cap: int
-    matrix: PolyMatrix
-    row_provenance: tuple
-    has_degree_zero_rows: bool
-
-
-def resultant_rows(polys: Sequence[Sequence], l: int, zero=0):
-    """Generic row construction shared by symbolic and numeric callers.
+def resultant_rows(polys: Sequence[Sequence], l: int, zero=0) -> list:
+    """Rows of R_l, shared by symbolic and numeric callers.
 
     ``polys`` are coefficient sequences (empty = zero polynomial, excluded).
-    Returns (rows, provenance, degree-zero flag).
     """
     if l < 0:
         raise ValueError("shift cap l must be nonnegative")
     if all(len(q) == 0 for q in polys):
         raise ValueError("all input polynomials are zero")
-    cols = l + 1
     rows = []
-    provenance = []
-    has_const = False
-    for idx, q in enumerate(polys):
+    for q in polys:
         if not len(q):
             continue
         n = len(q) - 1
-        if n == 0:
-            has_const = True
         for shift in range(l - n + 1):
-            row = [zero] * cols
+            row = [zero] * (l + 1)
             row[shift : shift + n + 1] = list(q)
             rows.append(row)
-            provenance.append((idx, shift))
-    return rows, tuple(provenance), has_const
+    return rows
 
 
-def build_resultant(polys: Sequence[Sequence[MultiPoly]], l: int) -> ResultantMatrix:
+def build_resultant(polys: Sequence[Sequence[MultiPoly]], l: int) -> PolyMatrix:
     """Symbolic R_l from coefficient sequences of MultiPoly entries."""
-    vars_ = None
-    for q in polys:
-        for c in q:
-            vars_ = c.vars
-            break
-        if vars_ is not None:
-            break
+    vars_ = next((c.vars for q in polys for c in q), None)
     if vars_ is None:
         raise ValueError("all input polynomials are zero")
-    zero = MultiPoly.zero(vars_)
-    rows, provenance, has_const = resultant_rows(polys, l, zero=zero)
-    flat = tuple(e for row in rows for e in row)
-    return ResultantMatrix(
-        l, PolyMatrix(len(rows), l + 1, flat), provenance, has_const
-    )
+    rows = resultant_rows(polys, l, zero=MultiPoly.zero(vars_))
+    return PolyMatrix(len(rows), l + 1, tuple(e for row in rows for e in row))
 
 
 @dataclass(frozen=True)
@@ -101,9 +69,6 @@ class TwoLayerIdealRecipe:
     attained by more than one but not all nonzero slots.
     """
 
-    k1: int
-    k2: int
-    s1: int
     out_size: int
     profile: DecompProfile
     l1: int
@@ -111,7 +76,6 @@ class TwoLayerIdealRecipe:
     l2: "int | None"
     size2: "int | None"
     i2_active: bool
-    has_constant_slots: bool
 
 
 def plan_two_layer(k1: int, k2: int, s1: int) -> TwoLayerIdealRecipe:
@@ -128,19 +92,7 @@ def plan_two_layer(k1: int, k2: int, s1: int) -> TwoLayerIdealRecipe:
     i2_active = 1 < prof.r < prof.nonzero_slots
     l2 = 2 * prof.n_max - m if i2_active else None
     size2 = 2 * prof.n_max - 2 * m + 2 if i2_active else None
-    return TwoLayerIdealRecipe(
-        k1,
-        k2,
-        s1,
-        k,
-        prof,
-        l1,
-        size1,
-        l2,
-        size2,
-        i2_active,
-        any(d == 0 for d in prof.degrees),
-    )
+    return TwoLayerIdealRecipe(k, prof, l1, size1, l2, size2, i2_active)
 
 
 @dataclass(frozen=True)
@@ -177,31 +129,31 @@ def two_layer_ideal(k1: int, k2: int, s1: int) -> IdealGenerators:
     label = f"two_layer({k1},{k2};{s1})"
     candidates = []
     raw = []
-    for name, size, rm in matrices:
+    for name, _, size, matrix in matrices:
         dets = [
             (f"{label}:{name}[r={ri};c={ci}]", det)
-            for ri, ci, det in minor_expansion(rm.matrix, size)
+            for ri, ci, det in minor_expansion(matrix, size)
         ]
         candidates += dets
         raw.append((f"{label}:{name}", len(dets)))
     provs, gens = dedup_generators(candidates)
-    return IdealGenerators(matrices[0][2].matrix.variables, gens, provs, tuple(raw))
+    return IdealGenerators(matrices[0][3].variables, gens, provs, tuple(raw))
 
 
 def two_layer_matrices(k1: int, k2: int, s1: int) -> list:
-    """The labeled resultant matrices behind :func:`two_layer_ideal`.
+    """The resultant matrices behind :func:`two_layer_ideal`.
 
-    Slots are the stride decomposition of generic symbols ``c0..c{k-1}``;
-    zero slots contribute no rows.  Shift caps and minor sizes come from
+    Each entry is ``(name, shift cap, minor size, matrix)``.  Slots are the
+    stride decomposition of generic symbols ``c0..c{k-1}``; zero slots
+    contribute no rows.  Shift caps and minor sizes come from
     :func:`plan_two_layer`.
     """
     recipe = plan_two_layer(k1, k2, s1)
     syms = coefficient_symbols(recipe.out_size)
     slots = s_decompose(syms, s1)
     nonzero = [q for q in slots if q]
-    out = [("I1", recipe.size1, build_resultant(nonzero, recipe.l1))]
+    out = [("I1", recipe.l1, recipe.size1, build_resultant(nonzero, recipe.l1))]
     if recipe.i2_active:
-        out.append(
-            ("I2", recipe.size2, build_resultant(slots[: recipe.profile.r], recipe.l2))
-        )
+        top = slots[: recipe.profile.r]
+        out.append(("I2", recipe.l2, recipe.size2, build_resultant(top, recipe.l2)))
     return out

@@ -37,9 +37,18 @@ class TestEddeg:
         assert rows[1][1] == "6"
         assert rows[8][8] == "10218105"
 
+    def test_table_without_sizes(self, capsys):
+        code, out, _ = run(capsys, "eddeg", "--table", "3", "3")
+        assert code == 0
+        assert (code, out) == run(capsys, "eddeg", "-k", "2,2", "--table", "3", "3")[:2]
+
     @pytest.mark.parametrize(
         "argv,message",
-        [(("-k", "2,3", "--table", "1", "5"), "--table"), (("-k", "5", "--tree"), "two filter sizes")],
+        [
+            (("-k", "2,3", "--table", "1", "5"), "--table"),
+            (("-k", "5", "--tree"), "two filter sizes"),
+            ((), "-k"),
+        ],
     )
     def test_usage_error_prints_nothing(self, capsys, argv, message):
         code, out, err = run(capsys, "eddeg", *argv)

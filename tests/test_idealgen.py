@@ -114,6 +114,38 @@ class TestGoldenIdeals:
             ours.add(tuple((e, int(c)) for e, c in fingerprints))
         assert ours == expected
 
+    @pytest.mark.parametrize(
+        "ks,ss,count,raw_counts",
+        [
+            (
+                (2, 2, 2, 2),
+                (2, 2, 2, 1),
+                68,
+                (
+                    ("merge(1,2)->merge(1,2)->two_layer(8,2;8):I1", 28),
+                    ("merge(1,2)->base(4,4;4):I1", 36),
+                    ("base(2,8;2):I1", 28),
+                ),
+            ),
+            (
+                (2, 2, 2, 2, 2),
+                (2, 2, 2, 2, 1),
+                392,
+                (
+                    ("merge(1,2)->merge(1,2)->merge(1,2)->two_layer(16,2;16):I1", 120),
+                    ("merge(1,2)->merge(1,2)->base(8,4;8):I1", 168),
+                    ("merge(1,2)->base(4,8;4):I1", 168),
+                    ("base(2,16;2):I1", 120),
+                ),
+            ),
+        ],
+        ids=["depth4", "depth5"],
+    )
+    def test_deep_raw_counts_in_order(self, ks, ss, count, raw_counts):
+        gens = vanishing_generators(Architecture(ks, ss))
+        assert len(gens.generators) == count
+        assert gens.raw_counts == raw_counts
+
     def test_deeper_recursion_runs(self):
         gens = vanishing_generators(Architecture((2, 2, 2, 2), (2, 2, 2, 1)))
         assert gens.generators
