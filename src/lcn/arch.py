@@ -165,25 +165,12 @@ def compose_filters(arch: Architecture, layer_filters: Sequence[Sequence]) -> tu
     return tuple(acc)
 
 
-@dataclass(frozen=True)
-class ConvMatrix:
-    """Dense matrix of a strided convolution.
+def conv_matrix(w: Sequence, stride: int, d_out: int) -> tuple:
+    """Dense matrix of a strided convolution, as a tuple of row tuples.
 
     Entry (i, j) is ``w[j - i*s]`` when that index lands inside the filter,
-    else 0; the input dimension satisfies ``d_in = k + (d_out - 1) * s``.
+    else 0; each row has length ``d_in = k + (d_out - 1) * s``.
     """
-
-    filter: tuple
-    stride: int
-    d_out: int
-    d_in: int
-    matrix: tuple
-
-    def as_lists(self) -> list:
-        return [list(r) for r in self.matrix]
-
-
-def conv_matrix(w: Sequence, stride: int, d_out: int) -> ConvMatrix:
     if d_out < 1:
         raise ValueError("d_out must be positive")
     if stride < 1:
@@ -196,7 +183,7 @@ def conv_matrix(w: Sequence, stride: int, d_out: int) -> ConvMatrix:
         for j in range(k):
             row[i * stride + j] = w[j]
         rows.append(tuple(row))
-    return ConvMatrix(tuple(w), stride, d_out, d_in, tuple(rows))
+    return tuple(rows)
 
 
 def sample_neuromanifold(arch: Architecture, rng_seed: int):

@@ -62,8 +62,6 @@ def _at_least(low: int):
 
 
 def _arch(args) -> Architecture:
-    if args.strides is None:
-        raise UsageError("this subcommand needs strides (-s)")
     try:
         return Architecture(_parse_sizes(args.sizes), _parse_sizes(args.strides))
     except ValueError as exc:
@@ -255,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, seed=int):
         p.add_argument("-k", dest="sizes", required=True, help="comma-separated filter sizes")
-        p.add_argument("-s", dest="strides", help="comma-separated strides")
+        p.add_argument("-s", dest="strides", required=True, help="comma-separated strides")
         p.add_argument("--format", choices=("text", "json"), default="text")
         if seed:
             p.add_argument("--seed", type=seed, default=42)

@@ -21,9 +21,6 @@ in the same ambient variables ``c0 .. c{k-1}``.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
-
 from .arch import Architecture, reduce_arch
 from .polyring import dedup_generators
 from .resultant import IdealGenerators, two_layer_ideal
@@ -65,13 +62,3 @@ def vanishing_generators(arch: Architecture) -> IdealGenerators:
     )
     raw = tuple((head + lbl[cut:], n) for head, part in parts for lbl, n in part.raw_counts)
     return IdealGenerators(parts[0][1].variables, gens, provs, raw)
-
-
-def check_membership_sample(gens: IdealGenerators, point: Sequence) -> bool:
-    """True iff every generator evaluates to exactly zero at the point."""
-    if len(point) != len(gens.variables):
-        raise ValueError(
-            f"point of length {len(point)} in a space of dimension {len(gens.variables)}"
-        )
-    values = dict(zip(gens.variables, (Fraction(v) for v in point)))
-    return all(g.evaluate(values) == 0 for g in gens.generators)

@@ -11,6 +11,9 @@ graded lexicographic: higher total degree first, ties broken by comparing
 exponent tuples left to right.  Variable lists of the form ``c0, c1, ...``
 with at most 26 entries print as the letters ``A, B, ...`` so that small
 generators stay readable.
+
+The minors of a :class:`PolyMatrix` come from one memoised Laplace
+expansion that shares sub-minors on ``(rows, columns)``.
 """
 
 from __future__ import annotations
@@ -19,10 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import Iterable, Iterator, Mapping, Sequence
-
-Coeff = int | Fraction
-Exponents = tuple[int, ...]
+from typing import Iterable, Iterator, Mapping
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -36,12 +36,11 @@ class MultiPoly:
 
     __slots__ = ("vars", "terms", "_hash")
 
-    def __init__(self, variables, terms=()):
+    def __init__(self, variables, terms: "dict | None" = None):
         vars_ = tuple(variables)
         nv = len(vars_)
         acc = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for exps, coeff in items:
+        for exps, coeff in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != nv:
                 raise ValueError(
@@ -79,9 +78,6 @@ class MultiPoly:
         return cls(vars_, {tuple(exps): 1})
 
     # -- basic queries -----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -362,8 +358,7 @@ class PolyMatrix:
             raise ValueError(
                 f"{len(self.entries)} entries for a {self.rows}x{self.cols} matrix"
             )
-        vars_ = {e.vars for e in self.entries}
-        if len(vars_) > 1:
+        if len({e.vars for e in self.entries}) > 1:
             raise ValueError("matrix entries come from different rings")
 
     @property
@@ -373,84 +368,69 @@ class PolyMatrix:
     def entry(self, i: int, j: int) -> MultiPoly:
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "PolyMatrix":
-        ents = tuple(self.entry(i, j) for i in row_idx for j in col_idx)
-        return PolyMatrix(len(row_idx), len(col_idx), ents)
-
     def text(self) -> str:
         cells = [[self.entry(i, j).text() for j in range(self.cols)] for i in range(self.rows)]
-        widths = [max(len(cells[i][j]) for i in range(self.rows)) for j in range(self.cols)] if self.rows else []
-        lines = []
-        for r in cells:
-            lines.append("[ " + "  ".join(c.rjust(w) for c, w in zip(r, widths)) + " ]")
-        return "\n".join(lines)
+        widths = [max(map(len, col)) for col in zip(*cells)]
+        return "\n".join("[ " + "  ".join(c.rjust(w) for c, w in zip(r, widths)) + " ]" for r in cells)
+
+
+def _cofactor_expansion(m: PolyMatrix):
+    """``det(rows, mask)``: the minor on the row tuple ``rows`` and the
+    columns set in ``mask``, expanded along ``rows[-1]`` in ascending column
+    order.  Sub-minors are memoised in one table per length of the row
+    prefix ``rows[:-1]``, emptied when that prefix changes: asked for row
+    sets in lexicographic order, each sub-minor is computed once (O(2^n)
+    products for a determinant, not n!) and only those of the current row
+    prefixes stay alive."""
+    vars_ = m.variables
+    one = MultiPoly.constant(vars_, 1)
+    tables = {}  # prefix length -> (prefix, {mask: minor})
+
+    def det(rows: tuple, mask: int) -> MultiPoly:
+        if not rows:
+            return one
+        above = rows[:-1]
+        prefix, table = tables.get(len(above), (None, None))
+        if prefix != above:
+            table = {}
+            tables[len(above)] = (above, table)
+        total = MultiPoly.zero(vars_)
+        for pos, j in enumerate(j for j in range(m.cols) if (mask >> j) & 1):
+            e = m.entry(rows[-1], j)
+            if e.terms:
+                sub = mask ^ (1 << j)
+                if sub not in table:
+                    table[sub] = det(above, sub)
+                piece = e * table[sub]
+                total = total - piece if (len(above) + pos) % 2 else total + piece
+        return total
+
+    return det
 
 
 def determinant(m: PolyMatrix) -> MultiPoly:
-    """Exact symbolic determinant via Laplace expansion.
-
-    The expansion is memoized on the set of still-unused columns, which keeps
-    the work at O(2^n) polynomial operations instead of n!.
-    """
+    """Exact symbolic determinant: the full-size minor of a square matrix."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    vars_ = m.variables
-    one = MultiPoly.constant(vars_, 1)
-    if n == 0:
-        return one
-    memo = {}
-
-    def expand(mask: int) -> MultiPoly:
-        if mask == 0:
-            return one
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        row = n - bin(mask).count("1")
-        total = MultiPoly.zero(vars_)
-        sign = 1
-        rest = mask
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            e = m.entry(row, j)
-            if e.terms:
-                piece = e * expand(mask ^ low)
-                total = total + piece if sign > 0 else total - piece
-            sign = -sign
-            rest ^= low
-        memo[mask] = total
-        return total
-
-    return expand((1 << n) - 1)
+    return _cofactor_expansion(m)(tuple(range(m.rows)), (1 << m.rows) - 1)
 
 
 def minor_expansion(m: PolyMatrix, size: int) -> Iterator:
     """All (row-set, col-set, determinant) triples of the given minor size.
 
-    Enumeration is lexicographic in (row-set, col-set).  Zero and duplicate
-    determinants are NOT filtered here; see :func:`minors` for the pruned
-    variant.
+    Enumeration is lexicographic in (row-set, col-set).  One expansion serves
+    the whole call, so sub-minors are shared on ``(rows, columns)``.  A square
+    matrix at full size has one minor, its :func:`determinant`.  Zero and
+    duplicate determinants are kept; see :func:`dedup_generators`.
     """
     if size < 1:
         raise ValueError("minor size must be at least 1")
     if size > min(m.rows, m.cols):
         return
+    if size == m.rows == m.cols:
+        yield tuple(range(size)), tuple(range(size)), determinant(m)
+        return
+    det = _cofactor_expansion(m)
     for ri in combinations(range(m.rows), size):
         for ci in combinations(range(m.cols), size):
-            yield ri, ci, determinant(m.submatrix(ri, ci))
-
-
-def minors(m: PolyMatrix, size: int) -> list:
-    """Nonzero size x size minors, sign-normalized and deduplicated.
-
-    Duplicates are taken up to sign and integer content.  A size exceeding
-    the matrix dimensions yields the empty list (the caller may legitimately
-    ask for minors of a matrix that is too small).
-    """
-    _, polys = dedup_generators((None, det) for _, _, det in minor_expansion(m, size))
-    return list(polys)
+            yield ri, ci, det(ri, sum(1 << j for j in ci))

@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .arch import Architecture, compose_filters, sample_neuromanifold
-from .idealgen import check_membership_sample, vanishing_generators
+from .idealgen import vanishing_generators
+from .resultant import IdealGenerators
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,16 @@ def verify_ideal(arch: Architecture, n_samples: int = 100, seed: int = 0) -> Ver
     return VerificationReport(
         arch, n_samples, len(gens.generators), tuple(failures), rank, expected
     )
+
+
+def check_membership_sample(gens: IdealGenerators, point: Sequence) -> bool:
+    """True iff every generator evaluates to exactly zero at the point."""
+    if len(point) != len(gens.variables):
+        raise ValueError(
+            f"point of length {len(point)} in a space of dimension {len(gens.variables)}"
+        )
+    values = dict(zip(gens.variables, point))
+    return all(g.evaluate(values) == 0 for g in gens.generators)
 
 
 def smoke_nonmembership(arch: Architecture, n_trials: int = 20, seed: int = 0) -> int:

@@ -76,9 +76,10 @@ class TestIdeal:
         assert payload["generators"][0]["terms"][0]["coeff"] == "1"
 
     def test_missing_strides(self, capsys):
-        code, _, err = run(capsys, "ideal", "-k", "2,2")
+        code, out, err = run(capsys, "ideal", "-k", "2,2")
         assert code == 2
-        assert "strides" in err
+        assert out == ""
+        assert "the following arguments are required: -s" in err
 
 
 class TestVerify:

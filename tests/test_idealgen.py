@@ -5,8 +5,9 @@ import pytest
 import sympy
 
 from lcn.arch import Architecture, reduce_arch, sample_neuromanifold
-from lcn.idealgen import check_membership_sample, vanishing_generators
+from lcn.idealgen import vanishing_generators
 from lcn.polyring import coefficient_symbols
+from lcn.verify import check_membership_sample
 
 
 def radical_generators_5_2():

@@ -15,7 +15,7 @@ from lcn.verify import exact_rank
 
 
 def matrix_texts(m):
-    return [[e.text() for e in m.row(i)] for i in range(m.rows)]
+    return [[m.entry(i, j).text() for j in range(m.cols)] for i in range(m.rows)]
 
 
 class TestBuildResultant:
