@@ -32,7 +32,7 @@ from .eddegree import (
 )
 from .idealgen import vanishing_generators
 from .resultant import plan_two_layer, two_layer_matrices
-from .verify import smoke_nonmembership, verify_ideal
+from .verify import NONMEMBER_TRIALS, verify_ideal
 
 
 class UsageError(Exception):
@@ -101,8 +101,8 @@ def cmd_eddeg(args) -> int:
     if args.sizes is None and not args.table:
         raise UsageError("give filter sizes (-k) or a table (--table)")
     sizes = () if args.sizes is None else _parse_sizes(args.sizes)
-    if any(v < 2 for v in sizes):
-        raise UsageError(f"filter sizes must be at least 2, got {sizes}")
+    if any(v < 1 for v in sizes):
+        raise UsageError(f"filter sizes must be at least 1, got {sizes}")
     if args.table:
         m1, m2 = args.table
         rows = two_layer_table(m1, m2)
@@ -167,9 +167,7 @@ def cmd_critpoints(args) -> int:
 def cmd_verify(args) -> int:
     arch = _arch(args)
     report = verify_ideal(arch, n_samples=args.samples, seed=args.seed)
-    nonmember = None
-    if report.generators_tested:
-        nonmember = smoke_nonmembership(arch, n_trials=20, seed=args.seed)
+    nonmember = report.nonmember_violations
     if args.format == "json":
         payload = {
             "filter_sizes": list(arch.filter_sizes),
@@ -190,10 +188,9 @@ def cmd_verify(args) -> int:
         print(f"failures       : {len(report.failures)}")
         print(f"jacobian rank  : {report.jacobian_rank} (expected {report.expected_dim})")
         if nonmember is not None:
-            print(f"nonmembership  : {nonmember}/20 random points violate a generator")
+            print(f"nonmembership  : {nonmember}/{NONMEMBER_TRIALS} random points violate a generator")
         print("ok" if report.ok else "FAILED")
-    ok = report.ok and (nonmember in (None, 20))
-    return 0 if ok else 1
+    return 0 if report.ok else 1
 
 
 def cmd_resultant(args) -> int:
@@ -202,10 +199,7 @@ def cmd_resultant(args) -> int:
         raise UsageError("the resultant view is defined for two-layer architectures")
     k1, k2 = arch.filter_sizes
     s1 = arch.strides[0]
-    try:
-        recipe = plan_two_layer(k1, k2, s1)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    recipe = plan_two_layer(k1, k2, s1)
     prof = recipe.profile
     degs = ",".join("-" if d is None else str(d) for d in prof.degrees)
     print(f"architecture {arch.describe()}  filter size {recipe.out_size}")

@@ -27,8 +27,6 @@ class DecompProfile:
     degrees are non-increasing and span at most two consecutive values.
     """
 
-    stride: int
-    total_degree: int
     degrees: tuple
     n_max: int
     n_min: int
@@ -48,7 +46,7 @@ def profile(k: int, s: int) -> DecompProfile:
     n_max = present[0]
     n_min = min(present)
     r = sum(1 for d in present if d == n_max)
-    return DecompProfile(s, k - 1, degrees, n_max, n_min, r)
+    return DecompProfile(degrees, n_max, n_min, r)
 
 
 def s_decompose(coeffs: Sequence, s: int) -> list:

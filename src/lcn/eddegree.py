@@ -1,6 +1,6 @@
 """Generic Euclidean distance degree of rank-one tensor varieties.
 
-For filter sizes ``k_1, ..., k_L`` (all at least 2) the count of complex
+For filter sizes ``k_1, ..., k_L`` (all at least 1) the count of complex
 critical points of a generically weighted squared distance on the variety of
 rank-one ``k_1 x ... x k_L`` tensors is
 
@@ -10,7 +10,8 @@ rank-one ``k_1 x ... x k_L`` tensors is
 
 with ``n_j = k_j - 1`` and ``kbar = sum n_j`` (the dimension of the
 projectivized variety).  The count depends only on the multiset of filter
-sizes; strides play no role.  The same number governs the training loss of
+sizes, and a size-1 filter adds nothing (its row of the product below is
+``[1]``); strides play no role.  The same number governs the training loss of
 the matching convolutional network, which is what the rest of the package
 checks numerically.
 
@@ -35,8 +36,8 @@ def _check_sizes(filter_sizes: Sequence[int]) -> tuple:
     sizes = tuple(int(v) for v in filter_sizes)
     if not sizes:
         raise ValueError("need at least one filter size")
-    if any(v < 2 for v in sizes):
-        raise ValueError(f"filter sizes must be at least 2, got {sizes}")
+    if any(v < 1 for v in sizes):
+        raise ValueError(f"filter sizes must be at least 1, got {sizes}")
     return sizes
 
 

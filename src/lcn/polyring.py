@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
-from typing import Iterable, Iterator, Mapping
+from math import gcd, lcm
+from typing import Iterable, Iterator, Mapping, Sequence
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -197,24 +197,25 @@ class MultiPoly:
 
     # -- evaluation and calculus -------------------------------------------
 
-    def evaluate(self, assignment: Mapping) -> Fraction:
-        """Exact value at a point given as ``{variable name: rational}``.
+    def evaluate(self, point: Sequence) -> Fraction:
+        """Exact value at ``point``: one rational per variable, in ring order.
 
-        Every variable of the ring must be assigned.
+        Denominators are cleared once: with ``L`` their lcm and ``D`` the
+        total degree, the terms ``c * L^(D - deg) * prod (x_i L)^e_i`` are
+        summed in integers and divided by ``L^D``.
         """
-        values = []
-        for v in self.vars:
-            if v not in assignment:
-                raise ValueError(f"no value assigned to variable {v!r}")
-            values.append(Fraction(assignment[v]))
-        total = Fraction(0)
+        if len(point) != len(self.vars):
+            raise ValueError(f"point of length {len(point)} in a ring with {len(self.vars)} variables")
+        xs = [Fraction(x) for x in point]
+        L = lcm(*(x.denominator for x in xs))
+        nums = [x.numerator * (L // x.denominator) for x in xs]
+        D, total = self.total_degree(), 0
         for exps, coeff in self.terms.items():
-            term = Fraction(coeff)
-            for val, e in zip(values, exps):
+            for n, e in zip(nums, exps):
                 if e:
-                    term *= val**e
-            total += term
-        return total
+                    coeff *= n**e
+            total += coeff * L ** (D - sum(exps))
+        return Fraction(total, L ** max(D, 0))
 
     def differentiate(self, name: str) -> "MultiPoly":
         idx = self.vars.index(name)
@@ -242,15 +243,12 @@ class MultiPoly:
 
     # -- rendering -----------------------------------------------------------
 
-    def text(self, letters: "bool | None" = None) -> str:
+    def text(self) -> str:
         """Human-readable form, e.g. ``A*D^2 + B^2*E - B*C*D``."""
         if not self.terms:
             return "0"
-        if letters is None:
-            letters = len(self.vars) <= 26 and all(
-                v == f"c{i}" for i, v in enumerate(self.vars)
-            )
-        names = [_LETTERS[i] for i in range(len(self.vars))] if letters else list(self.vars)
+        letters = len(self.vars) <= 26 and all(v == f"c{i}" for i, v in enumerate(self.vars))
+        names = _LETTERS[: len(self.vars)] if letters else self.vars
         pieces = []
         for exps in sorted(self.terms, key=_grlex, reverse=True):
             coeff = self.terms[exps]

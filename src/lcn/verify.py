@@ -22,6 +22,10 @@ from .idealgen import vanishing_generators
 from .resultant import IdealGenerators
 
 
+# Random ambient points per nonmembership check of :func:`verify_ideal`.
+NONMEMBER_TRIALS = 20
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     architecture: Architecture
@@ -30,10 +34,15 @@ class VerificationReport:
     failures: tuple
     jacobian_rank: int
     expected_dim: int
+    nonmember_violations: "int | None"  # None when there are no generators
 
     @property
     def ok(self) -> bool:
-        return not self.failures and self.jacobian_rank == self.expected_dim
+        return (
+            not self.failures
+            and self.jacobian_rank == self.expected_dim
+            and self.nonmember_violations in (None, NONMEMBER_TRIALS)
+        )
 
 
 def expected_dimension(arch: Architecture) -> int:
@@ -91,7 +100,8 @@ def exact_rank(rows: Sequence[Sequence]) -> int:
 
 
 def verify_ideal(arch: Architecture, n_samples: int = 100, seed: int = 0) -> VerificationReport:
-    """Exact membership of sampled filters plus a numeric dimension check.
+    """Exact membership of sampled filters, nonmembership of random points
+    and a numeric dimension check, all on one generator set.
 
     Failures are collected, not raised: entry (i, j) means sample i violated
     generator j.  The Jacobian is evaluated at a random sample; a sample
@@ -103,10 +113,7 @@ def verify_ideal(arch: Architecture, n_samples: int = 100, seed: int = 0) -> Ver
     failures = []
     for i in range(n_samples):
         _, w = sample_neuromanifold(arch, rng.randrange(2**62))
-        values = dict(zip(gens.variables, w))
-        for j, g in enumerate(gens.generators):
-            if g.evaluate(values) != 0:
-                failures.append((i, j))
+        failures.extend((i, j) for j, g in enumerate(gens.generators) if g.evaluate(w))
 
     expected = expected_dimension(arch)
     rank = -1
@@ -116,41 +123,27 @@ def verify_ideal(arch: Architecture, n_samples: int = 100, seed: int = 0) -> Ver
         rank = max(rank, numeric_rank(J))
         if rank == expected:
             break
+    nonmember = smoke_nonmembership(gens, NONMEMBER_TRIALS, seed) if gens.generators else None
     return VerificationReport(
-        arch, n_samples, len(gens.generators), tuple(failures), rank, expected
+        arch, n_samples, len(gens.generators), tuple(failures), rank, expected, nonmember
     )
 
 
-def check_membership_sample(gens: IdealGenerators, point: Sequence) -> bool:
-    """True iff every generator evaluates to exactly zero at the point."""
-    if len(point) != len(gens.variables):
-        raise ValueError(
-            f"point of length {len(point)} in a space of dimension {len(gens.variables)}"
-        )
-    values = dict(zip(gens.variables, point))
-    return all(g.evaluate(values) == 0 for g in gens.generators)
-
-
-def smoke_nonmembership(arch: Architecture, n_trials: int = 20, seed: int = 0) -> int:
+def smoke_nonmembership(gens: IdealGenerators, n_trials: int = NONMEMBER_TRIALS, seed: int = 0) -> int:
     """How many random ambient points violate at least one generator.
 
-    Random points miss a lower-dimensional variety, so for a reduced
-    architecture with at least two layers the expected return value is
-    ``n_trials``.  Coordinates are nonzero rationals drawn from a large
-    space, keeping accidental exact hits of the variety negligible (small
-    denominators with many zero entries do land on it occasionally).
+    Random points miss a lower-dimensional variety, so for the generators of
+    a reduced architecture with at least two layers the expected return
+    value is ``n_trials``.  Coordinates are nonzero rationals drawn from a
+    large space, keeping accidental exact hits of the variety negligible
+    (small denominators with many zero entries do land on it occasionally).
     """
-    gens = vanishing_generators(arch)
     if not gens.generators:
         raise ValueError("the architecture has no generators to violate")
     k = len(gens.variables)
     rng = random.Random(seed)
-    violations = 0
-    for _ in range(n_trials):
-        pt = [
-            Fraction(rng.choice((-1, 1)) * rng.randint(1, 9999), rng.randint(1, 99))
-            for _ in range(k)
-        ]
-        if not check_membership_sample(gens, pt):
-            violations += 1
-    return violations
+    points = (
+        [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9999), rng.randint(1, 99)) for _ in range(k)]
+        for _ in range(n_trials)
+    )
+    return sum(any(g.evaluate(pt) for g in gens.generators) for pt in points)

@@ -144,11 +144,10 @@ def test_criterion_4_sampling_soundness():
             extra = radical.get(arch, [])
             for _ in range(100):
                 _, w = sample_neuromanifold(arch, rng.randrange(2**62))
-                values = dict(zip(gens.variables, w))
                 for g in gens.generators:
-                    assert g.evaluate(values) == 0, (arch, g.text())
+                    assert g.evaluate(w) == 0, (arch, g.text())
                 for g in extra:
-                    assert g.evaluate(values) == 0, (arch, g.text())
+                    assert g.evaluate(w) == 0, (arch, g.text())
 
     check(4, "100 exact samples vanish on every family architecture", body, budget=120.0)
 
@@ -158,7 +157,7 @@ def test_criterion_5_nonmembership_smoke():
         for arch in reduced_family():
             if arch.depth < 2:
                 continue
-            assert smoke_nonmembership(arch, 20, seed=11) == 20, arch
+            assert smoke_nonmembership(cached_generators(arch), 20, seed=11) == 20, arch
 
     check(5, "20/20 random ambient points violate a generator", body)
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import lcn.verify
 from lcn.cli import main
 
 
@@ -18,9 +19,15 @@ class TestEddeg:
         assert out == "2976084\n"
 
     def test_usage_error_small_filter(self, capsys):
-        code, _, err = run(capsys, "eddeg", "-k", "1,2")
+        code, out, err = run(capsys, "eddeg", "-k", "0,2")
         assert code == 2
-        assert "at least 2" in err
+        assert out == ""
+        assert "at least 1" in err
+
+    def test_size_one_layer_adds_nothing(self, capsys):
+        code, out, _ = run(capsys, "eddeg", "-k", "1,2")
+        assert (code, out) == run(capsys, "eddeg", "-k", "2")[:2] == (0, "1\n")
+        assert run(capsys, "eddeg", "-k", "1,3,1,2")[:2] == run(capsys, "eddeg", "-k", "3,2")[:2]
 
     def test_tree(self, capsys):
         code, out, _ = run(capsys, "eddeg", "-k", "2,3,8", "--tree")
@@ -98,6 +105,35 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["ok"] is True
         assert payload["failures"] == []
+        assert payload["nonmember_violations"] == 20
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_nonmembership_shortfall_fails(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(lcn.verify, "smoke_nonmembership", lambda *args, **kwargs: 19)
+        code, out, _ = run(
+            capsys, "verify", "-k", "2,2", "-s", "2,1", "--samples", "5", "--format", fmt,
+        )
+        assert code == 1
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["nonmember_violations"] == 19
+            assert payload["ok"] is False
+        else:
+            assert "nonmembership  : 19/20 random points violate a generator" in out
+            assert out.splitlines()[-1] == "FAILED"
+
+    def test_generators_built_once(self, capsys, monkeypatch):
+        built = []
+        original = lcn.verify.vanishing_generators
+
+        def counting(arch):
+            built.append(arch)
+            return original(arch)
+
+        monkeypatch.setattr(lcn.verify, "vanishing_generators", counting)
+        code, _, _ = run(capsys, "verify", "-k", "3,2,2", "-s", "2,2,1", "--samples", "3")
+        assert code == 0
+        assert len(built) == 1
 
 
     def test_negative_samples_usage_error(self, capsys):

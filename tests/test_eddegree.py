@@ -78,7 +78,7 @@ class TestAgainstCompositionSum:
         expected = [[composition_sum((k1, k2)) for k2 in range(2, 21)] for k1 in range(2, 21)]
         assert two_layer_table(20, 20) == expected
 
-    @given(st.lists(st.integers(2, 7), min_size=1, max_size=6))
+    @given(st.lists(st.integers(1, 7), min_size=1, max_size=6))
     def test_random_multisets(self, sizes):
         assert generic_ed_degree(sizes) == composition_sum(sizes)
 
@@ -128,8 +128,10 @@ class TestInvariance:
 
 class TestErrors:
     def test_small_filter_sizes_rejected(self):
+        assert generic_ed_degree((1, 2)) == generic_ed_degree((2,))
+        assert arch_ed_degree(Architecture((1, 1), (1, 1))) == 1
         with pytest.raises(ValueError):
-            generic_ed_degree((1, 2))
+            generic_ed_degree((0, 2))
         with pytest.raises(ValueError):
             generic_ed_degree(())
 

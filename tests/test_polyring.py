@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lcn.polyring import (
     MultiPoly,
@@ -36,6 +36,38 @@ def small_polys(draw):
 points3 = st.tuples(
     st.integers(-7, 7), st.integers(-7, 7), st.integers(-7, 7)
 )
+
+
+@st.composite
+def rational_polys(draw):
+    """Int and Fraction coefficients, mixed degrees, possibly zero."""
+    coeffs = st.one_of(
+        st.integers(-50, 50),
+        st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    )
+    terms = draw(
+        st.dictionaries(st.tuples(*[st.integers(0, 4)] * len(VARS3)), coeffs, max_size=6)
+    )
+    return poly3(terms)
+
+
+# zeros, negatives and mixed denominators
+rational_points3 = st.tuples(
+    *[st.fractions(min_value=-20, max_value=20, max_denominator=15)] * len(VARS3)
+)
+
+
+def fraction_loop_evaluate(p, point):
+    """Term-by-term ``Fraction`` evaluation (oracle for ``MultiPoly.evaluate``)."""
+    values = [Fraction(v) for v in point]
+    total = Fraction(0)
+    for exps, coeff in p.terms.items():
+        term = Fraction(coeff)
+        for val, e in zip(values, exps):
+            if e:
+                term *= val**e
+        total += term
+    return total
 
 
 def int_det(rows):
@@ -92,34 +124,49 @@ class TestEval:
     def test_rank_one_point(self):
         A, B, C, D = coefficient_symbols(4)
         p = A * D - B * C
-        assert p.evaluate({"c0": 1, "c1": 2, "c2": 3, "c3": 6}) == 0
+        assert p.evaluate((1, 2, 3, 6)) == 0
 
     def test_identity_point(self):
         A, B, C, D = coefficient_symbols(4)
         p = A * D - B * C
-        assert p.evaluate({"c0": 1, "c1": 0, "c2": 0, "c3": 1}) == 1
+        assert p.evaluate([1, 0, 0, 1]) == 1
 
     def test_composed_filter_point(self):
         # coefficients of (x^2 + y^2)(x^2 + x y + y^2), expanded by hand
         A, B, C, D, E = coefficient_symbols(5)
         p = A * D**2 + B**2 * E - B * C * D
-        point = dict(zip(p.vars, (1, 1, 2, 1, 1)))
-        assert p.evaluate(point) == 0
+        assert p.evaluate((1, 1, 2, 1, 1)) == 0
 
     def test_missing_assignment(self):
         A, B, C, D = coefficient_symbols(4)
         with pytest.raises(ValueError):
-            (A * D).evaluate({"c0": 1})
+            (A * D).evaluate([1])
+        with pytest.raises(ValueError):
+            (A * D).evaluate([1, 2, 3, 4, 5])
 
     def test_rational_values(self):
         x, y = symbols(("x", "y"))
         p = Fraction(1, 2) * x + y
-        assert p.evaluate({"x": Fraction(1, 3), "y": 1}) == Fraction(7, 6)
+        assert p.evaluate((Fraction(1, 3), 1)) == Fraction(7, 6)
+
+    def test_zero_polynomial_and_empty_ring(self):
+        assert MultiPoly.zero(VARS3).evaluate((Fraction(1, 2), 3, -1)) == 0
+        assert MultiPoly.constant((), Fraction(5, 3)).evaluate(()) == Fraction(5, 3)
 
     @given(small_polys(), small_polys(), points3)
     def test_multiplicative(self, p, q, pt):
-        values = dict(zip(VARS3, pt))
-        assert (p * q).evaluate(values) == p.evaluate(values) * q.evaluate(values)
+        assert (p * q).evaluate(pt) == p.evaluate(pt) * q.evaluate(pt)
+
+    @given(rational_polys(), rational_points3)
+    @example(poly3({}), (0, Fraction(-3, 4), Fraction(5, 6)))
+    @example(
+        poly3({(2, 0, 1): Fraction(-7, 3), (0, 1, 0): 4, (0, 0, 0): Fraction(1, 2)}),
+        (Fraction(-2, 9), 0, Fraction(7, 4)),
+    )
+    def test_matches_fraction_loop(self, p, pt):
+        value = p.evaluate(pt)
+        assert isinstance(value, Fraction)
+        assert value == fraction_loop_evaluate(p, pt)
 
 
 class TestRingAxioms:
@@ -172,9 +219,8 @@ class TestDeterminant:
         syms = symbols([f"m{i}" for i in range(16)])
         m = PolyMatrix(4, 4, syms)
         sym_det = determinant(m)
-        point = dict(zip(sym_det.vars, values))
         rows = [values[4 * i : 4 * i + 4] for i in range(4)]
-        assert sym_det.evaluate(point) == int_det(rows)
+        assert sym_det.evaluate(values) == int_det(rows)
         assert list(minor_expansion(m, 4)) == [((0, 1, 2, 3), (0, 1, 2, 3), sym_det)]
 
 
@@ -221,7 +267,6 @@ class TestMinors:
         syms = symbols([f"m{i}" for i in range(20)])
         zero = MultiPoly.zero(syms[0].vars)
         m = PolyMatrix(5, 4, tuple(zero if z else x for x, z in zip(syms, zeros)))
-        point = dict(zip(syms[0].vars, values))
         rows = [[0 if zeros[4 * i + j] else values[4 * i + j] for j in range(4)] for i in range(5)]
         triples = list(minor_expansion(m, size))
         assert [(ri, ci) for ri, ci, _ in triples] == list(
@@ -229,7 +274,7 @@ class TestMinors:
         )
         for ri, ci, det in triples:
             sub = [[rows[i][j] for j in ci] for i in ri]
-            assert det.evaluate(point) == int_det(sub)
+            assert det.evaluate(values) == int_det(sub)
 
 
     def test_sub_minors_of_past_row_prefixes_are_released(self):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from lcn.arch import Architecture, reduce_arch, sample_neuromanifold
+from lcn.idealgen import vanishing_generators
 from lcn.verify import (
+    NONMEMBER_TRIALS,
     exact_rank,
     numeric_rank,
     parametrization_jacobian,
@@ -61,6 +63,7 @@ class TestVerifyIdeal:
         assert report.jacobian_rank == 6
         assert report.expected_dim == 6
         assert report.generators_tested == 5
+        assert report.nonmember_violations == NONMEMBER_TRIALS
         assert report.ok
 
     def test_2_2(self):
@@ -74,6 +77,8 @@ class TestVerifyIdeal:
         assert report.generators_tested == 0
         assert report.failures == ()
         assert report.jacobian_rank == 6
+        assert report.nonmember_violations is None
+        assert report.ok
 
     def test_reduction_agreement(self):
         raw = Architecture((2, 2, 2), (1, 2, 1))
@@ -84,15 +89,18 @@ class TestVerifyIdeal:
         # 2+2+2-2 = 3+2-1: the merge preserves the variety dimension
         assert r1.expected_dim == r2.expected_dim == 4
         assert r1.jacobian_rank == r2.jacobian_rank == 4
+        assert r1.nonmember_violations == r2.nonmember_violations == NONMEMBER_TRIALS
 
 
 class TestSmoke:
     def test_two_layer(self):
-        assert smoke_nonmembership(Architecture((2, 2), (2, 1)), 20, seed=0) == 20
+        gens = vanishing_generators(Architecture((2, 2), (2, 1)))
+        assert smoke_nonmembership(gens, 20, seed=0) == 20
 
     def test_three_layer(self):
-        assert smoke_nonmembership(Architecture((3, 2, 2), (2, 2, 1)), 20, seed=0) == 20
+        gens = vanishing_generators(Architecture((3, 2, 2), (2, 2, 1)))
+        assert smoke_nonmembership(gens, 20, seed=0) == 20
 
     def test_single_layer_has_nothing_to_violate(self):
         with pytest.raises(ValueError):
-            smoke_nonmembership(Architecture((4,), (1,)), 5, seed=0)
+            smoke_nonmembership(vanishing_generators(Architecture((4,), (1,))), 5, seed=0)
