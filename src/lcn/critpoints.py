@@ -16,13 +16,14 @@ in ``(w, lambda)``.  We count its isolated complex solutions by damped
 Newton iteration from many random complex starts, deduplicate converged
 points, and compare against the predicted count.  Points on the singular
 locus (vanishing gradient) are discarded: the distance function is only
-defined on the smooth part.
+defined on the smooth part.  Starts are solved in batches, one numpy array
+per chunk of starts, with the same random draws and the same per-start
+Newton path as solving them one at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -52,18 +53,6 @@ class WeightedDistanceProblem:
     u: np.ndarray
     f: MultiPoly
     offset: float = 0.0
-
-
-def training_loss(w: Sequence, X: np.ndarray, Y: np.ndarray, stride: int) -> float:
-    """Squared Frobenius error of the convolution with filter w on (X, Y)."""
-    w = np.asarray(w, dtype=float)
-    k = len(w)
-    d_out = Y.shape[0]
-    res = 0.0
-    for i in range(d_out):
-        row = w @ X[i * stride : i * stride + k, :]
-        res += float(np.sum((row - Y[i]) ** 2))
-    return res
 
 
 def training_reduce(X: np.ndarray, Y: np.ndarray, arch: Architecture) -> WeightedDistanceProblem:
@@ -130,14 +119,21 @@ def seeded_problem(arch: Architecture, data_seed: int, d_out: int):
 
 # Newton steps allowed per start before the start is given up.
 _MAX_NEWTON_STEPS = 100
+# Starts solved together; only bounds the arrays when ``starts`` is large.
+_CHUNK = 256
+
+# Why a start adds no point: Newton's three ways to give up, a converged
+# point on the singular locus, and a point already found.
+FAILURE_KINDS = ("singular_jacobian", "line_search", "step_limit", "singular_locus", "duplicate")
+_CONVERGED = -1
 
 
 class _CompiledSystem:
-    """One shot evaluation of f, its gradient and its Hessian.
+    """Batched evaluation of f, its gradient and its Hessian.
 
-    All monomials appearing in any derivative are evaluated once per point;
-    every polynomial is then a row of a shared coefficient matrix applied to
-    that monomial vector, which keeps the Newton iteration cheap.
+    All monomials appearing in any derivative are evaluated once per point,
+    from one table of variable powers; every polynomial is then a column of
+    a shared coefficient matrix applied to that monomial vector.
     """
 
     def __init__(self, f: MultiPoly):
@@ -151,18 +147,21 @@ class _CompiledSystem:
         support = sorted({e for p in polys for e in p.terms})
         index = {e: i for i, e in enumerate(support)}
         self.exps = np.array(support, dtype=int).reshape(len(support), k)
-        C = np.zeros((len(polys), len(support)), dtype=complex)
-        for row, p in enumerate(polys):
+        self.top_power = int(self.exps.max())
+        self.variables = np.arange(k)
+        self.coef = np.zeros((len(support), len(polys)), dtype=complex)
+        for col, p in enumerate(polys):
             for e, c in p.terms.items():
-                C[row, index[e]] = complex(c)
-        self.C = C
+                self.coef[index[e], col] = complex(c)
 
-    def __call__(self, w: np.ndarray):
-        """``(f, grad f, Hessian of f)`` at ``w``."""
-        mono = np.prod(w[None, :] ** self.exps, axis=1)
-        vals = self.C @ mono
-        k = self.k
-        return vals[0], vals[1 : k + 1], vals[k + 1 :].reshape(k, k)
+    def __call__(self, W: np.ndarray) -> np.ndarray:
+        """Rows ``(f, grad f, Hessian of f flattened)`` at the rows of ``W``."""
+        powers = np.empty(W.shape + (self.top_power + 1,), dtype=complex)
+        powers[..., 0] = 1.0
+        powers[..., 1] = W
+        for d in range(2, powers.shape[-1]):
+            powers[..., d] = powers[..., d - 1] * W
+        return powers[:, self.variables, self.exps].prod(axis=2) @ self.coef
 
 
 @dataclass
@@ -175,10 +174,17 @@ class CriticalPoint:
 
 @dataclass
 class CriticalPointReport:
+    """Distinct points found, and the starts used that found none.
+
+    ``failures`` counts those starts by cause (``FAILURE_KINDS``), so
+    ``distinct_count + sum(failures.values()) == starts_used``.
+    """
+
     points: list
     expected: "int | None"
     starts_used: int
     saturated: bool
+    failures: dict
 
     @property
     def distinct_count(self) -> int:
@@ -193,6 +199,84 @@ class CriticalPointReport:
         return max((p.residual for p in self.points), default=0.0)
 
 
+def _residuals(system, T, u, Z):
+    """Lagrange residuals ``(f, T (w - u) - lambda grad f)`` at rows ``Z = (w, lambda)``.
+
+    Returns them with the rows of ``system`` at ``w``.
+    """
+    k = Z.shape[1] - 1
+    V = system(Z[:, :k])
+    F = np.empty_like(Z)
+    F[:, 0] = V[:, 0]
+    F[:, 1:] = (Z[:, :k] - u) @ T.T - Z[:, k:] * V[:, 1 : k + 1]
+    return F, V
+
+
+def _solve_rows(J, b):
+    """Solve ``J[i] x[i] = b[i]``; a singular ``J[i]`` fails only row ``i``.
+
+    Returns ``(x, ok)``.  One stacked solve raises for the whole stack if
+    any matrix is singular, so that case is redone one row at a time.
+    """
+    try:
+        return np.linalg.solve(J, b[..., None])[..., 0], np.ones(len(b), dtype=bool)
+    except np.linalg.LinAlgError:
+        x = np.zeros_like(b)
+        ok = np.ones(len(b), dtype=bool)
+        for i in range(len(b)):
+            try:
+                x[i] = np.linalg.solve(J[i], b[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return x, ok
+
+
+def _newton(system, T, u, tol, Z):
+    """Damped Newton on the Lagrange system from every row ``(w, lambda)`` of ``Z``.
+
+    Each row takes a full step, halved until the residual norm drops by the
+    Armijo factor ``1 - t/4``; it stops at residual below ``tol``, or fails
+    on a singular Jacobian, a step shrunk to ``1e-4`` or the step limit.
+    Returns the final ``Z``, grad f, residual norm and status per row;
+    ``status`` is ``_CONVERGED`` or an index into ``FAILURE_KINDS``.
+    """
+    k = Z.shape[1] - 1
+    Z = Z.copy()
+    F, V = _residuals(system, T, u, Z)
+    nF = np.linalg.norm(F, axis=1)
+    status = np.full(len(Z), _CONVERGED)
+    for _ in range(_MAX_NEWTON_STEPS):
+        act = np.flatnonzero((status == _CONVERGED) & ~(nF < tol))
+        if act.size == 0:
+            break
+        G = V[act, 1 : k + 1]
+        J = np.zeros((act.size, k + 1, k + 1), dtype=complex)
+        J[:, 0, :k] = G
+        J[:, 1:, :k] = T - Z[act, k, None, None] * V[act, k + 1 :].reshape(-1, k, k)
+        J[:, 1:, k] = -G
+        step, ok = _solve_rows(J, -F[act])
+        status[act[~ok]] = FAILURE_KINDS.index("singular_jacobian")
+        act, step = act[ok], step[ok]
+        # backtrack each row on its own t until its trial is accepted
+        t = np.ones(act.size)
+        pending = np.arange(act.size)
+        while pending.size:
+            rows = act[pending]
+            Z_new = Z[rows] + t[pending, None] * step[pending]
+            F_new, V_new = _residuals(system, T, u, Z_new)
+            nF_new = np.linalg.norm(F_new, axis=1)
+            good = nF_new < (1 - 0.25 * t[pending]) * nF[rows]
+            acc = rows[good]
+            Z[acc], F[acc], V[acc], nF[acc] = Z_new[good], F_new[good], V_new[good], nF_new[good]
+            pending = pending[~good]
+            t[pending] *= 0.5
+            lost = t[pending] <= 1e-4
+            status[act[pending[lost]]] = FAILURE_KINDS.index("line_search")
+            pending = pending[~lost]
+    status[(status == _CONVERGED) & ~(nF < tol)] = FAILURE_KINDS.index("step_limit")
+    return Z, V[:, 1 : k + 1], nF, status
+
+
 def solve_critical_points(
     problem: WeightedDistanceProblem,
     starts: int = 500,
@@ -202,18 +286,24 @@ def solve_critical_points(
     """Count distinct complex critical points by multi-start damped Newton.
 
     Starts are complex Gaussians scaled to |u|; each is refined to residual
-    below 1e-12 relative to the problem scale or discarded.  Converged
-    points are deduplicated at relative distance 1e-8 in (w, lambda).  The
-    search stops early once the expected count is reached and no new point
-    has shown up for 60% of the start budget; falling short of ``expected``
-    after the full budget is reported via ``saturated=False``.
+    below 1e-12 relative to the problem scale or discarded.  Starts are
+    drawn and refined in chunks, as arrays, but every start follows its own
+    Newton path and the draws are those of one start at a time.  Converged
+    points are deduplicated at relative distance 1e-8 in (w, lambda), in
+    start order.  The search stops early once the expected count is reached
+    and no new point has shown up for 60% of the start budget; falling short
+    of ``expected`` after the full budget is reported via ``saturated=False``.
     """
     k = problem.dim
     T = np.asarray(problem.T, dtype=float)
     u = np.asarray(problem.u, dtype=float)
     if T.shape != (k, k) or not np.allclose(T, T.T):
         raise ValueError("T must be a symmetric k x k matrix")
+    if u.shape != (k,):
+        raise ValueError(f"u must have shape ({k},), got {u.shape}")
     f = problem.f
+    if len(f.vars) != k:
+        raise ValueError(f"the hypersurface equation has {len(f.vars)} variables, not {k}")
     if f.total_degree() < 1:
         raise ValueError("the hypersurface equation is constant or zero")
 
@@ -221,75 +311,50 @@ def solve_critical_points(
 
     scale = max(1.0, float(np.linalg.norm(T)) * (1.0 + float(np.linalg.norm(u))))
     tol = 1e-12 * scale
-
-    def residual_vec(w, lam):
-        fv, grad, H = system(w)
-        F = np.empty(k + 1, dtype=complex)
-        F[0] = fv
-        F[1:] = T @ (w - u) - lam * grad
-        return F, grad, H
-
-    def newton(w, lam):
-        F, grad, H = residual_vec(w, lam)
-        nF = np.linalg.norm(F)
-        for _ in range(_MAX_NEWTON_STEPS):
-            if nF < tol:
-                break
-            J = np.empty((k + 1, k + 1), dtype=complex)
-            J[0, :k] = grad
-            J[0, k] = 0.0
-            J[1:, :k] = T - lam * H
-            J[1:, k] = -grad
-            try:
-                step = np.linalg.solve(J, -F)
-            except np.linalg.LinAlgError:
-                return None
-            t = 1.0
-            while t > 1e-4:
-                w_new = w + t * step[:k]
-                lam_new = lam + t * step[k]
-                F_new, grad_new, H_new = residual_vec(w_new, lam_new)
-                nF_new = np.linalg.norm(F_new)
-                if nF_new < (1 - 0.25 * t) * nF:
-                    break
-                t *= 0.5
-            else:
-                return None
-            w, lam, F, grad, H, nF = w_new, lam_new, F_new, grad_new, H_new, nF_new
-        if nF >= tol:
-            return None
-        return w, lam, grad, float(nF)
-
     rng = np.random.default_rng(seed)
     amp = max(1.0, float(np.linalg.norm(u)))
+
+    def runs():
+        """``(w, lambda, grad f, residual norm, status)`` per start, in start order."""
+        for first in range(0, starts, _CHUNK):
+            z = rng.standard_normal((min(_CHUNK, starts - first), 2, k))
+            Z = np.zeros((len(z), k + 1), dtype=complex)
+            Z[:, :k] = (z[:, 0] + 1j * z[:, 1]) * amp / np.sqrt(2)
+            G0 = system(Z[:, :k])[:, 1 : k + 1]
+            denom = np.sum(G0.conj() * G0, axis=1)
+            num = np.sum(G0.conj() * ((Z[:, :k] - u) @ T.T), axis=1)
+            np.divide(num, denom, out=Z[:, k], where=np.abs(denom) > 1e-30)
+            Z, G, nF, status = _newton(system, T, u, tol, Z)
+            yield from zip(Z[:, :k], Z[:, k], G, nF, status)
+
     found = []
     found_vecs = []
+    failures = dict.fromkeys(FAILURE_KINDS, 0)
     last_new = -1
     used = 0
-    for idx in range(starts):
+    for idx, (w, lam, grad, res, status) in enumerate(runs()):
         used = idx + 1
-        w0 = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * amp / np.sqrt(2)
-        _, grad0, _ = system(w0)
-        denom = np.vdot(grad0, grad0)
-        lam0 = np.vdot(grad0, T @ (w0 - u)) / denom if abs(denom) > 1e-30 else 0.0 + 0.0j
-        result = newton(w0, lam0)
-        if result is not None:
-            w, lam, grad, res = result
-            if np.linalg.norm(grad) >= 1e-8 * max(1.0, np.linalg.norm(w)):
-                # gradient nonzero: the point lies on the smooth locus
-                vec = np.concatenate([w, [lam]])
-                is_dup = any(
-                    np.linalg.norm(vec - other)
-                    < 1e-8 * max(1.0, np.linalg.norm(vec), np.linalg.norm(other))
-                    for other in found_vecs
+        if status != _CONVERGED:
+            failures[FAILURE_KINDS[status]] += 1
+        elif not np.linalg.norm(grad) >= 1e-8 * max(1.0, np.linalg.norm(w)):
+            failures["singular_locus"] += 1
+        else:
+            # gradient nonzero: the point lies on the smooth locus
+            vec = np.concatenate([w, [lam]])
+            is_dup = any(
+                np.linalg.norm(vec - other)
+                < 1e-8 * max(1.0, np.linalg.norm(vec), np.linalg.norm(other))
+                for other in found_vecs
+            )
+            if is_dup:
+                failures["duplicate"] += 1
+            else:
+                found_vecs.append(vec)
+                is_real = float(np.max(np.abs(vec.imag))) < 1e-8 * max(
+                    1.0, float(np.linalg.norm(vec))
                 )
-                if not is_dup:
-                    found_vecs.append(vec)
-                    is_real = float(np.max(np.abs(vec.imag))) < 1e-8 * max(
-                        1.0, float(np.linalg.norm(vec))
-                    )
-                    found.append(CriticalPoint(w, complex(lam), res / scale, is_real))
-                    last_new = idx
+                found.append(CriticalPoint(w, complex(lam), float(res) / scale, is_real))
+                last_new = idx
         # stop early once the target is met and no new point has appeared
         # for 60% of the start budget
         if (
@@ -299,4 +364,4 @@ def solve_critical_points(
         ):
             break
     saturated = expected is None or len(found) >= expected
-    return CriticalPointReport(found, expected, used, saturated)
+    return CriticalPointReport(found, expected, used, saturated, failures)

@@ -16,7 +16,6 @@ from lcn.critpoints import (
     psi_map,
     seeded_problem,
     solve_critical_points,
-    training_loss,
 )
 from lcn.eddegree import arch_ed_degree, generic_ed_degree, merge_tree, two_layer_table
 from lcn.idealgen import vanishing_generators
@@ -27,6 +26,7 @@ from lcn.verify import (
     smoke_nonmembership,
 )
 
+from critpoints_oracle import training_loss
 from test_eddegree import MERGE_TREE_VALUES, TWO_LAYER_TABLE
 from test_idealgen import radical_generators_3_2_2, radical_generators_5_2
 

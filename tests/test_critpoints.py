@@ -6,15 +6,19 @@ import pytest
 
 from lcn.arch import Architecture
 from lcn.critpoints import (
+    FAILURE_KINDS,
     WeightedDistanceProblem,
+    _CompiledSystem,
+    _newton,
     psi_map,
     seeded_problem,
     solve_critical_points,
-    training_loss,
     training_reduce,
 )
 from lcn.eddegree import arch_ed_degree
 from lcn.idealgen import vanishing_generators
+
+from critpoints_oracle import sequential_solve, training_loss
 
 
 def random_spd(rng, n):
@@ -218,6 +222,7 @@ class TestSolve:
             prob = WeightedDistanceProblem(k, T, u, f)
             report = solve_critical_points(prob, starts=starts, seed=trial)
             assert report.distinct_count <= bound
+            assert report.distinct_count + sum(report.failures.values()) == starts
 
     def test_constant_equation_rejected(self):
         from lcn.polyring import coefficient_symbols, MultiPoly
@@ -235,3 +240,80 @@ class TestSolve:
         report = solve_critical_points(prob, starts=3, seed=0, expected=6)
         assert not report.saturated
         assert report.distinct_count < 6
+
+    def test_wrong_target_length_rejected(self):
+        f = vanishing_generators(Architecture((2, 2), (2, 1))).generators[0]
+        prob = WeightedDistanceProblem(4, np.eye(4), np.array([0.7]), f)
+        with pytest.raises(ValueError, match="u must have shape"):
+            solve_critical_points(prob, starts=10, seed=0)
+
+    def test_equation_in_wrong_dimension_rejected(self):
+        f = vanishing_generators(Architecture((3, 2), (2, 1))).generators[0]
+        assert len(f.vars) == 5
+        prob = WeightedDistanceProblem(4, np.eye(4), np.ones(4), f)
+        with pytest.raises(ValueError, match="variables"):
+            solve_critical_points(prob, starts=10, seed=0)
+
+
+def assert_same_report(report, oracle):
+    assert report.distinct_count == oracle.distinct_count
+    assert report.real_count == oracle.real_count
+    assert report.starts_used == oracle.starts_used
+    assert report.saturated == oracle.saturated
+    assert report.failures == oracle.failures
+    for p, q in zip(report.points, oracle.points):
+        np.testing.assert_allclose(p.w, q.w, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(p.multiplier, q.multiplier, rtol=1e-9, atol=0)
+        assert p.is_real == q.is_real
+
+
+class TestBatchedNewton:
+    """The batched solver against the one-start-at-a-time oracle."""
+
+    @pytest.mark.parametrize("seed,data_seed", [(0, 1), (5, 7), (42, 3)])
+    @pytest.mark.parametrize("sizes", [(2, 2), (3, 2), (4, 2)])
+    def test_matches_sequential(self, sizes, seed, data_seed):
+        arch = Architecture(sizes, (2, 1))
+        _, _, prob = seeded_problem(arch, data_seed, 3)
+        expected = arch_ed_degree(arch)
+        report = solve_critical_points(prob, starts=100, seed=seed, expected=expected)
+        assert_same_report(report, sequential_solve(prob, starts=100, seed=seed, expected=expected))
+
+    def test_early_stop_matches_sequential(self):
+        _, _, prob = seeded_problem(Architecture((2, 2), (2, 1)), 7, 3)
+        report = solve_critical_points(prob, starts=2000, seed=42, expected=6)
+        assert report.starts_used == 1269
+        assert_same_report(report, sequential_solve(prob, starts=2000, seed=42, expected=6))
+
+    def test_identity_weight_matches_sequential(self):
+        # the Frobenius case of acceptance criterion 7
+        f = vanishing_generators(Architecture((2, 2), (2, 1))).generators[0]
+        u = np.random.default_rng(11).standard_normal(4)
+        prob = WeightedDistanceProblem(4, np.eye(4), u, f)
+        report = solve_critical_points(prob, starts=500, seed=11)
+        assert_same_report(report, sequential_solve(prob, starts=500, seed=11))
+
+    def test_singular_jacobian_fails_only_its_row(self):
+        # at w = 0 the gradient of AD - BC vanishes, so the Jacobian's first
+        # row is zero and a stacked solve over the batch raises
+        _, _, prob = seeded_problem(Architecture((2, 2), (2, 1)), 7, 3)
+        system = _CompiledSystem(prob.f)
+        rng = np.random.default_rng(3)
+        Z = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+        Z_zero = np.insert(Z, 2, 0, axis=0)
+        T, u, tol = prob.T, prob.u, 1e-10
+        Z_out, G, nF, status = _newton(system, T, u, tol, Z)
+        Zz_out, Gz, nFz, status_z = _newton(system, T, u, tol, Z_zero)
+        assert status_z[2] == FAILURE_KINDS.index("singular_jacobian")
+        keep = np.arange(7) != 2
+        assert np.array_equal(status_z[keep], status)
+        np.testing.assert_allclose(Zz_out[keep], Z_out, rtol=1e-12)
+        np.testing.assert_allclose(Gz[keep], G, rtol=1e-12)
+        np.testing.assert_allclose(nFz[keep], nF, rtol=1e-12)
+
+    @pytest.mark.parametrize("starts,expected", [(100, 6), (2000, 6), (7, None)])
+    def test_failures_account_for_every_start(self, starts, expected):
+        _, _, prob = seeded_problem(Architecture((2, 2), (2, 1)), 7, 3)
+        report = solve_critical_points(prob, starts=starts, seed=42, expected=expected)
+        assert tuple(report.failures) == FAILURE_KINDS
+        assert report.distinct_count + sum(report.failures.values()) == report.starts_used
