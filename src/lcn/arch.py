@@ -20,8 +20,6 @@ from fractions import Fraction
 from math import prod
 from typing import Sequence
 
-from .polyring import MultiPoly
-
 
 @dataclass(frozen=True)
 class Architecture:
@@ -31,6 +29,10 @@ class Architecture:
     strides: tuple
 
     def __post_init__(self):
+        if any(int(v) != v for v in (*self.filter_sizes, *self.strides)):
+            raise ValueError(
+                f"filter sizes and strides must be integers, got {self.filter_sizes} and {self.strides}"
+            )
         ks = tuple(int(v) for v in self.filter_sizes)
         ss = tuple(int(v) for v in self.strides)
         if not ks:
@@ -113,21 +115,6 @@ def reduce_arch(arch: Architecture) -> Architecture:
     return reduced
 
 
-def pi_s(w: Sequence, stride: int) -> MultiPoly:
-    """Homogeneous bivariate polynomial of a filter at a given stride.
-
-    ``w`` of size k maps to ``sum_j w[j] x^{s(k-1-j)} y^{s j}``; the map is
-    linear and injective for fixed (k, s).
-    """
-    if stride < 1:
-        raise ValueError("stride must be positive")
-    k = len(w)
-    return MultiPoly(
-        ("x", "y"),
-        {(stride * (k - 1 - j), stride * j): w[j] for j in range(k)},
-    )
-
-
 def _convolve(a: Sequence, b: Sequence) -> list:
     out = [0] * (len(a) + len(b) - 1)
     for i, av in enumerate(a):
@@ -163,27 +150,6 @@ def compose_filters(arch: Architecture, layer_filters: Sequence[Sequence]) -> tu
         acc = _convolve(acc, _spaced(w, gap))
     assert len(acc) == arch.out_size
     return tuple(acc)
-
-
-def conv_matrix(w: Sequence, stride: int, d_out: int) -> tuple:
-    """Dense matrix of a strided convolution, as a tuple of row tuples.
-
-    Entry (i, j) is ``w[j - i*s]`` when that index lands inside the filter,
-    else 0; each row has length ``d_in = k + (d_out - 1) * s``.
-    """
-    if d_out < 1:
-        raise ValueError("d_out must be positive")
-    if stride < 1:
-        raise ValueError("stride must be positive")
-    k = len(w)
-    d_in = k + (d_out - 1) * stride
-    rows = []
-    for i in range(d_out):
-        row = [0] * d_in
-        for j in range(k):
-            row[i * stride + j] = w[j]
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 def sample_neuromanifold(arch: Architecture, rng_seed: int):

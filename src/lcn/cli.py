@@ -3,7 +3,7 @@
 Subcommands: ``ideal`` (print the generators of an architecture's filter
 variety), ``eddeg`` (critical-point counts, merge trees, tables),
 ``critpoints`` (run the multi-start Newton experiment), ``verify`` (exact
-sampling and dimension checks), ``resultant`` (show the two-layer recipe and
+sampling and dimension checks), ``resultant`` (show the two-layer resultant
 matrices) and ``compose`` (sample layer filters and their composition).
 
 Exit codes: 0 success, 1 a verification-style run found failures or fell
@@ -23,6 +23,7 @@ from typing import Sequence
 
 from .arch import Architecture, reduce_arch, sample_neuromanifold
 from .critpoints import seeded_problem, solve_critical_points
+from .decomp import profile
 from .eddegree import (
     arch_ed_degree,
     generic_ed_degree,
@@ -31,7 +32,8 @@ from .eddegree import (
     two_layer_table,
 )
 from .idealgen import vanishing_generators
-from .resultant import plan_two_layer, two_layer_matrices
+from .polyring import PolyMatrix, coefficient_symbols
+from .resultant import two_layer_resultants
 from .verify import NONMEMBER_TRIALS, verify_ideal
 
 
@@ -197,20 +199,20 @@ def cmd_resultant(args) -> int:
     arch = reduce_arch(_arch(args))
     if arch.depth != 2:
         raise UsageError("the resultant view is defined for two-layer architectures")
-    k1, k2 = arch.filter_sizes
-    s1 = arch.strides[0]
-    recipe = plan_two_layer(k1, k2, s1)
-    prof = recipe.profile
+    (k1, k2), s1, k = arch.filter_sizes, arch.strides[0], arch.out_size
+    prof = profile(k, s1)
     degs = ",".join("-" if d is None else str(d) for d in prof.degrees)
-    print(f"architecture {arch.describe()}  filter size {recipe.out_size}")
+    print(f"architecture {arch.describe()}  filter size {k}")
     print(f"slot degrees   : {degs}  (n*={prof.n_max}, n_*={prof.n_min}, r={prof.r})")
-    print(f"matrix 1       : R_{recipe.l1}, minors of size {recipe.size1}")
-    if recipe.i2_active:
-        print(f"matrix 2       : R_{recipe.l2}, minors of size {recipe.size2} (top slots only)")
-    else:
+    matrices = two_layer_resultants(k1, k2, s1, coefficient_symbols(k))
+    for i, (name, shift_cap, size, _) in enumerate(matrices, start=1):
+        top = " (top slots only)" if name == "I2" else ""
+        print(f"matrix {i}       : R_{shift_cap}, minors of size {size}{top}")
+    if len(matrices) == 1:
         print("matrix 2       : not needed")
     if args.print_matrices:
-        for name, shift_cap, size, matrix in two_layer_matrices(k1, k2, s1):
+        for name, shift_cap, size, rows in matrices:
+            matrix = PolyMatrix(len(rows), shift_cap + 1, tuple(e for row in rows for e in row))
             print(f"{name} = R_{shift_cap}  ({matrix.rows}x{matrix.cols}, minors of size {size})")
             print(matrix.text())
     return 0

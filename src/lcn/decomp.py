@@ -64,24 +64,3 @@ def s_decompose(coeffs: Sequence, s: int) -> list:
         i = e % s
         slots[i][prof.degrees[i] - e // s] = c
     return [tuple(slot) for slot in slots]
-
-
-def s_recompose(slots: Sequence[Sequence], s: int, k: int) -> tuple:
-    """Inverse of :func:`s_decompose`; slot lengths must match the profile."""
-    prof = profile(k, s)
-    if len(slots) != s:
-        raise ValueError(f"expected {s} slots, got {len(slots)}")
-    out = [0] * k
-    for i, slot in enumerate(slots):
-        d = prof.degrees[i]
-        expected = 0 if d is None else d + 1
-        if len(slot) != expected:
-            raise ValueError(
-                f"slot {i + 1} has {len(slot)} entries, expected {expected}"
-            )
-        if d is None:
-            continue
-        for t, c in enumerate(slot):
-            e = (d - t) * s + i
-            out[k - 1 - e] = c
-    return tuple(out)

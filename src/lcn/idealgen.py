@@ -11,12 +11,14 @@ so the union of the generator sets has the filter variety as its common
 zero locus (over the complex numbers).  No radicals are taken: the contract
 is set-theoretic, certified by exact sampling.
 
-The recurrence is unrolled into one loop over the merge levels: level ``j``
-contributes its base, labelled ``"merge(1,2)->" * j + "base(...)"``, and the
-last level its two-layer minors.  One keep-first dedup over all parts,
-deepest level first, gives the same list as deduplicating level by level.
-Every merge preserves the end-to-end filter size, so every generator lives
-in the same ambient variables ``c0 .. c{k-1}``.
+:func:`merge_levels` unrolls the recurrence into a list of two-layer
+architectures: level ``j`` contributes its base, labelled
+``"merge(1,2)->" * j + "base(...)"``, and the last level its two-layer
+minors.  One keep-first dedup over all parts, deepest level first, gives
+the same list as deduplicating level by level.  Every merge preserves the
+end-to-end filter size, so every level lives in the same ambient variables
+``c0 .. c{k-1}``, and a filter lies on the variety exactly when it lies on
+every level's two-layer variety.
 """
 
 from __future__ import annotations
@@ -24,6 +26,28 @@ from __future__ import annotations
 from .arch import Architecture, reduce_arch
 from .polyring import dedup_generators
 from .resultant import IdealGenerators, two_layer_ideal
+
+
+def merge_levels(arch: Architecture) -> list:
+    """``(label head, k1, k2, s1)`` per merge level of a reduced
+    architecture, outermost first; empty for a single layer.
+
+    The head replaces the ``"two_layer"`` that starts every label of
+    :func:`two_layer_ideal`.
+    """
+    k = arch.out_size
+    ks, ss = list(arch.filter_sizes), list(arch.strides)
+    levels = []
+    while len(ks) > 2:
+        k1, s1 = ks[0], ss[0]
+        assert (k - k1) % s1 == 0, "merged filter size must stay divisible by the stride"
+        levels.append(("merge(1,2)->" * len(levels) + "base", k1, (k - k1) // s1 + 1, s1))
+        ks[:2] = [k1 + s1 * (ks[1] - 1)]
+        ss[:2] = [s1 * ss[1]]
+    if len(ks) == 2:
+        assert ks[0] + ss[0] * (ks[1] - 1) == k, "layer merging must preserve the filter size"
+        levels.append(("merge(1,2)->" * len(levels) + "two_layer", ks[0], ks[1], ss[0]))
+    return levels
 
 
 def vanishing_generators(arch: Architecture) -> IdealGenerators:
@@ -36,21 +60,9 @@ def vanishing_generators(arch: Architecture) -> IdealGenerators:
     its two-layer base, and the last level its two-layer minors.
     """
     arch = reduce_arch(arch)
-    k = arch.out_size
-    if arch.depth == 1:
-        return IdealGenerators(tuple(f"c{i}" for i in range(k)), (), (), ())
-    ks, ss = list(arch.filter_sizes), list(arch.strides)
-    # (label head, k1, k2, s1) per merge level, outermost first; the head
-    # replaces the "two_layer" that starts every label of two_layer_ideal
-    levels = []
-    while len(ks) > 2:
-        k1, s1 = ks[0], ss[0]
-        assert (k - k1) % s1 == 0, "merged filter size must stay divisible by the stride"
-        levels.append(("merge(1,2)->" * len(levels) + "base", k1, (k - k1) // s1 + 1, s1))
-        ks[:2] = [k1 + s1 * (ks[1] - 1)]
-        ss[:2] = [s1 * ss[1]]
-    assert ks[0] + ss[0] * (ks[1] - 1) == k, "layer merging must preserve the filter size"
-    levels.append(("merge(1,2)->" * len(levels) + "two_layer", ks[0], ks[1], ss[0]))
+    levels = merge_levels(arch)
+    if not levels:
+        return IdealGenerators(tuple(f"c{i}" for i in range(arch.out_size)), (), (), ())
     # deepest level first: its generators win the dedup
     parts = [(head, two_layer_ideal(*sizes)) for head, *sizes in reversed(levels)]
 

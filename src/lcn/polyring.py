@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -87,9 +87,6 @@ class MultiPoly:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        return len({sum(e) for e in self.terms}) <= 1
 
     def leading_term(self):
         """(exponents, coefficient) of the graded-lex maximal term."""
@@ -291,13 +288,6 @@ class MultiPoly:
                 coeff = coeff.numerator
             terms.append({"coeff": str(coeff), "exps": list(exps)})
         return {"vars": list(self.vars), "terms": terms}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "MultiPoly":
-        return cls(
-            data["vars"],
-            {tuple(t["exps"]): int(t["coeff"]) for t in data["terms"]},
-        )
 
 
 def symbols(names: Iterable[str]) -> tuple:

@@ -12,6 +12,10 @@ forms whose stride decomposition slots share a factor of degree
 architecture's filter variety.  Two matrices are needed in general: one for
 all slots, and (when only some slots attain the top degree) one for the top
 ones alone, which handles the points where the lower-degree slots vanish.
+:func:`two_layer_resultants` is the one rule for which matrices to build;
+it takes symbolic or numeric filter entries alike, so the same rows give
+the symbolic minors of :func:`two_layer_ideal` and, at a numeric filter,
+a membership test by rank.
 """
 
 from __future__ import annotations
@@ -19,20 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .decomp import DecompProfile, profile, s_decompose
-from .polyring import (
-    MultiPoly,
-    PolyMatrix,
-    coefficient_symbols,
-    dedup_generators,
-    minor_expansion,
-)
+from .decomp import profile, s_decompose
+from .polyring import PolyMatrix, coefficient_symbols, dedup_generators, minor_expansion
 
 
-def resultant_rows(polys: Sequence[Sequence], l: int, zero=0) -> list:
+def resultant_rows(polys: Sequence[Sequence], l: int) -> list:
     """Rows of R_l, shared by symbolic and numeric callers.
 
     ``polys`` are coefficient sequences (empty = zero polynomial, excluded).
+    Each row is padded with ``0 * entry``, a zero of the entries' own ring.
     """
     if l < 0:
         raise ValueError("shift cap l must be nonnegative")
@@ -42,7 +41,7 @@ def resultant_rows(polys: Sequence[Sequence], l: int, zero=0) -> list:
     for q in polys:
         if not len(q):
             continue
-        n = len(q) - 1
+        n, zero = len(q) - 1, 0 * q[0]
         for shift in range(l - n + 1):
             row = [zero] * (l + 1)
             row[shift : shift + n + 1] = list(q)
@@ -50,49 +49,34 @@ def resultant_rows(polys: Sequence[Sequence], l: int, zero=0) -> list:
     return rows
 
 
-def build_resultant(polys: Sequence[Sequence[MultiPoly]], l: int) -> PolyMatrix:
-    """Symbolic R_l from coefficient sequences of MultiPoly entries."""
-    vars_ = next((c.vars for q in polys for c in q), None)
-    if vars_ is None:
-        raise ValueError("all input polynomials are zero")
-    rows = resultant_rows(polys, l, zero=MultiPoly.zero(vars_))
-    return PolyMatrix(len(rows), l + 1, tuple(e for row in rows for e in row))
+def two_layer_resultants(k1: int, k2: int, s1: int, coeffs: Sequence) -> list:
+    """The resultant matrices cutting out the filter variety of ``(k1, k2)``
+    with stride ``s1``, with rows built from the filter entries ``coeffs``.
 
-
-@dataclass(frozen=True)
-class TwoLayerIdealRecipe:
-    """Matrix/minor sizes cutting out a reduced two-layer filter variety.
-
-    The first matrix uses all nonzero slots with the shift cap and minor
-    size given by the actual top/bottom slot degrees.  The second matrix
-    (top-degree slots only) is needed exactly when the top degree is
-    attained by more than one but not all nonzero slots.
+    Each entry is ``(name, shift cap, minor size, rows)``.  ``I1`` uses all
+    nonzero slots of ``s_decompose(coeffs, s1)`` with the shift cap of the
+    top and bottom slot degrees; ``I2`` uses the ``r`` top-degree slots and
+    is present exactly when ``1 < r <`` the number of nonzero slots.  A
+    filter lies on the variety exactly when every matrix has rank below its
+    minor size.
     """
-
-    out_size: int
-    profile: DecompProfile
-    l1: int
-    size1: int
-    l2: "int | None"
-    size2: "int | None"
-    i2_active: bool
-
-
-def plan_two_layer(k1: int, k2: int, s1: int) -> TwoLayerIdealRecipe:
     if min(k1, k2) < 2 or s1 < 2:
         raise ValueError(
             f"({k1},{k2}) with stride {s1} is not a reduced two-layer "
             "architecture; apply reduce_arch first"
         )
     k = k1 + s1 * (k2 - 1)
+    if len(coeffs) != k:
+        raise ValueError(f"{len(coeffs)} filter entries for a filter of size {k}")
     prof = profile(k, s1)
+    slots = s_decompose(coeffs, s1)
     m = k2 - 1
     l1 = prof.n_min + prof.n_max - m
-    size1 = prof.n_min + prof.n_max - 2 * m + 2
-    i2_active = 1 < prof.r < prof.nonzero_slots
-    l2 = 2 * prof.n_max - m if i2_active else None
-    size2 = 2 * prof.n_max - 2 * m + 2 if i2_active else None
-    return TwoLayerIdealRecipe(k, prof, l1, size1, l2, size2, i2_active)
+    out = [("I1", l1, l1 - m + 2, resultant_rows(slots, l1))]
+    if 1 < prof.r < prof.nonzero_slots:
+        l2 = 2 * prof.n_max - m
+        out.append(("I2", l2, l2 - m + 2, resultant_rows(slots[: prof.r], l2)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -110,26 +94,20 @@ class IdealGenerators:
     provenance: tuple
     raw_counts: tuple
 
-    @property
-    def total_raw_count(self) -> int:
-        return sum(n for _, n in self.raw_counts)
-
-    def texts(self) -> list:
-        return [g.text() for g in self.generators]
-
 
 def two_layer_ideal(k1: int, k2: int, s1: int) -> IdealGenerators:
     """Generators whose zero locus is the two-layer filter variety.
 
-    The minors of the matrices from :func:`two_layer_matrices`; the returned
-    list is sign-normalized and deduplicated, while ``raw_counts`` keeps the
-    pre-pruning minor counts.
+    The minors of :func:`two_layer_resultants` at generic symbols
+    ``c0..c{k-1}``; the returned list is sign-normalized and deduplicated,
+    while ``raw_counts`` keeps the pre-pruning minor counts.
     """
-    matrices = two_layer_matrices(k1, k2, s1)
+    syms = coefficient_symbols(k1 + s1 * (k2 - 1))
     label = f"two_layer({k1},{k2};{s1})"
     candidates = []
     raw = []
-    for name, _, size, matrix in matrices:
+    for name, l, size, rows in two_layer_resultants(k1, k2, s1, syms):
+        matrix = PolyMatrix(len(rows), l + 1, tuple(e for row in rows for e in row))
         dets = [
             (f"{label}:{name}[r={ri};c={ci}]", det)
             for ri, ci, det in minor_expansion(matrix, size)
@@ -137,23 +115,4 @@ def two_layer_ideal(k1: int, k2: int, s1: int) -> IdealGenerators:
         candidates += dets
         raw.append((f"{label}:{name}", len(dets)))
     provs, gens = dedup_generators(candidates)
-    return IdealGenerators(matrices[0][3].variables, gens, provs, tuple(raw))
-
-
-def two_layer_matrices(k1: int, k2: int, s1: int) -> list:
-    """The resultant matrices behind :func:`two_layer_ideal`.
-
-    Each entry is ``(name, shift cap, minor size, matrix)``.  Slots are the
-    stride decomposition of generic symbols ``c0..c{k-1}``; zero slots
-    contribute no rows.  Shift caps and minor sizes come from
-    :func:`plan_two_layer`.
-    """
-    recipe = plan_two_layer(k1, k2, s1)
-    syms = coefficient_symbols(recipe.out_size)
-    slots = s_decompose(syms, s1)
-    nonzero = [q for q in slots if q]
-    out = [("I1", recipe.l1, recipe.size1, build_resultant(nonzero, recipe.l1))]
-    if recipe.i2_active:
-        top = slots[: recipe.profile.r]
-        out.append(("I2", recipe.l2, recipe.size2, build_resultant(top, recipe.l2)))
-    return out
+    return IdealGenerators(syms[0].vars, gens, provs, tuple(raw))

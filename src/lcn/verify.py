@@ -73,32 +73,6 @@ def numeric_rank(matrix: np.ndarray, rel_tol: float = 1e-8) -> int:
     return int(np.sum(sv > rel_tol * sv[0]))
 
 
-def exact_rank(rows: Sequence[Sequence]) -> int:
-    """Rank over the rationals by fraction-free-ish Gaussian elimination."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    row = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(row, n_rows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        for r in range(row + 1, n_rows):
-            factor = m[r][col] * inv
-            if factor:
-                for c in range(col, n_cols):
-                    m[r][c] -= factor * m[row][c]
-        row += 1
-        rank += 1
-        if row == n_rows:
-            break
-    return rank
-
-
 def verify_ideal(arch: Architecture, n_samples: int = 100, seed: int = 0) -> VerificationReport:
     """Exact membership of sampled filters, nonmembership of random points
     and a numeric dimension check, all on one generator set.

@@ -1,18 +1,14 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lcn.arch import (
-    Architecture,
-    compose_filters,
-    conv_matrix,
-    pi_s,
-    reduce_arch,
-    sample_neuromanifold,
-)
+from lcn.arch import Architecture, compose_filters, reduce_arch, sample_neuromanifold
 from lcn.polyring import MultiPoly
+
+from filter_oracle import conv_matrix, pi_s
 
 
 def frac_matmul(a, b):
@@ -59,6 +55,16 @@ class TestArchitecture:
             Architecture((2, 0), (2, 1))
         with pytest.raises(ValueError):
             Architecture((2, 2), (0, 1))
+
+    @pytest.mark.parametrize("ks,ss", [((2.5, 2), (2, 1)), ((2, 2), (2, 1.5))])
+    def test_non_integral_entries_rejected(self, ks, ss):
+        with pytest.raises(ValueError, match="integers"):
+            Architecture(ks, ss)
+
+    def test_integral_numbers_accepted(self):
+        a = Architecture((np.int64(3), 2.0), (np.int32(2), 1))
+        assert a == Architecture((3, 2), (2, 1))
+        assert all(type(v) is int for v in a.filter_sizes + a.strides)
 
     @given(arch_strategy)
     def test_out_size_formula(self, arch):

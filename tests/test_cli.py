@@ -1,4 +1,6 @@
+import hashlib
 import json
+from itertools import product
 
 import pytest
 
@@ -150,6 +152,17 @@ class TestResultant:
         assert "n*=2, n_*=1, r=2" in out
         assert "[ B  E  H ]" in out
         assert "I2 = R_3" in out
+
+    def test_grid_stdout_pinned(self, capsys):
+        # SHA-256 of the concatenated stdout, recorded before the two-layer
+        # matrices were planned by one function
+        digest = hashlib.sha256()
+        for k1, k2, s in product(range(2, 7), range(2, 5), range(2, 5)):
+            for extra in ((), ("--print-matrices",)):
+                code, out, _ = run(capsys, "resultant", "-k", f"{k1},{k2}", "-s", f"{s},1", *extra)
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == "622f9375b020fe64517e7745a57a84d4795e22e60669409c47d3a0a55013a6f6"
 
     def test_rejects_deep_architectures(self, capsys):
         code, _, err = run(capsys, "resultant", "-k", "2,2,2", "-s", "2,2,1")

@@ -5,24 +5,26 @@ import pytest
 
 from lcn.arch import Architecture, sample_neuromanifold, _convolve
 from lcn.polyring import coefficient_symbols
-from lcn.resultant import (
-    build_resultant,
-    plan_two_layer,
-    resultant_rows,
-    two_layer_ideal,
-)
-from lcn.verify import exact_rank
+from lcn.resultant import resultant_rows, two_layer_ideal, two_layer_resultants
+
+from variety_oracle import exact_rank
 
 
-def matrix_texts(m):
-    return [[m.entry(i, j).text() for j in range(m.cols)] for i in range(m.rows)]
+def matrix_texts(rows):
+    return [[e.text() for e in row] for row in rows]
+
+
+def plan(k1, k2, s1):
+    """``{name: (shift cap, minor size)}`` of the matrices at generic symbols."""
+    syms = coefficient_symbols(k1 + s1 * (k2 - 1))
+    return {name: (l, size) for name, l, size, _ in two_layer_resultants(k1, k2, s1, syms)}
 
 
 class TestBuildResultant:
     def test_display_two_polys(self):
         A, B, C, D, E = coefficient_symbols(5)
-        m = build_resultant([(A, C, E), (B, D)], 2)
-        assert matrix_texts(m) == [
+        rows = resultant_rows([(A, C, E), (B, D)], 2)
+        assert matrix_texts(rows) == [
             ["A", "C", "E"],
             ["B", "D", "0"],
             ["0", "B", "D"],
@@ -30,8 +32,8 @@ class TestBuildResultant:
 
     def test_display_four_polys(self):
         A, B, C, D, E, F, G, H, I = coefficient_symbols(9)
-        m = build_resultant([(A, E, I), (B, F), (C, G), (D, H)], 2)
-        assert matrix_texts(m) == [
+        rows = resultant_rows([(A, E, I), (B, F), (C, G), (D, H)], 2)
+        assert matrix_texts(rows) == [
             ["A", "E", "I"],
             ["B", "F", "0"],
             ["0", "B", "F"],
@@ -43,8 +45,8 @@ class TestBuildResultant:
 
     def test_display_shift_four(self):
         A, B, C, D, E, F, G, H, I = coefficient_symbols(9)
-        m = build_resultant([(A, C, E, G, I), (B, D, F, H)], 4)
-        assert matrix_texts(m) == [
+        rows = resultant_rows([(A, C, E, G, I), (B, D, F, H)], 4)
+        assert matrix_texts(rows) == [
             ["A", "C", "E", "G", "I"],
             ["B", "D", "F", "H", "0"],
             ["0", "B", "D", "F", "H"],
@@ -52,52 +54,75 @@ class TestBuildResultant:
 
     def test_zero_polynomials_skipped(self):
         A, B = coefficient_symbols(2)
-        m = build_resultant([(), (A, B)], 1)
-        assert matrix_texts(m) == [["A", "B"]]
+        rows = resultant_rows([(), (A, B)], 1)
+        assert matrix_texts(rows) == [["A", "B"]]
 
     def test_all_zero_errors(self):
         with pytest.raises(ValueError):
-            build_resultant([(), ()], 2)
+            resultant_rows([(), ()], 2)
 
     def test_degree_zero_rows(self):
         A, B, C = coefficient_symbols(3)
-        m = build_resultant([(A, B), (C,)], 1)
-        assert matrix_texts(m) == [["A", "B"], ["C", "0"], ["0", "C"]]
+        rows = resultant_rows([(A, B), (C,)], 1)
+        assert matrix_texts(rows) == [["A", "B"], ["C", "0"], ["0", "C"]]
+
+    def test_numeric_padding_stays_numeric(self):
+        rows = resultant_rows([(Fraction(1, 2), 3), (5,)], 1)
+        assert rows == [[Fraction(1, 2), 3], [5, 0], [0, 5]]
 
 
 class TestPlan:
     def test_5_2_3(self):
-        recipe = plan_two_layer(5, 2, 3)
-        assert (recipe.l1, recipe.size1) == (2, 3)
-        assert recipe.i2_active
-        assert (recipe.l2, recipe.size2) == (3, 4)
-        assert recipe.out_size == 8
+        assert plan(5, 2, 3) == {"I1": (2, 3), "I2": (3, 4)}
+        A, B, C, D, E, F, G, H = syms = coefficient_symbols(8)
+        (_, _, _, rows1), (_, _, _, rows2) = two_layer_resultants(5, 2, 3, syms)
+        assert matrix_texts(rows1) == [
+            ["B", "E", "H"],
+            ["A", "D", "G"],
+            ["C", "F", "0"],
+            ["0", "C", "F"],
+        ]
+        assert matrix_texts(rows2) == [
+            ["B", "E", "H", "0"],
+            ["0", "B", "E", "H"],
+            ["A", "D", "G", "0"],
+            ["0", "A", "D", "G"],
+        ]
 
     def test_2_2_2_no_second_matrix(self):
-        recipe = plan_two_layer(2, 2, 2)
-        assert (recipe.l1, recipe.size1) == (1, 2)
-        assert not recipe.i2_active
+        assert plan(2, 2, 2) == {"I1": (1, 2)}
 
     def test_3_2_2_r_one(self):
-        recipe = plan_two_layer(3, 2, 2)
-        assert not recipe.i2_active
-        assert (recipe.l1, recipe.size1) == (2, 3)
+        assert plan(3, 2, 2) == {"I1": (2, 3)}
 
     def test_non_reduced_rejected(self):
         with pytest.raises(ValueError, match="reduce_arch"):
-            plan_two_layer(1, 2, 2)
+            two_layer_resultants(1, 2, 2, coefficient_symbols(3))
         with pytest.raises(ValueError, match="reduce_arch"):
-            plan_two_layer(3, 2, 1)
+            two_layer_resultants(3, 2, 1, coefficient_symbols(4))
+
+    @pytest.mark.parametrize("k", [7, 9])
+    def test_wrong_filter_length_rejected(self, k):
+        with pytest.raises(ValueError, match="filter of size 8"):
+            two_layer_resultants(5, 2, 3, coefficient_symbols(k))
+
+    def test_numeric_rows_are_the_symbolic_rows_evaluated(self):
+        w = tuple(Fraction(i * i - 3, i + 1) for i in range(8))
+        symbolic = two_layer_resultants(5, 2, 3, coefficient_symbols(8))
+        numeric = two_layer_resultants(5, 2, 3, w)
+        assert [m[:3] for m in numeric] == [m[:3] for m in symbolic]
+        for (_, _, _, num), (_, _, _, sym) in zip(numeric, symbolic):
+            assert num == [[e.evaluate(w) for e in row] for row in sym]
 
 
 class TestTwoLayerIdeal:
     def test_2_2_2(self):
         gens = two_layer_ideal(2, 2, 2)
-        assert gens.texts() == ["A*D - B*C"]
+        assert [g.text() for g in gens.generators] == ["A*D - B*C"]
 
     def test_3_2_2(self):
         gens = two_layer_ideal(3, 2, 2)
-        assert gens.texts() == ["A*D^2 + B^2*E - B*C*D"]
+        assert [g.text() for g in gens.generators] == ["A*D^2 + B^2*E - B*C*D"]
 
     def test_5_2_3_counts_and_degrees(self):
         gens = two_layer_ideal(5, 2, 3)
@@ -112,11 +137,11 @@ class TestTwoLayerIdeal:
 
     def test_homogeneous_degree_equals_minor_size(self):
         for args in [(2, 2, 2), (3, 2, 2), (5, 2, 3), (4, 3, 2), (2, 4, 3)]:
-            recipe = plan_two_layer(*args)
+            sizes = plan(*args)
             gens = two_layer_ideal(*args)
             for g, prov in zip(gens.generators, gens.provenance):
-                assert g.is_homogeneous()
-                size = recipe.size1 if ":I1[" in prov else recipe.size2
+                assert len({sum(e) for e in g.terms}) == 1  # homogeneous
+                _, size = sizes["I1" if ":I1[" in prov else "I2"]
                 assert g.total_degree() == size
 
     def test_raw_counts(self):

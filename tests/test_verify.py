@@ -7,12 +7,13 @@ from lcn.arch import Architecture, reduce_arch, sample_neuromanifold
 from lcn.idealgen import vanishing_generators
 from lcn.verify import (
     NONMEMBER_TRIALS,
-    exact_rank,
     numeric_rank,
     parametrization_jacobian,
     smoke_nonmembership,
     verify_ideal,
 )
+
+from variety_oracle import exact_rank
 
 
 class TestExactRank:
