@@ -247,10 +247,11 @@ def _build_parser() -> argparse.ArgumentParser:
     positive = _at_least(1)
     numpy_seed = _at_least(0)
 
-    def common(p, seed=int):
+    def common(p, seed=int, formats=True):
         p.add_argument("-k", dest="sizes", required=True, help="comma-separated filter sizes")
         p.add_argument("-s", dest="strides", required=True, help="comma-separated strides")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        if formats:
+            p.add_argument("--format", choices=("text", "json"), default="text")
         if seed:
             p.add_argument("--seed", type=seed, default=42)
 
@@ -278,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("resultant", help="two-layer resultant recipe")
-    common(p, seed=None)
+    common(p, seed=None, formats=False)
     p.add_argument("--print-matrices", action="store_true")
     p.set_defaults(func=cmd_resultant)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -195,24 +195,9 @@ class MultiPoly:
     # -- evaluation and calculus -------------------------------------------
 
     def evaluate(self, point: Sequence) -> Fraction:
-        """Exact value at ``point``: one rational per variable, in ring order.
-
-        Denominators are cleared once: with ``L`` their lcm and ``D`` the
-        total degree, the terms ``c * L^(D - deg) * prod (x_i L)^e_i`` are
-        summed in integers and divided by ``L^D``.
-        """
-        if len(point) != len(self.vars):
-            raise ValueError(f"point of length {len(point)} in a ring with {len(self.vars)} variables")
-        xs = [Fraction(x) for x in point]
-        L = lcm(*(x.denominator for x in xs))
-        nums = [x.numerator * (L // x.denominator) for x in xs]
-        D, total = self.total_degree(), 0
-        for exps, coeff in self.terms.items():
-            for n, e in zip(nums, exps):
-                if e:
-                    coeff *= n**e
-            total += coeff * L ** (D - sum(exps))
-        return Fraction(total, L ** max(D, 0))
+        """Exact value at ``point``, one rational per variable in ring order;
+        see :func:`evaluate_many`."""
+        return next(evaluate_many((self,), point))
 
     def differentiate(self, name: str) -> "MultiPoly":
         idx = self.vars.index(name)
@@ -288,6 +273,35 @@ class MultiPoly:
                 coeff = coeff.numerator
             terms.append({"coeff": str(coeff), "exps": list(exps)})
         return {"vars": list(self.vars), "terms": terms}
+
+
+def evaluate_many(polys: Iterable[MultiPoly], point: Sequence) -> Iterator[Fraction]:
+    """Exact values of ``polys`` at ``point``, one ``Fraction`` each, lazily
+    and in order, so ``any(evaluate_many(...))`` stops at the first nonzero.
+
+    The polynomials share one ring and ``point`` holds one rational per
+    variable, in ring order.  Its denominators are cleared once for the
+    whole set: with ``L`` their lcm, a polynomial of total degree ``D`` sums
+    ``c * L^(D - deg) * prod (x_i L)^e_i`` over its terms in integers (no
+    powers of ``L`` when it is homogeneous) and divides by ``L^D``.
+    """
+    xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in point]
+    L = lcm(*[x.denominator for x in xs])
+    nums = [x.numerator * (L // x.denominator) for x in xs]
+    ring = None
+    for p in polys:
+        if p.vars != ring:
+            if ring is not None:
+                raise ValueError(f"mixed variable lists: {ring} vs {p.vars}")
+            if len(nums) != len(p.vars):
+                raise ValueError(f"point of length {len(nums)} in a ring with {len(p.vars)} variables")
+            ring = p.vars
+        degs = list(map(sum, p.terms))
+        D = max(degs, default=0)
+        values = (c * prod(map(pow, nums, e)) for e, c in p.terms.items())
+        if min(degs, default=0) < D:
+            values = (v * L ** (D - d) for v, d in zip(values, degs))
+        yield Fraction(sum(values), L**D)
 
 
 def symbols(names: Iterable[str]) -> tuple:

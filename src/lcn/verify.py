@@ -3,7 +3,10 @@
 The generated equations are certified set-theoretically: every composable
 filter (sampled with exact rational layer entries) must satisfy every
 generator with value exactly zero, while random ambient points must violate
-at least one.  The dimension claim ``sum k_i - (L - 1)`` is checked through
+at least one.  Both checks evaluate the whole generator set at a point with
+one call of :func:`lcn.polyring.evaluate_many`, which clears the point's
+denominators once and yields the exact values lazily, so a nonmember stops
+at its first nonzero generator.  The dimension claim ``sum k_i - (L - 1)`` is checked through
 the rank of the parametrization Jacobian, which for a multilinear map is
 assembled column-by-column from unit-vector substitutions.
 """
@@ -19,6 +22,7 @@ import numpy as np
 
 from .arch import Architecture, compose_filters, sample_neuromanifold
 from .idealgen import vanishing_generators
+from .polyring import evaluate_many
 from .resultant import IdealGenerators
 
 
@@ -87,7 +91,7 @@ def verify_ideal(arch: Architecture, n_samples: int = 100, seed: int = 0) -> Ver
     failures = []
     for i in range(n_samples):
         _, w = sample_neuromanifold(arch, rng.randrange(2**62))
-        failures.extend((i, j) for j, g in enumerate(gens.generators) if g.evaluate(w))
+        failures.extend((i, j) for j, v in enumerate(evaluate_many(gens.generators, w)) if v)
 
     expected = expected_dimension(arch)
     rank = -1
@@ -120,4 +124,4 @@ def smoke_nonmembership(gens: IdealGenerators, n_trials: int = NONMEMBER_TRIALS,
         [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9999), rng.randint(1, 99)) for _ in range(k)]
         for _ in range(n_trials)
     )
-    return sum(any(g.evaluate(pt) for g in gens.generators) for pt in points)
+    return sum(any(evaluate_many(gens.generators, pt)) for pt in points)

@@ -169,6 +169,12 @@ class TestResultant:
         assert code == 2
         assert "two-layer" in err
 
+    def test_format_flag_rejected(self, capsys):
+        code, out, err = run(capsys, "resultant", "-k", "2,2", "-s", "2,1", "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "--format" in err
+
 
 class TestCompose:
     def test_text(self, capsys):

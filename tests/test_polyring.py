@@ -12,6 +12,7 @@ from lcn.polyring import (
     coefficient_symbols,
     dedup_generators,
     determinant,
+    evaluate_many,
     minor_expansion,
     symbols,
 )
@@ -58,7 +59,7 @@ rational_points3 = st.tuples(
 
 
 def fraction_loop_evaluate(p, point):
-    """Term-by-term ``Fraction`` evaluation (oracle for ``MultiPoly.evaluate``)."""
+    """Term-by-term ``Fraction`` evaluation (oracle for ``evaluate_many``)."""
     values = [Fraction(v) for v in point]
     total = Fraction(0)
     for exps, coeff in p.terms.items():
@@ -167,6 +168,40 @@ class TestEval:
         value = p.evaluate(pt)
         assert isinstance(value, Fraction)
         assert value == fraction_loop_evaluate(p, pt)
+
+
+class TestEvaluateMany:
+    @given(st.lists(rational_polys(), max_size=6), rational_points3)
+    @example([poly3({}), MultiPoly.constant(VARS3, Fraction(-2, 7)), poly3({(4, 0, 1): 3})], (0, Fraction(1, 6), 5))
+    def test_matches_fraction_loop(self, ps, pt):
+        values = list(evaluate_many(ps, pt))
+        assert all(isinstance(v, Fraction) for v in values)
+        assert values == [fraction_loop_evaluate(p, pt) for p in ps]
+
+    def test_empty_set_yields_nothing(self):
+        assert list(evaluate_many([], (1, 2, 3))) == []
+
+    def test_mixed_rings_rejected(self):
+        u, _, _ = symbols(VARS3)
+        x, _, _ = symbols(("x", "y", "z"))
+        with pytest.raises(ValueError, match="mixed variable lists"):
+            list(evaluate_many([u, x], (1, 2, 3)))
+
+    def test_point_length_checked(self):
+        with pytest.raises(ValueError, match="point of length 2"):
+            list(evaluate_many(symbols(VARS3), (1, 2)))
+
+    def test_stops_at_first_nonzero(self):
+        u, v, w = symbols(VARS3)
+        pulled = []
+
+        def counting():
+            for p in (u * v - w, u, v, w):
+                pulled.append(p)
+                yield p
+
+        assert any(evaluate_many(counting(), (1, 2, 3)))
+        assert pulled == [u * v - w]
 
 
 class TestRingAxioms:

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lcn.arch import Architecture, compose_filters, reduce_arch, sample_neuromanifold
 from lcn.idealgen import merge_levels, vanishing_generators
+from lcn.polyring import evaluate_many
 
 from variety_oracle import on_variety
 
@@ -58,7 +59,10 @@ class TestOnVariety:
     @example((Architecture((2, 2, 2, 2), (2, 2, 2, 1)), (0,) * 15 + (1,)))
     def test_rank_drop_iff_generators_vanish(self, case):
         arch, w = case
-        assert on_variety(arch, w) == all(g.evaluate(w) == 0 for g in generators(reduce_arch(arch)))
+        gens = generators(reduce_arch(arch))
+        expected = on_variety(arch, w)
+        assert expected == all(g.evaluate(w) == 0 for g in gens)
+        assert expected == (not any(evaluate_many(gens, w)))
 
     def test_top_slot_matrix_decides(self):
         arch = Architecture((5, 2), (3, 1))

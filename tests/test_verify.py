@@ -1,10 +1,13 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import lcn.verify
 from lcn.arch import Architecture, reduce_arch, sample_neuromanifold
 from lcn.idealgen import vanishing_generators
+from lcn.polyring import MultiPoly
 from lcn.verify import (
     NONMEMBER_TRIALS,
     numeric_rank,
@@ -91,6 +94,19 @@ class TestVerifyIdeal:
         assert r1.expected_dim == r2.expected_dim == 4
         assert r1.jacobian_rank == r2.jacobian_rank == 4
         assert r1.nonmember_violations == r2.nonmember_violations == NONMEMBER_TRIALS
+
+    def test_failures_name_sample_and_generator(self, monkeypatch):
+        # a nonzero constant inserted as generator 1 fails on every sample
+        def with_constant(arch):
+            gens = vanishing_generators(arch)
+            one = MultiPoly.constant(gens.variables, 1)
+            return replace(gens, generators=gens.generators[:1] + (one,) + gens.generators[1:])
+
+        monkeypatch.setattr(lcn.verify, "vanishing_generators", with_constant)
+        report = verify_ideal(Architecture((5, 2), (3, 1)), n_samples=4, seed=0)
+        assert report.failures == ((0, 1), (1, 1), (2, 1), (3, 1))
+        assert report.generators_tested == 6
+        assert not report.ok
 
 
 class TestSmoke:
