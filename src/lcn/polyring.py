@@ -13,7 +13,10 @@ with at most 26 entries print as the letters ``A, B, ...`` so that small
 generators stay readable.
 
 The minors of a :class:`PolyMatrix` come from one memoised Laplace
-expansion that shares sub-minors on ``(rows, columns)``.
+expansion that shares sub-minors on ``(rows, columns)``.  Each minor is
+built in one term dictionary: entry terms times cofactor terms are added
+into it directly (a fused multiply-accumulate), and the coefficients that
+cancel are dropped once at the end.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -104,8 +108,11 @@ class MultiPoly:
 
     def content(self) -> int:
         """Positive gcd of the integer coefficients (1 if any is fractional)."""
+        coeffs = self.terms.values()
+        if all(type(c) is int for c in coeffs):
+            return gcd(*coeffs) or 1
         g = 0
-        for c in self.terms.values():
+        for c in coeffs:
             if isinstance(c, Fraction):
                 if c.denominator != 1:
                     return 1
@@ -117,7 +124,9 @@ class MultiPoly:
         g = self.content()
         if g == 1:
             return self
-        return MultiPoly(self.vars, {e: c // g for e, c in self.terms.items()})
+        res = MultiPoly(self.vars)
+        res.terms = {e: c // g for e, c in self.terms.items()}
+        return res
 
     # -- arithmetic --------------------------------------------------------
 
@@ -132,8 +141,14 @@ class MultiPoly:
             return MultiPoly.constant(self.vars, other)
         return NotImplemented
 
+    # Results built from valid operands are valid, so the operators below
+    # set ``terms`` directly instead of re-checking every exponent tuple in
+    # the constructor.
+
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        res = MultiPoly(self.vars)
+        res.terms = {e: -c for e, c in self.terms.items()}
+        return res
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -156,7 +171,16 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            total = out.get(e, 0) - c
+            if total:
+                out[e] = total
+            elif e in out:
+                del out[e]
+        res = MultiPoly(self.vars)
+        res.terms = out
+        return res
 
     def __rsub__(self, other):
         return (-self) + other
@@ -168,7 +192,7 @@ class MultiPoly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 total = out.get(e, 0) + c1 * c2
                 if total:
                     out[e] = total
@@ -315,13 +339,9 @@ def coefficient_symbols(k: int) -> tuple:
     return symbols(f"c{i}" for i in range(k))
 
 
-def dedup_key(p: MultiPoly) -> tuple:
-    """Canonical form identifying polynomials up to sign and integer content."""
-    return tuple(sorted(p.sign_normalized().primitive_part().terms.items()))
-
-
 def dedup_generators(tagged: Iterable) -> tuple:
-    """Drop zeros, sign-normalize, keep the first of each :func:`dedup_key`.
+    """Drop zeros, sign-normalize, keep the first of each polynomial up to
+    sign and integer content.
 
     ``tagged`` yields ``(tag, poly)`` pairs; the survivors come back as two
     aligned tuples ``(tags, polys)`` in their original order.
@@ -333,7 +353,8 @@ def dedup_generators(tagged: Iterable) -> tuple:
         if not poly.terms:
             continue
         poly = poly.sign_normalized()
-        key = dedup_key(poly)
+        # canonical form: sign-normalized (above) primitive part
+        key = tuple(sorted(poly.primitive_part().terms.items()))
         if key in seen:
             continue
         seen.add(key)
@@ -383,7 +404,13 @@ def _cofactor_expansion(m: PolyMatrix):
     prefix ``rows[:-1]``, emptied when that prefix changes: asked for row
     sets in lexicographic order, each sub-minor is computed once (O(2^n)
     products for a determinant, not n!) and only those of the current row
-    prefixes stay alive."""
+    prefixes stay alive.
+
+    Each minor is accumulated in one ``{exponents: coefficient}`` dict:
+    every term ``c1 x^e1`` of a nonzero entry times every term ``c2 x^e2``
+    of its cofactor adds ``+-c1*c2`` at ``e1 + e2``, with no intermediate
+    product, negation or sum polynomials.  Coefficients that cancel to zero
+    are dropped once, when the minor is finished."""
     vars_ = m.variables
     one = MultiPoly.constant(vars_, 1)
     tables = {}  # prefix length -> (prefix, {mask: minor})
@@ -396,16 +423,25 @@ def _cofactor_expansion(m: PolyMatrix):
         if prefix != above:
             table = {}
             tables[len(above)] = (above, table)
-        total = MultiPoly.zero(vars_)
+        acc = {}
+        get = acc.get
         for pos, j in enumerate(j for j in range(m.cols) if (mask >> j) & 1):
             e = m.entry(rows[-1], j)
             if e.terms:
                 sub = mask ^ (1 << j)
                 if sub not in table:
                     table[sub] = det(above, sub)
-                piece = e * table[sub]
-                total = total - piece if (len(above) + pos) % 2 else total + piece
-        return total
+                cofactor = table[sub].terms.items()
+                odd = (len(above) + pos) % 2
+                for e1, c1 in e.terms.items():
+                    if odd:
+                        c1 = -c1
+                    for e2, c2 in cofactor:
+                        key = tuple(map(add, e1, e2))
+                        acc[key] = get(key, 0) + c1 * c2
+        res = MultiPoly(vars_)
+        res.terms = {key: c for key, c in acc.items() if c}
+        return res
 
     return det
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from expansion_oracle import product_then_add_minors
 from hypothesis import example, given, strategies as st
 
 from lcn.polyring import (
@@ -329,6 +330,95 @@ class TestMinors:
                 peak = max(peak, live() - before)
         assert n == 219
         assert peak <= 3 + 3 + 1 + 1  # tables, the constant 1, the yielded minor
+
+
+@st.composite
+def cancelling_matrices(draw):
+    """``(matrix, minor size)`` over ``u, v, w`` with at most 4 rows and
+    columns.  Entries repeat a few symbols and sums of them next to integer
+    and ``Fraction`` constants and zeros, so coefficients cancel."""
+    u, v, w = symbols(VARS3)
+    pool = [u, v, w, u + v, 2 * u - w, u * v - Fraction(1, 3) * w]
+    constants = st.one_of(
+        st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    ).map(lambda c: MultiPoly.constant(VARS3, c))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = draw(
+        st.lists(
+            st.one_of(st.sampled_from(pool), constants),
+            min_size=rows * cols,
+            max_size=rows * cols,
+        )
+    )
+    return PolyMatrix(rows, cols, tuple(entries)), draw(st.integers(1, min(rows, cols)))
+
+
+def _all_u(rows, cols):
+    u = symbols(VARS3)[0]
+    return PolyMatrix(rows, cols, (u,) * (rows * cols))
+
+
+class TestFusedExpansion:
+    """The one-dict expansion against product-then-add, term for term."""
+
+    @given(cancelling_matrices())
+    @example((_all_u(2, 2), 2))  # u^2 - u^2: the determinant cancels
+    @example((_all_u(2, 3), 2))  # every 2x2 minor cancels
+    def test_matches_product_then_add(self, drawn):
+        m, size = drawn
+        triples = list(minor_expansion(m, size))
+        assert triples == product_then_add_minors(m, size)
+        for _, _, det in triples:
+            assert 0 not in det.terms.values()
+        if m.rows == m.cols:
+            det = determinant(m)
+            assert det == product_then_add_minors(m, m.rows)[0][2]
+            assert 0 not in det.terms.values()
+
+
+def _rebuilt(p):
+    """``p`` passed through the validating constructor."""
+    return MultiPoly(p.vars, dict(p.terms))
+
+
+any_polys = st.one_of(small_polys(), rational_polys())
+
+
+class TestFastPaths:
+    """Operators that set ``terms`` directly give valid polynomials."""
+
+    @given(any_polys, any_polys)
+    def test_neg_and_sub_equal_validated(self, p, q):
+        diff = dict(p.terms)
+        for e, c in q.terms.items():
+            diff[e] = diff.get(e, 0) - c
+        assert -p == MultiPoly(VARS3, {e: -c for e, c in p.terms.items()})
+        assert p - q == MultiPoly(VARS3, diff)
+        for r in (-p, p - q, p - p, q - p):
+            assert r == _rebuilt(r)
+            assert 0 not in r.terms.values()
+
+    @given(small_polys(), st.integers(1, 6))
+    def test_primitive_part_equals_validated(self, p, c):
+        q = c * p
+        g = q.content()
+        prim = q.primitive_part()
+        assert prim == MultiPoly(VARS3, {e: a // g for e, a in q.terms.items()})
+        assert prim == _rebuilt(prim)
+        assert 0 not in prim.terms.values()
+        assert g * prim == q
+
+    @given(small_polys())
+    def test_int_content_matches_fraction_path(self, p):
+        as_fractions = MultiPoly(VARS3, {e: Fraction(c) for e, c in p.terms.items()})
+        assert all(type(c) is Fraction for c in as_fractions.terms.values())
+        assert p.content() == as_fractions.content()
+
+    def test_constructor_still_checks_exponents(self):
+        with pytest.raises(ValueError):
+            MultiPoly(VARS3, {(1, 2): 1})
+        with pytest.raises(ValueError):
+            MultiPoly(VARS3, {(1, -1, 0): 1})
 
 
 class TestNormalization:
