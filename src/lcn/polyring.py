@@ -109,16 +109,9 @@ class MultiPoly:
     def content(self) -> int:
         """Positive gcd of the integer coefficients (1 if any is fractional)."""
         coeffs = self.terms.values()
-        if all(type(c) is int for c in coeffs):
-            return gcd(*coeffs) or 1
-        g = 0
-        for c in coeffs:
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    return 1
-                c = c.numerator
-            g = gcd(g, abs(c))
-        return g or 1
+        if any(c.denominator != 1 for c in coeffs):
+            return 1
+        return gcd(*(c.numerator for c in coeffs)) or 1
 
     def primitive_part(self) -> "MultiPoly":
         g = self.content()
@@ -171,16 +164,7 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            total = out.get(e, 0) - c
-            if total:
-                out[e] = total
-            elif e in out:
-                del out[e]
-        res = MultiPoly(self.vars)
-        res.terms = out
-        return res
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other

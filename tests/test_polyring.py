@@ -433,6 +433,10 @@ class TestNormalization:
         p = 6 * A - 4 * B
         assert p.content() == 2
         assert p.primitive_part() == 3 * A - 2 * B
+        assert (Fraction(6) * A - 4 * B).content() == 2
+        q = Fraction(3, 2) * A - 6 * B
+        assert q.content() == 1
+        assert q.primitive_part() is q
 
 
 def from_json(data):
