@@ -19,6 +19,13 @@ locus (vanishing gradient) are discarded: the distance function is only
 defined on the smooth part.  Starts are solved in batches, one numpy array
 per chunk of starts, with the same random draws and the same per-start
 Newton path as solving them one at a time.
+
+A Newton step builds the Jacobian from the Hessian of ``f``, evaluated once
+per step on the rows about to be solved; the line search needs only ``f``
+and its gradient.  It tries the full step on every row, then the halvings
+``2^-1 ... 2^-13`` on the rows still pending in blocks of 2, 4 and 7
+candidates, one residual evaluation per block, and each row takes the first
+candidate that passes, as a loop over single halvings would.
 """
 
 from __future__ import annotations
@@ -128,26 +135,19 @@ FAILURE_KINDS = ("singular_jacobian", "line_search", "step_limit", "singular_loc
 _CONVERGED = -1
 
 
-class _CompiledSystem:
-    """Batched evaluation of f, its gradient and its Hessian.
+class _MonomialMap:
+    """Batched values of polynomials in the same ``k`` variables.
 
-    All monomials appearing in any derivative are evaluated once per point,
-    from one table of variable powers; every polynomial is then a column of
-    a shared coefficient matrix applied to that monomial vector.
+    Each monomial of their joint support is evaluated once per point, from
+    one table of variable powers; every polynomial is then a column of a
+    coefficient matrix applied to that monomial vector.
     """
 
-    def __init__(self, f: MultiPoly):
-        k = len(f.vars)
-        self.k = k
-        polys = [f]
-        grads = [f.differentiate(v) for v in f.vars]
-        polys.extend(grads)
-        for g in grads:
-            polys.extend(g.differentiate(v) for v in f.vars)
+    def __init__(self, polys: list, k: int):
         support = sorted({e for p in polys for e in p.terms})
         index = {e: i for i, e in enumerate(support)}
         self.exps = np.array(support, dtype=int).reshape(len(support), k)
-        self.top_power = int(self.exps.max())
+        self.top_power = int(self.exps.max(initial=0))
         self.variables = np.arange(k)
         self.coef = np.zeros((len(support), len(polys)), dtype=complex)
         for col, p in enumerate(polys):
@@ -155,13 +155,32 @@ class _CompiledSystem:
                 self.coef[index[e], col] = complex(c)
 
     def __call__(self, W: np.ndarray) -> np.ndarray:
-        """Rows ``(f, grad f, Hessian of f flattened)`` at the rows of ``W``."""
+        """One column per polynomial, at the rows of ``W``."""
         powers = np.empty(W.shape + (self.top_power + 1,), dtype=complex)
         powers[..., 0] = 1.0
-        powers[..., 1] = W
+        if self.top_power:
+            # the Hessian of a quadric is constant: no power above 0
+            powers[..., 1] = W
         for d in range(2, powers.shape[-1]):
             powers[..., d] = powers[..., d - 1] * W
         return powers[:, self.variables, self.exps].prod(axis=2) @ self.coef
+
+
+class _CompiledSystem:
+    """f with its gradient, and the Hessian of f, as two batched evaluators.
+
+    ``values`` gives the rows ``(f, grad f)`` and serves every line-search
+    trial; ``hessian`` gives the flattened Hessian and is called only where
+    a Jacobian is built.  For homogeneous ``f`` of degree ``d`` the Hessian's
+    monomials have degree ``d - 2`` and share none with ``f`` or its
+    gradient, so the trials skip them entirely.
+    """
+
+    def __init__(self, f: MultiPoly):
+        k = len(f.vars)
+        grads = [f.differentiate(v) for v in f.vars]
+        self.values = _MonomialMap([f] + grads, k)
+        self.hessian = _MonomialMap([g.differentiate(v) for g in grads for v in f.vars], k)
 
 
 @dataclass
@@ -202,13 +221,13 @@ class CriticalPointReport:
 def _residuals(system, T, u, Z):
     """Lagrange residuals ``(f, T (w - u) - lambda grad f)`` at rows ``Z = (w, lambda)``.
 
-    Returns them with the rows of ``system`` at ``w``.
+    Returns them with the rows ``(f, grad f)`` at ``w``.
     """
     k = Z.shape[1] - 1
-    V = system(Z[:, :k])
+    V = system.values(Z[:, :k])
     F = np.empty_like(Z)
     F[:, 0] = V[:, 0]
-    F[:, 1:] = (Z[:, :k] - u) @ T.T - Z[:, k:] * V[:, 1 : k + 1]
+    F[:, 1:] = (Z[:, :k] - u) @ T.T - Z[:, k:] * V[:, 1:]
     return F, V
 
 
@@ -231,14 +250,24 @@ def _solve_rows(J, b):
         return x, ok
 
 
+# Trial step sizes of the line search, in the order they are tried: the full
+# step, then the halvings down to the last one above the 1e-4 floor
+# (``2^-13``), in blocks of 1, 2, 4 and 7.  Each block is one residual call.
+_STEP_BLOCKS = tuple(0.5 ** np.arange(a, b) for a, b in ((0, 1), (1, 3), (3, 7), (7, 14)))
+
+
 def _newton(system, T, u, tol, Z):
     """Damped Newton on the Lagrange system from every row ``(w, lambda)`` of ``Z``.
 
     Each row takes a full step, halved until the residual norm drops by the
     Armijo factor ``1 - t/4``; it stops at residual below ``tol``, or fails
     on a singular Jacobian, a step shrunk to ``1e-4`` or the step limit.
-    Returns the final ``Z``, grad f, residual norm and status per row;
-    ``status`` is ``_CONVERGED`` or an index into ``FAILURE_KINDS``.
+    Per step, the Hessian is evaluated once, on the rows being solved, and
+    the trial steps ``t`` of ``_STEP_BLOCKS`` are tried one block at a time
+    on the rows that have not yet accepted one, each row taking the first
+    ``t`` that passes.  Returns the final ``Z``, grad f, residual norm and
+    status per row; ``status`` is ``_CONVERGED`` or an index into
+    ``FAILURE_KINDS``.
     """
     k = Z.shape[1] - 1
     Z = Z.copy()
@@ -249,32 +278,33 @@ def _newton(system, T, u, tol, Z):
         act = np.flatnonzero((status == _CONVERGED) & ~(nF < tol))
         if act.size == 0:
             break
-        G = V[act, 1 : k + 1]
+        G = V[act, 1:]
         J = np.zeros((act.size, k + 1, k + 1), dtype=complex)
         J[:, 0, :k] = G
-        J[:, 1:, :k] = T - Z[act, k, None, None] * V[act, k + 1 :].reshape(-1, k, k)
+        J[:, 1:, :k] = T - Z[act, k, None, None] * system.hessian(Z[act, :k]).reshape(-1, k, k)
         J[:, 1:, k] = -G
         step, ok = _solve_rows(J, -F[act])
         status[act[~ok]] = FAILURE_KINDS.index("singular_jacobian")
         act, step = act[ok], step[ok]
-        # backtrack each row on its own t until its trial is accepted
-        t = np.ones(act.size)
+        # rows of act and step whose trials have all failed so far
         pending = np.arange(act.size)
-        while pending.size:
+        for ts in _STEP_BLOCKS:
+            if pending.size == 0:
+                break
             rows = act[pending]
-            Z_new = Z[rows] + t[pending, None] * step[pending]
+            # trial j * len(rows) + i is row i at step ts[j]
+            Z_new = (Z[rows] + ts[:, None, None] * step[pending]).reshape(-1, k + 1)
             F_new, V_new = _residuals(system, T, u, Z_new)
             nF_new = np.linalg.norm(F_new, axis=1)
-            good = nF_new < (1 - 0.25 * t[pending]) * nF[rows]
-            acc = rows[good]
-            Z[acc], F[acc], V[acc], nF[acc] = Z_new[good], F_new[good], V_new[good], nF_new[good]
-            pending = pending[~good]
-            t[pending] *= 0.5
-            lost = t[pending] <= 1e-4
-            status[act[pending[lost]]] = FAILURE_KINDS.index("line_search")
-            pending = pending[~lost]
+            good = nF_new.reshape(ts.size, -1) < (1 - 0.25 * ts[:, None]) * nF[rows]
+            hit = good.any(axis=0)
+            pick = good.argmax(axis=0)[hit] * rows.size + np.flatnonzero(hit)
+            acc = rows[hit]
+            Z[acc], F[acc], V[acc], nF[acc] = Z_new[pick], F_new[pick], V_new[pick], nF_new[pick]
+            pending = pending[~hit]
+        status[act[pending]] = FAILURE_KINDS.index("line_search")
     status[(status == _CONVERGED) & ~(nF < tol)] = FAILURE_KINDS.index("step_limit")
-    return Z, V[:, 1 : k + 1], nF, status
+    return Z, V[:, 1:], nF, status
 
 
 def solve_critical_points(
@@ -294,6 +324,8 @@ def solve_critical_points(
     and no new point has shown up for 60% of the start budget; falling short
     of ``expected`` after the full budget is reported via ``saturated=False``.
     """
+    if starts < 1:
+        raise ValueError(f"starts must be at least 1, got {starts}")
     k = problem.dim
     T = np.asarray(problem.T, dtype=float)
     u = np.asarray(problem.u, dtype=float)
@@ -320,7 +352,7 @@ def solve_critical_points(
             z = rng.standard_normal((min(_CHUNK, starts - first), 2, k))
             Z = np.zeros((len(z), k + 1), dtype=complex)
             Z[:, :k] = (z[:, 0] + 1j * z[:, 1]) * amp / np.sqrt(2)
-            G0 = system(Z[:, :k])[:, 1 : k + 1]
+            G0 = system.values(Z[:, :k])[:, 1:]
             denom = np.sum(G0.conj() * G0, axis=1)
             num = np.sum(G0.conj() * ((Z[:, :k] - u) @ T.T), axis=1)
             np.divide(num, denom, out=Z[:, k], where=np.abs(denom) > 1e-30)

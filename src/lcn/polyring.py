@@ -65,10 +65,6 @@ class MultiPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, variables) -> "MultiPoly":
-        return cls(variables)
-
-    @classmethod
     def constant(cls, variables, value) -> "MultiPoly":
         vars_ = tuple(variables)
         return cls(vars_, {(0,) * len(vars_): value})

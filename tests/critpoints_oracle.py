@@ -5,7 +5,9 @@
 line search, singular-locus test, deduplication and early stop, with each
 start evaluated through ``w ** exps`` and solved by its own
 ``np.linalg.solve``.  The only addition is the tally of lost starts, so
-the batched failure counts are checked against it too.
+the batched failure counts are checked against it too.  ``newton`` is its
+Newton iteration for one start, whose line search halves ``t`` one trial
+at a time while ``t > MIN_STEP``.
 
 ``training_loss`` evaluates the convolution's quadratic loss directly,
 against which the training reduction is checked.
@@ -24,6 +26,8 @@ from lcn.critpoints import (
 from lcn.polyring import MultiPoly
 
 _MAX_NEWTON_STEPS = 100
+# The line search gives up once the step size is halved to this or below.
+MIN_STEP = 1e-4
 
 
 def training_loss(w: Sequence, X: np.ndarray, Y: np.ndarray, stride: int) -> float:
@@ -66,6 +70,53 @@ class PointSystem:
         return vals[0], vals[1 : k + 1], vals[k + 1 :].reshape(k, k)
 
 
+def residual_vec(system, T, u, w, lam):
+    """Lagrange residual ``(f, T (w - u) - lam grad f)`` with grad f and the Hessian at ``w``."""
+    fv, grad, H = system(w)
+    F = np.empty(len(w) + 1, dtype=complex)
+    F[0] = fv
+    F[1:] = T @ (w - u) - lam * grad
+    return F, grad, H
+
+
+def newton(system, T, u, tol, w, lam):
+    """Damped Newton from one start ``(w, lam)``.
+
+    Returns the name of the failure (``FAILURE_KINDS``), or
+    ``(w, lam, grad f, residual norm)`` once the residual is below ``tol``.
+    """
+    k = len(w)
+    F, grad, H = residual_vec(system, T, u, w, lam)
+    nF = np.linalg.norm(F)
+    for _ in range(_MAX_NEWTON_STEPS):
+        if nF < tol:
+            break
+        J = np.empty((k + 1, k + 1), dtype=complex)
+        J[0, :k] = grad
+        J[0, k] = 0.0
+        J[1:, :k] = T - lam * H
+        J[1:, k] = -grad
+        try:
+            step = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError:
+            return "singular_jacobian"
+        t = 1.0
+        while t > MIN_STEP:
+            w_new = w + t * step[:k]
+            lam_new = lam + t * step[k]
+            F_new, grad_new, H_new = residual_vec(system, T, u, w_new, lam_new)
+            nF_new = np.linalg.norm(F_new)
+            if nF_new < (1 - 0.25 * t) * nF:
+                break
+            t *= 0.5
+        else:
+            return "line_search"
+        w, lam, F, grad, H, nF = w_new, lam_new, F_new, grad_new, H_new, nF_new
+    if nF >= tol:
+        return "step_limit"
+    return w, lam, grad, float(nF)
+
+
 def sequential_solve(
     problem: WeightedDistanceProblem,
     starts: int = 500,
@@ -87,44 +138,6 @@ def sequential_solve(
     scale = max(1.0, float(np.linalg.norm(T)) * (1.0 + float(np.linalg.norm(u))))
     tol = 1e-12 * scale
 
-    def residual_vec(w, lam):
-        fv, grad, H = system(w)
-        F = np.empty(k + 1, dtype=complex)
-        F[0] = fv
-        F[1:] = T @ (w - u) - lam * grad
-        return F, grad, H
-
-    def newton(w, lam):
-        F, grad, H = residual_vec(w, lam)
-        nF = np.linalg.norm(F)
-        for _ in range(_MAX_NEWTON_STEPS):
-            if nF < tol:
-                break
-            J = np.empty((k + 1, k + 1), dtype=complex)
-            J[0, :k] = grad
-            J[0, k] = 0.0
-            J[1:, :k] = T - lam * H
-            J[1:, k] = -grad
-            try:
-                step = np.linalg.solve(J, -F)
-            except np.linalg.LinAlgError:
-                return "singular_jacobian"
-            t = 1.0
-            while t > 1e-4:
-                w_new = w + t * step[:k]
-                lam_new = lam + t * step[k]
-                F_new, grad_new, H_new = residual_vec(w_new, lam_new)
-                nF_new = np.linalg.norm(F_new)
-                if nF_new < (1 - 0.25 * t) * nF:
-                    break
-                t *= 0.5
-            else:
-                return "line_search"
-            w, lam, F, grad, H, nF = w_new, lam_new, F_new, grad_new, H_new, nF_new
-        if nF >= tol:
-            return "step_limit"
-        return w, lam, grad, float(nF)
-
     rng = np.random.default_rng(seed)
     amp = max(1.0, float(np.linalg.norm(u)))
     found = []
@@ -138,7 +151,7 @@ def sequential_solve(
         _, grad0, _ = system(w0)
         denom = np.vdot(grad0, grad0)
         lam0 = np.vdot(grad0, T @ (w0 - u)) / denom if abs(denom) > 1e-30 else 0.0 + 0.0j
-        result = newton(w0, lam0)
+        result = newton(system, T, u, tol, w0, lam0)
         if isinstance(result, str):
             failures[result] += 1
         else:

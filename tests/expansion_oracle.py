@@ -26,7 +26,7 @@ def _product_then_add(m: PolyMatrix):
         if prefix != above:
             table = {}
             tables[len(above)] = (above, table)
-        total = MultiPoly.zero(vars_)
+        total = MultiPoly(vars_)
         for pos, j in enumerate(j for j in range(m.cols) if (mask >> j) & 1):
             e = m.entry(rows[-1], j)
             if e.terms:

@@ -10,6 +10,7 @@ from lcn.critpoints import (
     WeightedDistanceProblem,
     _CompiledSystem,
     _newton,
+    _solve_rows,
     psi_map,
     seeded_problem,
     solve_critical_points,
@@ -18,7 +19,7 @@ from lcn.critpoints import (
 from lcn.eddegree import arch_ed_degree
 from lcn.idealgen import vanishing_generators
 
-from critpoints_oracle import sequential_solve, training_loss
+from critpoints_oracle import MIN_STEP, PointSystem, newton, sequential_solve, training_loss
 
 
 def random_spd(rng, n):
@@ -247,6 +248,12 @@ class TestSolve:
         with pytest.raises(ValueError, match="u must have shape"):
             solve_critical_points(prob, starts=10, seed=0)
 
+    @pytest.mark.parametrize("starts", [0, -3])
+    def test_start_count_below_one_rejected(self, starts):
+        _, _, prob = seeded_problem(Architecture((2, 2), (2, 1)), 7, 3)
+        with pytest.raises(ValueError, match="starts must be at least 1"):
+            solve_critical_points(prob, starts=starts, seed=0, expected=6)
+
     def test_equation_in_wrong_dimension_rejected(self):
         f = vanishing_generators(Architecture((3, 2), (2, 1))).generators[0]
         assert len(f.vars) == 5
@@ -317,3 +324,95 @@ class TestBatchedNewton:
         report = solve_critical_points(prob, starts=starts, seed=42, expected=expected)
         assert tuple(report.failures) == FAILURE_KINDS
         assert report.distinct_count + sum(report.failures.values()) == report.starts_used
+
+
+class CountingSystem(_CompiledSystem):
+    """``_CompiledSystem`` that logs each evaluator call as ``(name, rows)``."""
+
+    def __init__(self, f):
+        super().__init__(f)
+        self.calls = []
+        self.values = self._counted("values", self.values)
+        self.hessian = self._counted("hessian", self.hessian)
+
+    def _counted(self, name, evaluate):
+        def call(W):
+            self.calls.append((name, len(W)))
+            return evaluate(W)
+
+        return call
+
+    def count(self, name):
+        return sum(1 for n, _ in self.calls if n == name)
+
+    def rows(self, name):
+        return sum(r for n, r in self.calls if n == name)
+
+
+class TestLineSearch:
+    """The blocked line search against the oracle's one-halving-at-a-time loop."""
+
+    @pytest.fixture(scope="class")
+    def converged(self):
+        # converged points of (3,2), and copies perturbed at relative 1e-6
+        _, _, prob = seeded_problem(Architecture((3, 2), (2, 1)), 7, 3)
+        report = solve_critical_points(prob, starts=100, seed=5, expected=10)
+        Z = np.array([np.concatenate([p.w, [p.multiplier]]) for p in report.points])
+        rng = np.random.default_rng(9)
+        noise = rng.standard_normal(Z.shape) + 1j * rng.standard_normal(Z.shape)
+        return prob, np.concatenate([Z, Z * (1 + 1e-6 * noise)])
+
+    def test_exhausted_search_matches_oracle(self, converged):
+        # with tol = 0 no row stops on its residual: each one ends when no
+        # trial step lowers it any further
+        prob, Z = converged
+        T, u = prob.T, prob.u
+        _, _, _, status = _newton(_CompiledSystem(prob.f), T, u, 0.0, Z)
+        oracle = PointSystem(prob.f)
+        outcomes = [newton(oracle, T, u, 0.0, z[:-1], z[-1]) for z in Z]
+        assert [FAILURE_KINDS[s] for s in status] == outcomes
+        assert set(outcomes) == {"line_search"}
+
+    def test_last_trial_step_is_the_oracles_floor(self, converged):
+        # the final step of a row that fails tries t = 1, 1/2, 1/4, ...; the
+        # rows evaluated after its Hessian are those trials, one per t
+        prob, Z = converged
+        for z in Z:
+            system = CountingSystem(prob.f)
+            status = _newton(system, prob.T, prob.u, 0.0, z[None])[3]
+            assert FAILURE_KINDS[status[0]] == "line_search"
+            last = max(i for i, (name, _) in enumerate(system.calls) if name == "hessian")
+            trials = sum(rows for _, rows in system.calls[last + 1 :])
+            t_last = 0.5 ** (trials - 1)
+            assert t_last > MIN_STEP >= t_last / 2
+
+
+class TestEvaluationCounts:
+    """Residual and Hessian evaluations per Newton step, counted, not timed."""
+
+    def test_hessian_per_step_and_residuals_per_block(self, monkeypatch):
+        systems, solved = [], []
+
+        def make_system(f):
+            systems.append(CountingSystem(f))
+            return systems[-1]
+
+        def counted_solve(J, b):
+            solved.append(len(b))
+            return _solve_rows(J, b)
+
+        monkeypatch.setattr("lcn.critpoints._CompiledSystem", make_system)
+        monkeypatch.setattr("lcn.critpoints._solve_rows", counted_solve)
+        _, _, prob = seeded_problem(Architecture((3, 2), (2, 1)), 7, 3)
+        report = solve_critical_points(prob, starts=100, seed=5, expected=10)
+        (system,) = systems
+        steps = len(solved)
+        assert report.starts_used == 100 and steps > 0
+        # one Hessian call per Newton step, on exactly the rows it solves
+        assert system.count("hessian") == steps
+        assert system.rows("hessian") == sum(solved)
+        # per step: the full step and at most three blocks of halvings; per
+        # chunk of starts: the call that sets lambda and the initial residual
+        assert system.count("values") <= (1 + 3) * steps + 2
+        # some step halved, so the bound is not met by full steps alone
+        assert system.count("values") > steps + 2
