@@ -14,6 +14,7 @@ import argparse
 import numpy as np
 
 from lcn.arch import Architecture
+from lcn.cli import _at_least
 from lcn.critpoints import WeightedDistanceProblem, seeded_problem, solve_critical_points
 from lcn.eddegree import arch_ed_degree
 from lcn.idealgen import vanishing_generators
@@ -37,7 +38,7 @@ def run_frobenius_case(starts, seed):
     f = vanishing_generators(arch).generators[0]
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(4)
-    problem = WeightedDistanceProblem(4, np.eye(4), u, f)
+    problem = WeightedDistanceProblem(np.eye(4), u, f)
     report = solve_critical_points(problem, starts=starts, seed=seed)
     print(
         f"{'identity weight':<16} expected   2  found {report.distinct_count:3d} "
@@ -50,9 +51,9 @@ def run_frobenius_case(starts, seed):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--starts", type=int, default=2000)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--data-seed", type=int, default=7)
+    parser.add_argument("--starts", type=_at_least(1), default=2000)
+    parser.add_argument("--seed", type=_at_least(0), default=42)
+    parser.add_argument("--data-seed", type=_at_least(0), default=7)
     args = parser.parse_args()
 
     ok = True

@@ -7,15 +7,21 @@ drops whenever two layers are merged while keeping the parameter count.
 
 import argparse
 
+from lcn.cli import _at_least
 from lcn.eddegree import fully_connected_count, merge_tree, tree_lines, two_layer_table
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-k1", type=int, default=9)
-    parser.add_argument("--max-k2", type=int, default=9)
+    parser.add_argument("--max-k1", type=_at_least(2), default=9)
+    parser.add_argument("--max-k2", type=_at_least(2), default=9)
     parser.add_argument("--tree", default="2,3,4,5", help="filter sizes for the merge tree")
     args = parser.parse_args()
+    try:
+        sizes = tuple(int(v) for v in args.tree.split(","))
+        tree = merge_tree(sizes)
+    except ValueError as exc:
+        parser.error(f"argument --tree: {exc}")
 
     print(f"generic critical-point counts, k1 x k2 up to {args.max_k1} x {args.max_k2}:")
     rows = two_layer_table(args.max_k1, args.max_k2)
@@ -25,9 +31,8 @@ def main() -> None:
     for k1, row in zip(range(2, args.max_k1 + 1), rows):
         print(f"k1={k1:<2}" + "".join(str(v).rjust(width) for v in row))
 
-    sizes = tuple(int(v) for v in args.tree.split(","))
     print(f"\nmerge tree of {sizes}:")
-    print("\n".join(tree_lines(merge_tree(sizes))))
+    print("\n".join(tree_lines(tree)))
 
     print(
         f"\nfully connected comparison: a rank-1 {sizes[0]}x{sizes[-1]} map "

@@ -70,13 +70,6 @@ class Architecture:
     def stride_product(self) -> int:
         return prod(self.strides)
 
-    @property
-    def is_reduced(self) -> bool:
-        """All filter sizes > 1 and all strides before the last layer > 1."""
-        return all(k > 1 for k in self.filter_sizes) and all(
-            s > 1 for s in self.strides[:-1]
-        )
-
     def describe(self) -> str:
         return f"k={','.join(map(str, self.filter_sizes))} s={','.join(map(str, self.strides))}"
 

@@ -53,9 +53,9 @@ def psi_map(M: np.ndarray, k: int, s: int, d_out: int) -> np.ndarray:
 
 @dataclass
 class WeightedDistanceProblem:
-    """Ambient dimension, weight matrix T, target u, and hypersurface f."""
+    """Weight matrix T, target u, and hypersurface f; the ambient dimension
+    is the number of variables of f."""
 
-    dim: int
     T: np.ndarray
     u: np.ndarray
     f: MultiPoly
@@ -105,7 +105,7 @@ def training_reduce(X: np.ndarray, Y: np.ndarray, arch: Architecture) -> Weighte
     b = np.array([sum(YXt[i, j + i * s] for i in range(d_out)) for j in range(k)])
     u = np.linalg.solve(T, b)
     offset = float(np.sum(Y**2) - u @ T @ u)
-    return WeightedDistanceProblem(k, T, u, gens.generators[0], offset)
+    return WeightedDistanceProblem(T, u, gens.generators[0], offset)
 
 
 def seeded_problem(arch: Architecture, data_seed: int, d_out: int):
@@ -326,16 +326,16 @@ def solve_critical_points(
     """
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts}")
-    k = problem.dim
+    f = problem.f
+    k = len(f.vars)
     T = np.asarray(problem.T, dtype=float)
     u = np.asarray(problem.u, dtype=float)
     if T.shape != (k, k) or not np.allclose(T, T.T):
-        raise ValueError("T must be a symmetric k x k matrix")
+        raise ValueError(f"T must be a symmetric {k} x {k} matrix for an equation in {k} variables")
     if u.shape != (k,):
-        raise ValueError(f"u must have shape ({k},), got {u.shape}")
-    f = problem.f
-    if len(f.vars) != k:
-        raise ValueError(f"the hypersurface equation has {len(f.vars)} variables, not {k}")
+        raise ValueError(
+            f"u must have shape ({k},) for an equation in {k} variables, got {u.shape}"
+        )
     if f.total_degree() < 1:
         raise ValueError("the hypersurface equation is constant or zero")
 

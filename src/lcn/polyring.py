@@ -323,8 +323,10 @@ def dedup_generators(tagged: Iterable) -> tuple:
     """Drop zeros, sign-normalize, keep the first of each polynomial up to
     sign and integer content.
 
-    ``tagged`` yields ``(tag, poly)`` pairs; the survivors come back as two
-    aligned tuples ``(tags, polys)`` in their original order.
+    Two polynomials are the same generator when their sign-normalized
+    primitive parts are equal as :class:`MultiPoly` values.  ``tagged``
+    yields ``(tag, poly)`` pairs; the survivors come back as two aligned
+    tuples ``(tags, polys)`` in their original order.
     """
     tags = []
     polys = []
@@ -333,8 +335,7 @@ def dedup_generators(tagged: Iterable) -> tuple:
         if not poly.terms:
             continue
         poly = poly.sign_normalized()
-        # canonical form: sign-normalized (above) primitive part
-        key = tuple(sorted(poly.primitive_part().terms.items()))
+        key = poly.primitive_part()
         if key in seen:
             continue
         seen.add(key)

@@ -124,7 +124,7 @@ def sequential_solve(
     expected: "int | None" = None,
 ) -> CriticalPointReport:
     """Count distinct complex critical points, one Newton start at a time."""
-    k = problem.dim
+    k = len(problem.f.vars)
     T = np.asarray(problem.T, dtype=float)
     u = np.asarray(problem.u, dtype=float)
     if T.shape != (k, k) or not np.allclose(T, T.T):

@@ -10,7 +10,7 @@ from itertools import product
 
 import numpy as np
 
-from lcn.arch import Architecture, sample_neuromanifold
+from lcn.arch import Architecture, reduce_arch, sample_neuromanifold
 from lcn.critpoints import (
     WeightedDistanceProblem,
     psi_map,
@@ -60,7 +60,7 @@ def reduced_family(max_depth=3, max_size=5, max_stride=4, max_out=14):
                 arch = Architecture((k1, k2, k3), (s1, s2, 1))
                 if arch.out_size <= max_out:
                     archs.append(arch)
-    assert all(a.is_reduced for a in archs)
+    assert all(reduce_arch(a) == a for a in archs)
     return archs
 
 
@@ -205,7 +205,7 @@ def test_criterion_7_critical_point_counts():
         u = rng.standard_normal(4)
         assert np.linalg.matrix_rank(u.reshape(2, 2)) == 2
         report = solve_critical_points(
-            WeightedDistanceProblem(4, np.eye(4), u, f), starts=500, seed=11
+            WeightedDistanceProblem(np.eye(4), u, f), starts=500, seed=11
         )
         assert report.distinct_count == 2
         assert report.max_residual < 1e-10

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 import lcn.verify
+from lcn.arch import Architecture
 from lcn.cli import main
 
 
@@ -83,6 +84,28 @@ class TestIdeal:
         payload = json.loads(out)
         assert payload["vars"] == ["c0", "c1", "c2", "c3"]
         assert payload["generators"][0]["terms"][0]["coeff"] == "1"
+
+    def test_grid_stdout_pinned(self, capsys):
+        # SHA-256 of the concatenated stdout over the reduced depth-2 and
+        # depth-3 architectures with out_size <= 12, recorded before the
+        # generator dedup keyed on MultiPoly equality; pins survivors, their
+        # order, signs and first tags
+        grid = [((k1, k2), (s, 1)) for k1, k2, s in product(range(2, 6), range(2, 6), range(2, 5))]
+        grid += [
+            (ks, (s1, s2, 1))
+            for ks in product(range(2, 4), repeat=3)
+            for s1, s2 in product(range(2, 4), repeat=2)
+        ]
+        grid = [a for a in grid if Architecture(*a).out_size <= 12]
+        assert len(grid) == 42
+        digest = hashlib.sha256()
+        for ks, ss in grid:
+            for extra in ((), ("--format", "json")):
+                argv = ("-k", ",".join(map(str, ks)), "-s", ",".join(map(str, ss)), "--provenance")
+                code, out, _ = run(capsys, "ideal", *argv, *extra)
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == "1d9840ffc113510eeb48224e085d8d6477a77040bb47de96395e939b900bbd85"
 
     def test_missing_strides(self, capsys):
         code, out, err = run(capsys, "ideal", "-k", "2,2")
@@ -192,7 +215,7 @@ class TestCompose:
 
         w = [Fraction(v) for v in payload["filter"]]
         layers = [[Fraction(v) for v in layer] for layer in payload["layers"]]
-        from lcn.arch import Architecture, compose_filters
+        from lcn.arch import compose_filters
 
         assert tuple(w) == compose_filters(Architecture((3, 2), (2, 1)), layers)
 

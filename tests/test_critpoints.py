@@ -1,4 +1,5 @@
 import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -82,11 +83,29 @@ class TestSeededProblem:
 
 
 class TestExperimentScript:
+    PATH = Path(__file__).resolve().parents[1] / "scripts" / "critical_point_experiment.py"
+
     def test_training_case_saturates(self, capsys):
-        path = Path(__file__).resolve().parents[1] / "scripts" / "critical_point_experiment.py"
-        script = runpy.run_path(str(path))
+        script = runpy.run_path(str(self.PATH))
         assert script["run_training_case"](Architecture((2, 2), (2, 1)), 400, 42, 7) is True
         assert "[ok]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--starts", "0"), "argument --starts"),
+            (("--seed", "-1"), "argument --seed"),
+            (("--data-seed", "-1"), "argument --data-seed"),
+        ],
+    )
+    def test_bad_argument_usage_error(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(sys, "argv", [str(self.PATH), *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_path(str(self.PATH), run_name="__main__")
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 class TestTrainingReduce:
@@ -201,7 +220,7 @@ class TestSolve:
         rng = np.random.default_rng(11)
         u = rng.standard_normal(4)
         assert np.linalg.matrix_rank(u.reshape(2, 2)) == 2
-        prob = WeightedDistanceProblem(4, np.eye(4), u, f)
+        prob = WeightedDistanceProblem(np.eye(4), u, f)
         report = solve_critical_points(prob, starts=300, seed=11)
         assert report.distinct_count == 2
         assert report.real_count == 2
@@ -220,7 +239,7 @@ class TestSolve:
         for trial in range(20):
             T = random_spd(rng, k)
             u = rng.standard_normal(k)
-            prob = WeightedDistanceProblem(k, T, u, f)
+            prob = WeightedDistanceProblem(T, u, f)
             report = solve_critical_points(prob, starts=starts, seed=trial)
             assert report.distinct_count <= bound
             assert report.distinct_count + sum(report.failures.values()) == starts
@@ -229,9 +248,7 @@ class TestSolve:
         from lcn.polyring import coefficient_symbols, MultiPoly
 
         A, B = coefficient_symbols(2)
-        prob = WeightedDistanceProblem(
-            2, np.eye(2), np.ones(2), MultiPoly.constant(A.vars, 3)
-        )
+        prob = WeightedDistanceProblem(np.eye(2), np.ones(2), MultiPoly.constant(A.vars, 3))
         with pytest.raises(ValueError):
             solve_critical_points(prob, starts=10, seed=0)
 
@@ -244,7 +261,7 @@ class TestSolve:
 
     def test_wrong_target_length_rejected(self):
         f = vanishing_generators(Architecture((2, 2), (2, 1))).generators[0]
-        prob = WeightedDistanceProblem(4, np.eye(4), np.array([0.7]), f)
+        prob = WeightedDistanceProblem(np.eye(4), np.array([0.7]), f)
         with pytest.raises(ValueError, match="u must have shape"):
             solve_critical_points(prob, starts=10, seed=0)
 
@@ -257,7 +274,7 @@ class TestSolve:
     def test_equation_in_wrong_dimension_rejected(self):
         f = vanishing_generators(Architecture((3, 2), (2, 1))).generators[0]
         assert len(f.vars) == 5
-        prob = WeightedDistanceProblem(4, np.eye(4), np.ones(4), f)
+        prob = WeightedDistanceProblem(np.eye(4), np.ones(4), f)
         with pytest.raises(ValueError, match="variables"):
             solve_critical_points(prob, starts=10, seed=0)
 
@@ -296,7 +313,7 @@ class TestBatchedNewton:
         # the Frobenius case of acceptance criterion 7
         f = vanishing_generators(Architecture((2, 2), (2, 1))).generators[0]
         u = np.random.default_rng(11).standard_normal(4)
-        prob = WeightedDistanceProblem(4, np.eye(4), u, f)
+        prob = WeightedDistanceProblem(np.eye(4), u, f)
         report = solve_critical_points(prob, starts=500, seed=11)
         assert_same_report(report, sequential_solve(prob, starts=500, seed=11))
 

@@ -192,10 +192,29 @@ class TestMergeTree:
 
 
 class TestTablesScript:
+    PATH = Path(__file__).resolve().parents[1] / "scripts" / "ed_degree_tables.py"
+
     def test_small_table_and_tree(self, capsys, monkeypatch):
-        path = Path(__file__).resolve().parents[1] / "scripts" / "ed_degree_tables.py"
-        argv = [str(path), "--max-k1", "3", "--max-k2", "3", "--tree", "2,3,8"]
+        argv = [str(self.PATH), "--max-k1", "3", "--max-k2", "3", "--tree", "2,3,8"]
         monkeypatch.setattr(sys, "argv", argv)
-        runpy.run_path(str(path), run_name="__main__")
+        runpy.run_path(str(self.PATH), run_name="__main__")
         out = capsys.readouterr().out
         assert "C[2,3,8] = 12698" in out.splitlines()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("--max-k1", "1"), "argument --max-k1"),
+            (("--max-k2", "1"), "argument --max-k2"),
+            (("--tree", "5"), "at least two layers"),
+            (("--tree", "0,3"), "argument --tree"),
+        ],
+    )
+    def test_bad_argument_usage_error(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(sys, "argv", [str(self.PATH), *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_path(str(self.PATH), run_name="__main__")
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
