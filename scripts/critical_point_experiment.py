@@ -60,7 +60,7 @@ def main() -> int:
     for sizes in [(2, 2), (3, 2)]:
         arch = Architecture(sizes, (2, 1))
         ok &= run_training_case(arch, args.starts, args.seed, args.data_seed)
-    ok &= run_frobenius_case(500, 11)
+    ok &= run_frobenius_case(args.starts, args.seed)
     return 0 if ok else 1
 
 

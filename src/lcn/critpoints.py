@@ -218,13 +218,15 @@ class CriticalPointReport:
         return max((p.residual for p in self.points), default=0.0)
 
 
-def _residuals(system, T, u, Z):
+def _residuals(system, T, u, Z, V=None):
     """Lagrange residuals ``(f, T (w - u) - lambda grad f)`` at rows ``Z = (w, lambda)``.
 
-    Returns them with the rows ``(f, grad f)`` at ``w``.
+    Returns them with the rows ``(f, grad f)`` at ``w``, which are evaluated
+    unless given as ``V``.
     """
     k = Z.shape[1] - 1
-    V = system.values(Z[:, :k])
+    if V is None:
+        V = system.values(Z[:, :k])
     F = np.empty_like(Z)
     F[:, 0] = V[:, 0]
     F[:, 1:] = (Z[:, :k] - u) @ T.T - Z[:, k:] * V[:, 1:]
@@ -256,8 +258,9 @@ def _solve_rows(J, b):
 _STEP_BLOCKS = tuple(0.5 ** np.arange(a, b) for a, b in ((0, 1), (1, 3), (3, 7), (7, 14)))
 
 
-def _newton(system, T, u, tol, Z):
-    """Damped Newton on the Lagrange system from every row ``(w, lambda)`` of ``Z``.
+def _newton(system, T, u, tol, Z, V=None):
+    """Damped Newton on the Lagrange system from every row ``(w, lambda)`` of ``Z``,
+    starting from the rows ``V = (f, grad f)`` at its ``w`` when given.
 
     Each row takes a full step, halved until the residual norm drops by the
     Armijo factor ``1 - t/4``; it stops at residual below ``tol``, or fails
@@ -271,7 +274,7 @@ def _newton(system, T, u, tol, Z):
     """
     k = Z.shape[1] - 1
     Z = Z.copy()
-    F, V = _residuals(system, T, u, Z)
+    F, V = _residuals(system, T, u, Z, None if V is None else V.copy())
     nF = np.linalg.norm(F, axis=1)
     status = np.full(len(Z), _CONVERGED)
     for _ in range(_MAX_NEWTON_STEPS):
@@ -352,11 +355,12 @@ def solve_critical_points(
             z = rng.standard_normal((min(_CHUNK, starts - first), 2, k))
             Z = np.zeros((len(z), k + 1), dtype=complex)
             Z[:, :k] = (z[:, 0] + 1j * z[:, 1]) * amp / np.sqrt(2)
-            G0 = system.values(Z[:, :k])[:, 1:]
+            V = system.values(Z[:, :k])
+            G0 = V[:, 1:]
             denom = np.sum(G0.conj() * G0, axis=1)
             num = np.sum(G0.conj() * ((Z[:, :k] - u) @ T.T), axis=1)
             np.divide(num, denom, out=Z[:, k], where=np.abs(denom) > 1e-30)
-            Z, G, nF, status = _newton(system, T, u, tol, Z)
+            Z, G, nF, status = _newton(system, T, u, tol, Z, V)
             yield from zip(Z[:, :k], Z[:, k], G, nF, status)
 
     found = []

@@ -1,16 +1,24 @@
 """Exact sparse polynomial arithmetic in several named variables.
 
-A :class:`MultiPoly` maps exponent tuples (one entry per variable in an
-ordered ambient variable list) to nonzero coefficients.  Coefficients are
-Python ints or :class:`fractions.Fraction`, so every operation is exact.
-Two polynomials are equal iff they share the same variable list and the
-same term map; zero-coefficient terms are never stored.
+A :class:`MultiPoly` maps monomials over an ordered tuple of variable names
+to nonzero coefficients.  Coefficients are Python ints or
+:class:`fractions.Fraction`, so every operation is exact.  Two polynomials
+are equal iff they share the same variable list and the same term map;
+zero-coefficient terms are never stored.
 
-The term order used for printing, leading terms and sign normalization is
-graded lexicographic: higher total degree first, ties broken by comparing
-exponent tuples left to right.  Variable lists of the form ``c0, c1, ...``
-with at most 26 entries print as the letters ``A, B, ...`` so that small
-generators stay readable.
+Each monomial is stored as one packed int key: one 8-bit field per
+variable, the first variable's field most significant, and the total degree
+in the bits above them.  A monomial product is the sum of the keys, and the
+order of the keys as ints is the graded lexicographic order used for
+printing, leading terms and sign normalization: higher total degree first,
+ties broken by comparing exponents left to right.  Exponents are therefore
+limited to 255; the constructor, products and powers raise ``ValueError``
+rather than carry into the next field.  The constructor takes and the
+``terms`` property returns ``{exponent tuple: coefficient}``, so no other
+module reads the key layout.
+
+Variable lists of the form ``c0, c1, ...`` with at most 26 entries print as
+the letters ``A, B, ...`` so that small generators stay readable.
 
 The minors of a :class:`PolyMatrix` come from one memoised Laplace
 expansion that shares sub-minors on ``(rows, columns)``.  Each minor is
@@ -23,26 +31,55 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm, prod
-from operator import add
+from operator import add, getitem
 from typing import Iterable, Iterator, Sequence
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+# Bits per exponent field of a packed key, and the largest exponent.
+_BITS = 8
+_MAX_EXPONENT = (1 << _BITS) - 1
 
 
-def _grlex(exps):
-    return (sum(exps), exps)
+def _exponents(key: int, n: int) -> bytes:
+    """The ``n`` exponents of a packed key, first variable first."""
+    return (key & ((1 << _BITS * n) - 1)).to_bytes(n, "big")
+
+
+def _max_exponents(terms, n: int) -> list:
+    """Per variable, the largest exponent over the keys ``terms``."""
+    top = [0] * n
+    for key in terms:
+        top = list(map(max, top, _exponents(key, n)))
+    return top
+
+
+def _check_fields(bounds):
+    """Raise unless every per-variable exponent bound fits in a field."""
+    if max(bounds, default=0) > _MAX_EXPONENT:
+        raise ValueError(f"exponent above {_MAX_EXPONENT}")
+
+
+def _packed(vars_: tuple, terms: dict) -> "MultiPoly":
+    """A polynomial on packed keys that are valid for ``vars_``."""
+    res = object.__new__(MultiPoly)
+    res.vars = vars_
+    res._terms = terms
+    res._hash = None
+    return res
 
 
 class MultiPoly:
     """Sparse exact polynomial over an ordered tuple of variable names."""
 
-    __slots__ = ("vars", "terms", "_hash")
+    __slots__ = ("vars", "_terms", "_hash")
 
     def __init__(self, variables, terms: "dict | None" = None):
         vars_ = tuple(variables)
         nv = len(vars_)
+        shift = _BITS * nv
         acc = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
@@ -52,59 +89,66 @@ class MultiPoly:
                 )
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
+            if any(e > _MAX_EXPONENT for e in exps):
+                raise ValueError(f"exponent above {_MAX_EXPONENT} in {exps}")
             if coeff:
-                total = acc.get(exps, 0) + coeff
+                key = sum(exps) << shift | int.from_bytes(bytes(exps), "big")
+                total = acc.get(key, 0) + coeff
                 if total:
-                    acc[exps] = total
-                elif exps in acc:
-                    del acc[exps]
+                    acc[key] = total
+                elif key in acc:
+                    del acc[key]
         self.vars = vars_
-        self.terms = acc
+        self._terms = acc
         self._hash = None
+
+    @property
+    def terms(self) -> dict:
+        """``{exponent tuple: coefficient}``, a new dict on every access."""
+        n = len(self.vars)
+        return {tuple(_exponents(key, n)): c for key, c in self._terms.items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def constant(cls, variables, value) -> "MultiPoly":
-        vars_ = tuple(variables)
-        return cls(vars_, {(0,) * len(vars_): value})
+        return _packed(tuple(variables), {0: value} if value else {})
 
     @classmethod
     def variable(cls, variables, name: str) -> "MultiPoly":
         vars_ = tuple(variables)
+        n = len(vars_)
         idx = vars_.index(name)
-        exps = [0] * len(vars_)
-        exps[idx] = 1
-        return cls(vars_, {tuple(exps): 1})
+        return _packed(vars_, {1 << _BITS * n | 1 << _BITS * (n - 1 - idx): 1})
 
     # -- basic queries -----------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def total_degree(self) -> int:
         """Max term degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self._terms) >> _BITS * len(self.vars)
 
     def leading_term(self):
         """(exponents, coefficient) of the graded-lex maximal term."""
-        if not self.terms:
+        if not self._terms:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_grlex)
-        return exps, self.terms[exps]
+        key = max(self._terms)
+        return tuple(_exponents(key, len(self.vars))), self._terms[key]
 
     def sign_normalized(self) -> "MultiPoly":
         """Flip the sign if needed so the leading coefficient is positive."""
-        if not self.terms:
+        if not self._terms:
             return self
         _, coeff = self.leading_term()
         return -self if coeff < 0 else self
 
     def content(self) -> int:
         """Positive gcd of the integer coefficients (1 if any is fractional)."""
-        coeffs = self.terms.values()
+        coeffs = self._terms.values()
         if any(c.denominator != 1 for c in coeffs):
             return 1
         return gcd(*(c.numerator for c in coeffs)) or 1
@@ -113,9 +157,7 @@ class MultiPoly:
         g = self.content()
         if g == 1:
             return self
-        res = MultiPoly(self.vars)
-        res.terms = {e: c // g for e, c in self.terms.items()}
-        return res
+        return _packed(self.vars, {k: c // g for k, c in self._terms.items()})
 
     # -- arithmetic --------------------------------------------------------
 
@@ -130,29 +172,21 @@ class MultiPoly:
             return MultiPoly.constant(self.vars, other)
         return NotImplemented
 
-    # Results built from valid operands are valid, so the operators below
-    # set ``terms`` directly instead of re-checking every exponent tuple in
-    # the constructor.
-
     def __neg__(self) -> "MultiPoly":
-        res = MultiPoly(self.vars)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return _packed(self.vars, {k: -c for k, c in self._terms.items()})
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            total = out.get(e, 0) + c
+        out = dict(self._terms)
+        for k, c in other._terms.items():
+            total = out.get(k, 0) + c
             if total:
-                out[e] = total
-            elif e in out:
-                del out[e]
-        res = MultiPoly(self.vars)
-        res.terms = out
-        return res
+                out[k] = total
+            elif k in out:
+                del out[k]
+        return _packed(self.vars, out)
 
     __radd__ = __add__
 
@@ -169,18 +203,21 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        a, b = self._terms, other._terms
+        n = len(self.vars)
+        # a field can only overflow when the total degrees sum past it
+        if a and b and (max(a) >> _BITS * n) + (max(b) >> _BITS * n) > _MAX_EXPONENT:
+            _check_fields(map(add, _max_exponents(a, n), _max_exponents(b, n)))
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                total = out.get(e, 0) + c1 * c2
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
+                total = out.get(k, 0) + c1 * c2
                 if total:
-                    out[e] = total
-                elif e in out:
-                    del out[e]
-        res = MultiPoly(self.vars)
-        res.terms = out
-        return res
+                    out[k] = total
+                elif k in out:
+                    del out[k]
+        return _packed(self.vars, out)
 
     __rmul__ = __mul__
 
@@ -192,8 +229,9 @@ class MultiPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- evaluation and calculus -------------------------------------------
@@ -204,14 +242,16 @@ class MultiPoly:
         return next(evaluate_many((self,), point))
 
     def differentiate(self, name: str) -> "MultiPoly":
-        idx = self.vars.index(name)
+        n = len(self.vars)
+        field = _BITS * (n - 1 - self.vars.index(name))
+        # one less in the variable's field and in the total degree
+        step = 1 << _BITS * n | 1 << field
         out = {}
-        for exps, coeff in self.terms.items():
-            e = exps[idx]
+        for k, c in self._terms.items():
+            e = k >> field & _MAX_EXPONENT
             if e:
-                lowered = exps[:idx] + (e - 1,) + exps[idx + 1 :]
-                out[lowered] = out.get(lowered, 0) + coeff * e
-        return MultiPoly(self.vars, out)
+                out[k - step] = c * e
+        return _packed(self.vars, out)
 
     # -- comparison / hashing ------------------------------------------------
 
@@ -220,27 +260,24 @@ class MultiPoly:
             other = MultiPoly.constant(self.vars, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self._terms == other._terms
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.vars, frozenset(self.terms.items())))
+            self._hash = hash((self.vars, frozenset(self._terms.items())))
         return self._hash
 
     # -- rendering -----------------------------------------------------------
 
     def text(self) -> str:
         """Human-readable form, e.g. ``A*D^2 + B^2*E - B*C*D``."""
-        if not self.terms:
+        if not self._terms:
             return "0"
-        letters = len(self.vars) <= 26 and all(v == f"c{i}" for i, v in enumerate(self.vars))
-        names = _LETTERS[: len(self.vars)] if letters else self.vars
+        monomial = _monomial_texts(self.vars)
         pieces = []
-        for exps in sorted(self.terms, key=_grlex, reverse=True):
-            coeff = self.terms[exps]
-            mono = "*".join(
-                n if e == 1 else f"{n}^{e}" for n, e in zip(names, exps) if e
-            )
+        for k in sorted(self._terms, reverse=True):
+            coeff = self._terms[k]
+            mono = monomial(k)
             mag = abs(coeff)
             if not mono:
                 body = str(mag)
@@ -268,15 +305,40 @@ class MultiPoly:
         Coefficients are emitted as decimal strings so arbitrary precision
         survives any JSON reader.
         """
+        n = len(self.vars)
         terms = []
-        for exps in sorted(self.terms, key=_grlex, reverse=True):
-            coeff = self.terms[exps]
+        for k in sorted(self._terms, reverse=True):
+            coeff = self._terms[k]
             if isinstance(coeff, Fraction):
                 if coeff.denominator != 1:
                     raise ValueError("JSON form supports integer coefficients only")
                 coeff = coeff.numerator
-            terms.append({"coeff": str(coeff), "exps": list(exps)})
+            terms.append({"coeff": str(coeff), "exps": list(_exponents(k, n))})
         return {"vars": list(self.vars), "terms": terms}
+
+
+@lru_cache(maxsize=1)
+def _monomial_texts(vars_: tuple):
+    """``key -> monomial string`` for ``vars_``, e.g. ``A*D^2``; the empty
+    string for the constant monomial.  Strings are memoised for the most
+    recent ring only, so the memo holds at most the monomials of one
+    generator set."""
+    n = len(vars_)
+    letters = n <= 26 and all(v == f"c{i}" for i, v in enumerate(vars_))
+    names = _LETTERS[:n] if letters else vars_
+    memo = {}
+
+    def monomial(key: int) -> str:
+        mono = memo.get(key)
+        if mono is None:
+            mono = memo[key] = "*".join(
+                name if e == 1 else f"{name}^{e}"
+                for name, e in zip(names, _exponents(key, n))
+                if e
+            )
+        return mono
+
+    return monomial
 
 
 def evaluate_many(polys: Iterable[MultiPoly], point: Sequence) -> Iterator[Fraction]:
@@ -287,11 +349,15 @@ def evaluate_many(polys: Iterable[MultiPoly], point: Sequence) -> Iterator[Fract
     variable, in ring order.  Its denominators are cleared once for the
     whole set: with ``L`` their lcm, a polynomial of total degree ``D`` sums
     ``c * L^(D - deg) * prod (x_i L)^e_i`` over its terms in integers (no
-    powers of ``L`` when it is homogeneous) and divides by ``L^D``.
+    powers of ``L`` when it is homogeneous) and divides by ``L^D``.  The
+    powers ``(x_i L)^e`` come from one table per point, grown to the
+    largest degree seen so far.
     """
     xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in point]
     L = lcm(*[x.denominator for x in xs])
     nums = [x.numerator * (L // x.denominator) for x in xs]
+    powers = [[1] for _ in nums]  # powers[i][e] == nums[i] ** e, e <= top
+    top = 0
     ring = None
     for p in polys:
         if p.vars != ring:
@@ -300,11 +366,18 @@ def evaluate_many(polys: Iterable[MultiPoly], point: Sequence) -> Iterator[Fract
             if len(nums) != len(p.vars):
                 raise ValueError(f"point of length {len(nums)} in a ring with {len(p.vars)} variables")
             ring = p.vars
-        degs = list(map(sum, p.terms))
-        D = max(degs, default=0)
-        values = (c * prod(map(pow, nums, e)) for e, c in p.terms.items())
-        if min(degs, default=0) < D:
-            values = (v * L ** (D - d) for v, d in zip(values, degs))
+            n = len(ring)
+            shift = _BITS * n
+        terms = p._terms
+        D = max(terms, default=0) >> shift
+        if D > top:
+            for row, x in zip(powers, nums):
+                for _ in range(D - top):
+                    row.append(row[-1] * x)
+            top = D
+        values = (c * prod(map(getitem, powers, _exponents(k, n))) for k, c in terms.items())
+        if min(terms, default=0) >> shift < D:
+            values = (v * L ** (D - (k >> shift)) for v, k in zip(values, terms))
         yield Fraction(sum(values), L**D)
 
 
@@ -332,7 +405,7 @@ def dedup_generators(tagged: Iterable) -> tuple:
     polys = []
     seen = set()
     for tag, poly in tagged:
-        if not poly.terms:
+        if not poly:
             continue
         poly = poly.sign_normalized()
         key = poly.primitive_part()
@@ -387,12 +460,23 @@ def _cofactor_expansion(m: PolyMatrix):
     products for a determinant, not n!) and only those of the current row
     prefixes stay alive.
 
-    Each minor is accumulated in one ``{exponents: coefficient}`` dict:
-    every term ``c1 x^e1`` of a nonzero entry times every term ``c2 x^e2``
-    of its cofactor adds ``+-c1*c2`` at ``e1 + e2``, with no intermediate
+    Each minor is accumulated in one ``{key: coefficient}`` dict: every term
+    ``c1 x^k1`` of a nonzero entry times every term ``c2 x^k2`` of its
+    cofactor adds ``+-c1*c2`` at the key ``k1 + k2``, with no intermediate
     product, negation or sum polynomials.  Coefficients that cancel to zero
-    are dropped once, when the minor is finished."""
+    are dropped once, when the minor is finished.
+
+    A minor takes one entry from each of at most ``min(rows, cols)`` rows,
+    so the exponent fields are checked once for the whole matrix: per
+    variable, the largest exponents of that many rows must fit in a field."""
     vars_ = m.variables
+    n = len(vars_)
+    row_tops = [
+        _max_exponents([k for j in range(m.cols) for k in m.entry(i, j)._terms], n)
+        for i in range(m.rows)
+    ]
+    size = min(m.rows, m.cols)
+    _check_fields(sum(sorted(col, reverse=True)[:size]) for col in zip(*row_tops))
     one = MultiPoly.constant(vars_, 1)
     tables = {}  # prefix length -> (prefix, {mask: minor})
 
@@ -408,21 +492,19 @@ def _cofactor_expansion(m: PolyMatrix):
         get = acc.get
         for pos, j in enumerate(j for j in range(m.cols) if (mask >> j) & 1):
             e = m.entry(rows[-1], j)
-            if e.terms:
+            if e._terms:
                 sub = mask ^ (1 << j)
                 if sub not in table:
                     table[sub] = det(above, sub)
-                cofactor = table[sub].terms.items()
+                cofactor = table[sub]._terms.items()
                 odd = (len(above) + pos) % 2
-                for e1, c1 in e.terms.items():
+                for k1, c1 in e._terms.items():
                     if odd:
                         c1 = -c1
-                    for e2, c2 in cofactor:
-                        key = tuple(map(add, e1, e2))
+                    for k2, c2 in cofactor:
+                        key = k1 + k2
                         acc[key] = get(key, 0) + c1 * c2
-        res = MultiPoly(vars_)
-        res.terms = {key: c for key, c in acc.items() if c}
-        return res
+        return _packed(vars_, {key: c for key, c in acc.items() if c})
 
     return det
 

@@ -107,6 +107,24 @@ class TestIdeal:
                 digest.update(out.encode())
         assert digest.hexdigest() == "1d9840ffc113510eeb48224e085d8d6477a77040bb47de96395e939b900bbd85"
 
+    @pytest.mark.parametrize(
+        "extra,sha",
+        [
+            ((), "712bf821169abb20fe87742bd0e31db69f3795c59e8bdf2f81093bfb97f1186e"),
+            (
+                ("--format", "json", "--provenance"),
+                "d089cb1edd86932f69cb208c3509e663cd55162588e84b6cdf9cf492148e6e99",
+            ),
+        ],
+    )
+    def test_more_than_26_variables_pinned(self, capsys, extra, sha):
+        # 32 filter coefficients print as c0 .. c31, not as letters; SHA-256
+        # of stdout recorded before monomials were stored as packed keys
+        code, out, _ = run(capsys, "ideal", "-k", "2,2,2,2,2", "-s", "2,2,2,2,1", *extra)
+        assert code == 0
+        assert "c31" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+
     def test_missing_strides(self, capsys):
         code, out, err = run(capsys, "ideal", "-k", "2,2")
         assert code == 2

@@ -90,6 +90,14 @@ class TestExperimentScript:
         assert script["run_training_case"](Architecture((2, 2), (2, 1)), 400, 42, 7) is True
         assert "[ok]" in capsys.readouterr().out
 
+    def test_flags_reach_identity_weight_case(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", [str(self.PATH), "--starts", "1", "--seed", "3"])
+        with pytest.raises(SystemExit):
+            runpy.run_path(str(self.PATH), run_name="__main__")
+        lines = capsys.readouterr().out.splitlines()
+        (identity,) = [line for line in lines if line.startswith("identity weight")]
+        assert "starts     1 " in identity
+
     @pytest.mark.parametrize(
         "argv,message",
         [
@@ -429,7 +437,9 @@ class TestEvaluationCounts:
         assert system.count("hessian") == steps
         assert system.rows("hessian") == sum(solved)
         # per step: the full step and at most three blocks of halvings; per
-        # chunk of starts: the call that sets lambda and the initial residual
-        assert system.count("values") <= (1 + 3) * steps + 2
+        # chunk of starts: one call, which sets lambda and gives the initial
+        # residual
+        assert system.count("values") <= (1 + 3) * steps + 1
+        assert [name for name, _ in system.calls[:2]] == ["values", "hessian"]
         # some step halved, so the bound is not met by full steps alone
-        assert system.count("values") > steps + 2
+        assert system.count("values") > steps + 1

@@ -385,7 +385,7 @@ any_polys = st.one_of(small_polys(), rational_polys())
 
 
 class TestFastPaths:
-    """Operators that set ``terms`` directly give valid polynomials."""
+    """Operators that build packed terms directly give valid polynomials."""
 
     @given(any_polys, any_polys)
     def test_neg_and_sub_equal_validated(self, p, q):
@@ -467,3 +467,89 @@ class TestSerialization:
         a, = symbols(("a",))
         p = (10**40) * a
         assert from_json(p.to_json()) == p
+
+
+def grlex(exps):
+    """Graded lexicographic sort key of an exponent tuple."""
+    return (sum(exps), exps)
+
+
+@st.composite
+def wide_polys(draw):
+    """Int coefficients, exponents across the whole 0..255 field range."""
+    exps = st.tuples(*[st.one_of(st.integers(0, 3), st.integers(250, 255))] * len(VARS3))
+    return poly3(draw(st.dictionaries(exps, st.integers(-9, 9), max_size=6)))
+
+
+def tuple_derivative(p, name):
+    """``d p / d name`` on exponent tuples (oracle for ``differentiate``)."""
+    idx = p.vars.index(name)
+    out = {}
+    for exps, coeff in p.terms.items():
+        e = exps[idx]
+        if e:
+            lowered = exps[:idx] + (e - 1,) + exps[idx + 1 :]
+            out[lowered] = out.get(lowered, 0) + coeff * e
+    return MultiPoly(p.vars, out)
+
+
+class TestPackedTerms:
+    """The packed keys against the exponent tuples they stand for."""
+
+    @given(st.one_of(wide_polys(), small_polys()))
+    def test_order_is_grlex(self, p):
+        order = sorted(p.terms, key=grlex, reverse=True)
+        if not order:
+            return
+        assert p.leading_term() == (order[0], p.terms[order[0]])
+        assert p.total_degree() == sum(order[0])
+        assert [tuple(t["exps"]) for t in p.to_json()["terms"]] == order
+        pieces = [MultiPoly(p.vars, {e: p.terms[e]}).text() for e in order]
+        assert p.text() == pieces[0] + "".join(
+            f" - {t[1:]}" if t.startswith("-") else f" + {t}" for t in pieces[1:]
+        )
+
+    @given(st.one_of(wide_polys(), rational_polys()))
+    def test_rebuilt_from_terms(self, p):
+        q = MultiPoly(p.vars, p.terms)
+        assert q == p
+        assert hash(q) == hash(p)
+
+    @given(st.one_of(wide_polys(), small_polys()), st.sampled_from(VARS3))
+    def test_differentiate_matches_tuple_rule(self, p, name):
+        assert p.differentiate(name) == tuple_derivative(p, name)
+
+    @given(wide_polys(), wide_polys())
+    def test_product_matches_tuple_rule(self, p, q):
+        # exponent tuples add; products whose exponents stay in range succeed
+        expected = {}
+        for e1, c1 in p.terms.items():
+            for e2, c2 in q.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                expected[e] = expected.get(e, 0) + c1 * c2
+        if any(max(e) > 255 for e, c in expected.items()):
+            with pytest.raises(ValueError, match="above 255"):
+                p * q
+        else:
+            assert p * q == poly3(expected)
+
+    def test_exponent_256_rejected(self):
+        u, v, w = symbols(VARS3)
+        with pytest.raises(ValueError, match="above 255"):
+            poly3({(0, 256, 0): 1})
+        with pytest.raises(ValueError, match="above 255"):
+            u**200 * (u**56 + v)
+        with pytest.raises(ValueError, match="above 255"):
+            (u * v + w) ** 256
+        with pytest.raises(ValueError, match="above 255"):
+            determinant(PolyMatrix(2, 2, (u**128, v, w, u**128)))
+
+    def test_exponent_255_accepted(self):
+        u, v, w = symbols(VARS3)
+        assert poly3({(255, 0, 0): 1}) == u**255
+        # total degree past 255, every exponent within it
+        assert (u**200 * v**100 * w**255).terms == {(200, 100, 255): 1}
+        assert ((u + v) ** 255).terms[(128, 127, 0)] > 0
+        # a 3x1 matrix: one row per minor, not the sum over its rows
+        m = PolyMatrix(3, 1, (u**255, u**255, u**255))
+        assert [det for _, _, det in minor_expansion(m, 1)] == [u**255] * 3
