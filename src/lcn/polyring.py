@@ -20,6 +20,14 @@ module reads the key layout.
 Variable lists of the form ``c0, c1, ...`` with at most 26 entries print as
 the letters ``A, B, ...`` so that small generators stay readable.
 
+:func:`evaluate_many` evaluates exactly through a monomial program kept for
+the most recent ring: each packed key gets a slot the first time it is
+evaluated, after its parent, the key one lower in its lowest nonzero field.
+So the values of all monomials at a point fill a table with one
+multiplication each, and each polynomial is a sum of coefficients times
+table entries.  The table of the most recent point is kept, so polynomials
+evaluated one at a time at one point share it.
+
 The minors of a :class:`PolyMatrix` come from one memoised Laplace
 expansion that shares sub-minors on ``(rows, columns)``.  Each minor is
 built in one term dictionary: entry terms times cofactor terms are added
@@ -33,11 +41,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm, prod
-from operator import add, getitem
+from math import gcd, lcm
+from operator import add, mul
+from threading import Lock
 from typing import Iterable, Iterator, Sequence
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+# The value of every vanishing evaluation; a Fraction is immutable.
+_ZERO = Fraction(0)
 # Bits per exponent field of a packed key, and the largest exponent.
 _BITS = 8
 _MAX_EXPONENT = (1 << _BITS) - 1
@@ -237,8 +248,9 @@ class MultiPoly:
     # -- evaluation and calculus -------------------------------------------
 
     def evaluate(self, point: Sequence) -> Fraction:
-        """Exact value at ``point``, one rational per variable in ring order;
-        see :func:`evaluate_many`."""
+        """Exact value at ``point``, one rational per variable in ring order:
+        :func:`evaluate_many` of this one polynomial, so calls at one point
+        share that point's table of monomial values."""
         return next(evaluate_many((self,), point))
 
     def differentiate(self, name: str) -> "MultiPoly":
@@ -341,44 +353,115 @@ def _monomial_texts(vars_: tuple):
     return monomial
 
 
+class _MonomialProgram(dict):
+    """``packed key -> slot`` for the monomials of one ring, with the value
+    table of the most recent point; see :func:`evaluate_many`.
+
+    Slot 0 is the constant monomial.  A key gets the next free slot the
+    first time it is looked up, after its parent: the key one lower in its
+    lowest nonzero field and in the total degree.  So ``parents[s] < s``,
+    and slot ``s`` holds its parent's value times the scaled variable
+    ``factors[s]``: a straight-line program of one multiplication per slot.
+    """
+
+    def __init__(self, n: int):
+        super().__init__({0: 0})
+        self.n = n
+        self.parents = [0]
+        self.factors = [0]
+        # (point tuple, denominator lcm L, scaled coordinates x_i * L, value
+        # table) of the most recent point; table[s] is slot s at those
+        # coordinates.  One attribute, so it is replaced in one step.
+        self.recent = (None, 1, [], [1])
+        # around every growth of the program or of a table, so that threads
+        # evaluating in one ring never see a slot without its step
+        self.lock = Lock()
+
+    def __missing__(self, key: int) -> int:
+        # walk down to a key that has a slot, then give the chain slots
+        # from the top, parents first; a loop, as chains reach 255 * n keys
+        with self.lock:
+            chain = []
+            degree = 1 << _BITS * self.n
+            while key not in self:
+                field = ((key & -key).bit_length() - 1) // _BITS
+                chain.append((key, self.n - 1 - field))
+                key -= degree | 1 << _BITS * field
+            slot = self[key]
+            for key, var in reversed(chain):
+                self.parents.append(slot)
+                self.factors.append(var)
+                slot = self[key] = len(self.parents) - 1
+            return slot
+
+    def at(self, point: tuple) -> tuple:
+        """``(point, L, nums, table)`` for ``point``: the most recent one
+        when it is equal, else a new one with an empty table, which becomes
+        the most recent."""
+        recent = self.recent
+        if point != recent[0]:
+            xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in point]
+            L = lcm(*[x.denominator for x in xs])
+            nums = [x.numerator * (L // x.denominator) for x in xs]
+            self.recent = recent = (point, L, nums, [1])
+        return recent
+
+    def extend(self, table: list, nums: list, top: int):
+        """Fill ``table`` at ``nums`` up to slot ``top``."""
+        with self.lock:
+            start = len(table)
+            for parent, var in zip(self.parents[start : top + 1], self.factors[start : top + 1]):
+                table.append(table[parent] * nums[var])
+
+
+@lru_cache(maxsize=1)
+def _monomial_program(vars_: tuple) -> _MonomialProgram:
+    """The monomial program of the most recent ring only, so it holds the
+    monomials of the polynomials evaluated in one ring."""
+    return _MonomialProgram(len(vars_))
+
+
 def evaluate_many(polys: Iterable[MultiPoly], point: Sequence) -> Iterator[Fraction]:
     """Exact values of ``polys`` at ``point``, one ``Fraction`` each, lazily
     and in order, so ``any(evaluate_many(...))`` stops at the first nonzero.
 
     The polynomials share one ring and ``point`` holds one rational per
-    variable, in ring order.  Its denominators are cleared once for the
-    whole set: with ``L`` their lcm, a polynomial of total degree ``D`` sums
+    variable, in ring order.  Its denominators are cleared once: with ``L``
+    their lcm, a polynomial of total degree ``D`` sums
     ``c * L^(D - deg) * prod (x_i L)^e_i`` over its terms in integers (no
     powers of ``L`` when it is homogeneous) and divides by ``L^D``.  The
-    powers ``(x_i L)^e`` come from one table per point, grown to the
-    largest degree seen so far.
+    monomial values ``prod (x_i L)^e_i`` come from the ring's monomial
+    program: a table of one multiplication per distinct monomial, filled
+    only as far as the polynomials pulled so far need, and kept for the
+    most recent point, so evaluating polynomials one at a time at the same
+    point builds the table once.
     """
-    xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in point]
-    L = lcm(*[x.denominator for x in xs])
-    nums = [x.numerator * (L // x.denominator) for x in xs]
-    powers = [[1] for _ in nums]  # powers[i][e] == nums[i] ** e, e <= top
-    top = 0
+    point = tuple(point)
     ring = None
     for p in polys:
         if p.vars != ring:
             if ring is not None:
                 raise ValueError(f"mixed variable lists: {ring} vs {p.vars}")
-            if len(nums) != len(p.vars):
-                raise ValueError(f"point of length {len(nums)} in a ring with {len(p.vars)} variables")
+            if len(point) != len(p.vars):
+                raise ValueError(f"point of length {len(point)} in a ring with {len(p.vars)} variables")
             ring = p.vars
-            n = len(ring)
-            shift = _BITS * n
+            shift = _BITS * len(ring)
+            program = _monomial_program(ring)
+            _, L, nums, table = program.at(point)
         terms = p._terms
-        D = max(terms, default=0) >> shift
-        if D > top:
-            for row, x in zip(powers, nums):
-                for _ in range(D - top):
-                    row.append(row[-1] * x)
-            top = D
-        values = (c * prod(map(getitem, powers, _exponents(k, n))) for k, c in terms.items())
-        if min(terms, default=0) >> shift < D:
+        if not terms:
+            yield _ZERO
+            continue
+        slots = list(map(program.__getitem__, terms))
+        top = max(slots)
+        if top >= len(table):
+            program.extend(table, nums, top)
+        values = map(mul, terms.values(), map(table.__getitem__, slots))
+        D = max(terms) >> shift
+        if min(terms) >> shift < D:
             values = (v * L ** (D - (k >> shift)) for v, k in zip(values, terms))
-        yield Fraction(sum(values), L**D)
+        total = sum(values)
+        yield Fraction(total, L**D) if total else _ZERO
 
 
 def symbols(names: Iterable[str]) -> tuple:

@@ -4,11 +4,13 @@ The generated equations are certified set-theoretically: every composable
 filter (sampled with exact rational layer entries) must satisfy every
 generator with value exactly zero, while random ambient points must violate
 at least one.  Both checks evaluate the whole generator set at a point with
-one call of :func:`lcn.polyring.evaluate_many`, which clears the point's
-denominators once and yields the exact values lazily, so a nonmember stops
-at its first nonzero generator.  The dimension claim ``sum k_i - (L - 1)`` is checked through
-the rank of the parametrization Jacobian, which for a multilinear map is
-assembled column-by-column from unit-vector substitutions.
+one call of :func:`lcn.polyring.evaluate_many`, which fills one table of
+the monomials' values at the point (one multiplication per monomial of the
+ring) and yields the exact values lazily, so a nonmember stops at its first
+nonzero generator and fills the table only as far as it got.  The
+dimension claim ``sum k_i - (L - 1)`` is checked through the rank of the
+parametrization Jacobian, which for a multilinear map is assembled
+column-by-column from unit-vector substitutions.
 """
 
 from __future__ import annotations

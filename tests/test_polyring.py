@@ -1,5 +1,8 @@
 import gc
 import json
+import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -7,9 +10,12 @@ import pytest
 from expansion_oracle import product_then_add_minors
 from hypothesis import example, given, strategies as st
 
+from lcn.arch import Architecture, sample_neuromanifold
+from lcn.idealgen import vanishing_generators
 from lcn.polyring import (
     MultiPoly,
     PolyMatrix,
+    _monomial_program,
     coefficient_symbols,
     dedup_generators,
     determinant,
@@ -203,6 +209,159 @@ class TestEvaluateMany:
 
         assert any(evaluate_many(counting(), (1, 2, 3)))
         assert pulled == [u * v - w]
+
+
+def ladder3():
+    """Polynomials of rising degree over VARS3, so that every pull adds
+    monomials to the ring's program; the last two are inhomogeneous."""
+    u, v, w = symbols(VARS3)
+    homogeneous = [u**d * v - Fraction(3, d) * w**(d + 1) + u * v**d for d in range(1, 6)]
+    return homogeneous + [u**4 * w**3 - 2 * v + 7, Fraction(1, 3) * v**6 - u + w**2]
+
+
+class TestMonomialProgram:
+    """The per-ring program and the kept point table give the values of
+    the term-by-term oracle, whatever the order and type of the calls."""
+
+    P = (Fraction(-2, 3), 5, Fraction(7, 4))
+    Q = (3, Fraction(1, 6), -2)
+
+    def test_long_parent_chain(self):
+        # 5 * 255 links from the top monomial down to the constant
+        xs = symbols(f"x{i}" for i in range(5))
+        p = MultiPoly.constant(xs[0].vars, 1)
+        for x in xs:
+            p = p * x
+        p = p**255 + 1
+        pt = (Fraction(1, 2),) * 5
+        _monomial_program.cache_clear()
+        assert p.evaluate(pt) == fraction_loop_evaluate(p, pt)
+
+    def test_interleaved_iterators_on_one_ring(self):
+        ps = ladder3()
+        pairs = list(zip(evaluate_many(ps, self.P), evaluate_many(ps, self.Q)))
+        assert pairs == [(fraction_loop_evaluate(p, self.P), fraction_loop_evaluate(p, self.Q)) for p in ps]
+
+    def test_interleaved_iterators_on_two_rings(self):
+        ps = ladder3()
+        x, y = symbols(("x", "y"))
+        qs = [x**d - Fraction(1, d) * y**d + x * y for d in range(1, 8)]
+        pt = (Fraction(5, 7), -3)
+        pairs = list(zip(evaluate_many(ps, self.P), evaluate_many(qs, pt)))
+        assert pairs == [
+            (fraction_loop_evaluate(p, self.P), fraction_loop_evaluate(q, pt)) for p, q in zip(ps, qs)
+        ]
+
+    def test_list_point_mutated_between_calls(self):
+        ps = ladder3()
+        pt = list(self.P)
+        assert list(evaluate_many(ps, pt)) == [fraction_loop_evaluate(p, self.P) for p in ps]
+        pt[1] = Fraction(-1, 9)
+        assert list(evaluate_many(ps, pt)) == [fraction_loop_evaluate(p, pt) for p in ps]
+
+    def test_equal_points_of_different_types(self):
+        ps = ladder3()
+        expected = [fraction_loop_evaluate(p, (1, -2, Fraction(1, 2))) for p in ps]
+        for pt in [(1, -2, Fraction(1, 2)), (Fraction(1), Fraction(-2), Fraction(1, 2)), (1.0, -2.0, 0.5)]:
+            values = [p.evaluate(pt) for p in ps]
+            assert values == expected
+            assert all(isinstance(v, Fraction) for v in values)
+
+    def test_failed_conversion_leaves_the_table_intact(self):
+        ps = ladder3()
+        assert list(evaluate_many(ps, self.P)) == [fraction_loop_evaluate(p, self.P) for p in ps]
+        with pytest.raises(TypeError):
+            list(evaluate_many(ps, (self.P[0], self.P[1], None)))
+        assert list(evaluate_many(ps, self.P)) == [fraction_loop_evaluate(p, self.P) for p in ps]
+        assert list(evaluate_many(ps, self.Q)) == [fraction_loop_evaluate(p, self.Q) for p in ps]
+
+    def test_homogeneous_and_inhomogeneous_in_one_set(self):
+        u, v, w = symbols(VARS3)
+        ps = [
+            u * v - w**2,
+            u**2 + 1,
+            Fraction(1, 3) * v**3 - u + 2,
+            MultiPoly.constant(VARS3, Fraction(-5, 2)),
+            MultiPoly(VARS3),
+            u**3 * v - 4 * w**4,
+            w - Fraction(2, 5),
+        ]
+        for pt in (self.P, self.Q, (0, Fraction(1, 4), 0)):
+            assert list(evaluate_many(ps, pt)) == [fraction_loop_evaluate(p, pt) for p in ps]
+
+
+class TestEvaluateAtScale:
+    """The 56 generators of (5,5)/(2,1): 13 variables, 1,852 terms."""
+
+    @pytest.fixture(scope="class")
+    def gens(self):
+        gens = vanishing_generators(Architecture((5, 5), (2, 1))).generators
+        assert len(gens) == 56
+        assert sum(len(g.terms) for g in gens) == 1852
+        return gens
+
+    def points(self):
+        arch = Architecture((5, 5), (2, 1))
+        rng = random.Random(5)
+        samples = [sample_neuromanifold(arch, rng.randrange(2**62))[1] for _ in range(2)]
+        ambient = [
+            tuple(Fraction(rng.randint(-999, 999), rng.randint(1, 99)) for _ in range(13))
+            for _ in range(2)
+        ]
+        return samples, ambient
+
+    def test_matches_fraction_loop(self, gens):
+        samples, ambient = self.points()
+        for pt in samples + ambient:
+            assert list(evaluate_many(gens, pt)) == [fraction_loop_evaluate(g, pt) for g in gens]
+        for pt in samples:
+            assert not any(evaluate_many(gens, pt))
+        for pt in ambient:
+            assert any(evaluate_many(gens, pt))
+
+    def test_equal_point_reuses_program_and_table(self, gens):
+        _, (pt, _) = self.points()
+        _monomial_program.cache_clear()
+        values = list(evaluate_many(gens, pt))
+        program = _monomial_program(gens[0].vars)
+        steps, table = len(program.parents), program.recent[3]
+        entries = len(table)
+        assert steps == entries == len(program)
+        again = list(evaluate_many(gens, tuple(Fraction(x.numerator, x.denominator) for x in pt)))
+        assert again == values
+        assert len(program.parents) == steps
+        assert program.recent[3] is table and len(table) == entries
+
+    def test_threads_growing_one_program(self, gens):
+        samples, ambient = self.points()
+        points = samples + ambient + samples[:1]
+        expected = [[fraction_loop_evaluate(g, pt) for g in gens] for pt in points]
+        results = {}
+
+        def work(i, barrier):
+            barrier.wait()
+            if i % 2:
+                results[i] = [g.evaluate(points[i]) for g in gens]
+            else:
+                results[i] = list(evaluate_many(gens, points[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                results.clear()
+                _monomial_program.cache_clear()
+                _monomial_program(gens[0].vars)  # one fresh program for all threads
+                barrier = threading.Barrier(len(points))
+                threads = [threading.Thread(target=work, args=(i, barrier)) for i in range(len(points))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                assert [results[i] for i in range(len(points))] == expected
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestRingAxioms:
