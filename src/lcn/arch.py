@@ -73,39 +73,44 @@ class Architecture:
     def describe(self) -> str:
         return f"k={','.join(map(str, self.filter_sizes))} s={','.join(map(str, self.strides))}"
 
+    def merged(self, i: int) -> "Architecture":
+        """Layers ``i`` and ``i+1`` merged into one layer of filter size
+        ``k_i + s_i (k_{i+1} - 1)`` and stride ``s_i * s_{i+1}``; the
+        end-to-end filter size is unchanged."""
+        ks, ss = list(self.filter_sizes), list(self.strides)
+        ks[i : i + 2] = [ks[i] + ss[i] * (ks[i + 1] - 1)]
+        ss[i : i + 2] = [ss[i] * ss[i + 1]]
+        merged = Architecture(tuple(ks), tuple(ss))
+        assert merged.out_size == self.out_size, "layer merging must preserve the filter size"
+        return merged
+
+
+def expected_dimension(arch: Architecture) -> int:
+    """Dimension ``sum k_i - (L - 1)`` of the filter variety of a reduced
+    architecture: the layer filters modulo rescaling between layers."""
+    return sum(arch.filter_sizes) - (arch.depth - 1)
+
 
 def reduce_arch(arch: Architecture) -> Architecture:
     """Merge away unit strides and unit filter sizes.
 
-    Layers ``i`` and ``i+1`` merge to filter size ``k_i + s_i (k_{i+1} - 1)``
-    and stride ``s_i * s_{i+1}`` whenever ``s_i = 1`` or ``k_i = 1``; a
-    trailing size-1 layer is absorbed into its predecessor.  The result is
-    reduced or a single layer, and the end-to-end filter size is unchanged.
+    Layers ``i`` and ``i+1`` merge (:meth:`Architecture.merged`) whenever
+    ``s_i = 1`` or ``k_i = 1``; a trailing size-1 layer is absorbed into
+    its predecessor.  The result is reduced or a single layer, and the
+    end-to-end filter size is unchanged.
     Every filter realizable by the input architecture is realizable by the
     reduced one.
     """
-    ks = list(arch.filter_sizes)
-    ss = list(arch.strides)
-    out_size = arch.out_size
-
-    def merge(i: int) -> None:
-        ks[i] = ks[i] + ss[i] * (ks[i + 1] - 1)
-        ss[i] = ss[i] * ss[i + 1]
-        del ks[i + 1], ss[i + 1]
-
-    while len(ks) > 1:
-        for i in range(len(ks) - 1):
-            if ss[i] == 1 or ks[i] == 1:
-                merge(i)
-                break
+    while arch.depth > 1:
+        ks, ss = arch.filter_sizes, arch.strides
+        unit = [i for i in range(len(ks) - 1) if ss[i] == 1 or ks[i] == 1]
+        if unit:
+            arch = arch.merged(unit[0])
+        elif ks[-1] == 1:
+            arch = arch.merged(len(ks) - 2)
         else:
-            if ks[-1] == 1:
-                merge(len(ks) - 2)
-            else:
-                break
-    reduced = Architecture(tuple(ks), tuple(ss))
-    assert reduced.out_size == out_size, "layer merging must preserve the filter size"
-    return reduced
+            break
+    return arch
 
 
 def _convolve(a: Sequence, b: Sequence) -> list:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arch import Architecture, reduce_arch
+from .arch import Architecture, expected_dimension, reduce_arch
 from .idealgen import vanishing_generators
 from .polyring import MultiPoly
 
@@ -91,8 +91,7 @@ def training_reduce(X: np.ndarray, Y: np.ndarray, arch: Architecture) -> Weighte
     if np.linalg.matrix_rank(X) < d0:
         raise ValueError("X is rank deficient; the reduction needs full rank")
 
-    dim = sum(reduced.filter_sizes) - (reduced.depth - 1)
-    codim = k - dim
+    codim = k - expected_dimension(reduced)
     if codim != 1:
         raise ValueError(
             f"unsupported: non-hypersurface filter variety (codimension {codim})"

@@ -36,17 +36,15 @@ def merge_levels(arch: Architecture) -> list:
     :func:`two_layer_ideal`.
     """
     k = arch.out_size
-    ks, ss = list(arch.filter_sizes), list(arch.strides)
     levels = []
-    while len(ks) > 2:
-        k1, s1 = ks[0], ss[0]
+    while arch.depth > 2:
+        k1, s1 = arch.filter_sizes[0], arch.strides[0]
         assert (k - k1) % s1 == 0, "merged filter size must stay divisible by the stride"
         levels.append(("merge(1,2)->" * len(levels) + "base", k1, (k - k1) // s1 + 1, s1))
-        ks[:2] = [k1 + s1 * (ks[1] - 1)]
-        ss[:2] = [s1 * ss[1]]
-    if len(ks) == 2:
-        assert ks[0] + ss[0] * (ks[1] - 1) == k, "layer merging must preserve the filter size"
-        levels.append(("merge(1,2)->" * len(levels) + "two_layer", ks[0], ks[1], ss[0]))
+        arch = arch.merged(0)
+    if arch.depth == 2:
+        (k1, k2), s1 = arch.filter_sizes, arch.strides[0]
+        levels.append(("merge(1,2)->" * len(levels) + "two_layer", k1, k2, s1))
     return levels
 
 

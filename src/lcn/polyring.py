@@ -25,8 +25,8 @@ the most recent ring: each packed key gets a slot the first time it is
 evaluated, after its parent, the key one lower in its lowest nonzero field.
 So the values of all monomials at a point fill a table with one
 multiplication each, and each polynomial is a sum of coefficients times
-table entries.  The table of the most recent point is kept, so polynomials
-evaluated one at a time at one point share it.
+table entries.  Each call fills its own table and keeps nothing of the
+point, so a generator set at one point takes one :func:`evaluate_many` call.
 
 The minors of a :class:`PolyMatrix` come from one memoised Laplace
 expansion that shares sub-minors on ``(rows, columns)``.  Each minor is
@@ -249,8 +249,9 @@ class MultiPoly:
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at ``point``, one rational per variable in ring order:
-        :func:`evaluate_many` of this one polynomial, so calls at one point
-        share that point's table of monomial values."""
+        :func:`evaluate_many` of this one polynomial, which fills a table of
+        monomial values for this call alone; evaluate a generator set at one
+        point with one :func:`evaluate_many` call instead."""
         return next(evaluate_many((self,), point))
 
     def differentiate(self, name: str) -> "MultiPoly":
@@ -354,14 +355,15 @@ def _monomial_texts(vars_: tuple):
 
 
 class _MonomialProgram(dict):
-    """``packed key -> slot`` for the monomials of one ring, with the value
-    table of the most recent point; see :func:`evaluate_many`.
+    """``packed key -> slot`` for the monomials of one ring; see
+    :func:`evaluate_many`.
 
     Slot 0 is the constant monomial.  A key gets the next free slot the
     first time it is looked up, after its parent: the key one lower in its
     lowest nonzero field and in the total degree.  So ``parents[s] < s``,
     and slot ``s`` holds its parent's value times the scaled variable
     ``factors[s]``: a straight-line program of one multiplication per slot.
+    The program holds no point: each call fills its own value table.
     """
 
     def __init__(self, n: int):
@@ -369,12 +371,8 @@ class _MonomialProgram(dict):
         self.n = n
         self.parents = [0]
         self.factors = [0]
-        # (point tuple, denominator lcm L, scaled coordinates x_i * L, value
-        # table) of the most recent point; table[s] is slot s at those
-        # coordinates.  One attribute, so it is replaced in one step.
-        self.recent = (None, 1, [], [1])
-        # around every growth of the program or of a table, so that threads
-        # evaluating in one ring never see a slot without its step
+        # around every growth of the program, so that threads evaluating in
+        # one ring never see a slot without its step
         self.lock = Lock()
 
     def __missing__(self, key: int) -> int:
@@ -394,24 +392,11 @@ class _MonomialProgram(dict):
                 slot = self[key] = len(self.parents) - 1
             return slot
 
-    def at(self, point: tuple) -> tuple:
-        """``(point, L, nums, table)`` for ``point``: the most recent one
-        when it is equal, else a new one with an empty table, which becomes
-        the most recent."""
-        recent = self.recent
-        if point != recent[0]:
-            xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in point]
-            L = lcm(*[x.denominator for x in xs])
-            nums = [x.numerator * (L // x.denominator) for x in xs]
-            self.recent = recent = (point, L, nums, [1])
-        return recent
-
     def extend(self, table: list, nums: list, top: int):
         """Fill ``table`` at ``nums`` up to slot ``top``."""
-        with self.lock:
-            start = len(table)
-            for parent, var in zip(self.parents[start : top + 1], self.factors[start : top + 1]):
-                table.append(table[parent] * nums[var])
+        start = len(table)
+        for parent, var in zip(self.parents[start : top + 1], self.factors[start : top + 1]):
+            table.append(table[parent] * nums[var])
 
 
 @lru_cache(maxsize=1)
@@ -432,11 +417,9 @@ def evaluate_many(polys: Iterable[MultiPoly], point: Sequence) -> Iterator[Fract
     powers of ``L`` when it is homogeneous) and divides by ``L^D``.  The
     monomial values ``prod (x_i L)^e_i`` come from the ring's monomial
     program: a table of one multiplication per distinct monomial, filled
-    only as far as the polynomials pulled so far need, and kept for the
-    most recent point, so evaluating polynomials one at a time at the same
-    point builds the table once.
+    only as far as the polynomials pulled so far need.  The table belongs
+    to this call, so evaluate a generator set at one point in one call.
     """
-    point = tuple(point)
     ring = None
     for p in polys:
         if p.vars != ring:
@@ -447,7 +430,10 @@ def evaluate_many(polys: Iterable[MultiPoly], point: Sequence) -> Iterator[Fract
             ring = p.vars
             shift = _BITS * len(ring)
             program = _monomial_program(ring)
-            _, L, nums, table = program.at(point)
+            xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in point]
+            L = lcm(*[x.denominator for x in xs])
+            nums = [x.numerator * (L // x.denominator) for x in xs]
+            table = [1]
         terms = p._terms
         if not terms:
             yield _ZERO

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arch import Architecture, compose_filters, sample_neuromanifold
+from .arch import Architecture, compose_filters, expected_dimension, sample_neuromanifold
 from .idealgen import vanishing_generators
 from .polyring import evaluate_many
 from .resultant import IdealGenerators
@@ -49,10 +49,6 @@ class VerificationReport:
             and self.jacobian_rank == self.expected_dim
             and self.nonmember_violations in (None, NONMEMBER_TRIALS)
         )
-
-
-def expected_dimension(arch: Architecture) -> int:
-    return sum(arch.filter_sizes) - (arch.depth - 1)
 
 
 def parametrization_jacobian(arch: Architecture, layer_filters: Sequence) -> np.ndarray:

@@ -3,6 +3,7 @@ import json
 import random
 import sys
 import threading
+import weakref
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -319,18 +320,29 @@ class TestEvaluateAtScale:
         for pt in ambient:
             assert any(evaluate_many(gens, pt))
 
-    def test_equal_point_reuses_program_and_table(self, gens):
+    def test_equal_point_reuses_program(self, gens):
         _, (pt, _) = self.points()
         _monomial_program.cache_clear()
         values = list(evaluate_many(gens, pt))
         program = _monomial_program(gens[0].vars)
-        steps, table = len(program.parents), program.recent[3]
-        entries = len(table)
-        assert steps == entries == len(program)
+        steps = len(program.parents)
+        assert steps == len(program)
         again = list(evaluate_many(gens, tuple(Fraction(x.numerator, x.denominator) for x in pt)))
         assert again == values
         assert len(program.parents) == steps
-        assert program.recent[3] is table and len(table) == entries
+
+    def test_point_does_not_outlive_the_call(self, gens):
+        class Coordinate(Fraction):
+            pass
+
+        _, (pt, _) = self.points()
+        pt = [Coordinate(x) for x in pt]
+        ref = weakref.ref(pt[0])
+        _monomial_program.cache_clear()
+        assert list(evaluate_many(gens, pt)) == [fraction_loop_evaluate(g, pt) for g in gens]
+        del pt
+        gc.collect()
+        assert ref() is None
 
     def test_threads_growing_one_program(self, gens):
         samples, ambient = self.points()
