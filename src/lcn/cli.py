@@ -102,6 +102,8 @@ def cmd_ideal(args) -> int:
 def cmd_eddeg(args) -> int:
     if args.sizes is None and not args.table:
         raise UsageError("give filter sizes (-k) or a table (--table)")
+    if args.tree and args.table:
+        raise UsageError("--tree and --table cannot be combined")
     sizes = () if args.sizes is None else _parse_sizes(args.sizes)
     if any(v < 1 for v in sizes):
         raise UsageError(f"filter sizes must be at least 1, got {sizes}")

@@ -85,33 +85,51 @@ class MergeNode:
     children: tuple
 
 
+def _count(counts: dict, sizes: tuple) -> int:
+    """``generic_ed_degree(sizes)``, computed once per multiset in ``counts``."""
+    key = tuple(sorted(sizes))
+    if key not in counts:
+        counts[key] = generic_ed_degree(key)
+    return counts[key]
+
+
 def merge_tree(filter_sizes: Sequence[int]) -> MergeNode:
     """Tree of counts under dimension-preserving pairwise layer merges.
 
     Merging sizes ``k_i, k_j -> k_i + k_j - 1`` keeps ``kbar`` fixed.
     Children enumerate the distinct merged multisets (the merged size takes
-    the first slot of the pair); recursion stops at two layers.
+    the first slot of the pair); recursion stops at two layers.  Within one
+    call, equal size tuples share one (frozen) node, and each multiset is
+    counted once; nothing is kept between calls.
     """
     sizes = _check_sizes(filter_sizes)
     if len(sizes) < 2:
         raise ValueError("merge tree needs at least two layers")
-    children = []
-    if len(sizes) > 2:
-        seen = set()
-        for i in range(len(sizes)):
-            for j in range(i + 1, len(sizes)):
-                merged = (
-                    sizes[:i]
-                    + (sizes[i] + sizes[j] - 1,)
-                    + sizes[i + 1 : j]
-                    + sizes[j + 1 :]
-                )
-                key = tuple(sorted(merged))
-                if key in seen:
-                    continue
-                seen.add(key)
-                children.append(merge_tree(merged))
-    return MergeNode(sizes, generic_ed_degree(sizes), tuple(children))
+    nodes, counts = {}, {}
+
+    def build(sizes: tuple) -> MergeNode:
+        if sizes in nodes:
+            return nodes[sizes]
+        children = []
+        if len(sizes) > 2:
+            seen = set()
+            for i in range(len(sizes)):
+                for j in range(i + 1, len(sizes)):
+                    merged = (
+                        sizes[:i]
+                        + (sizes[i] + sizes[j] - 1,)
+                        + sizes[i + 1 : j]
+                        + sizes[j + 1 :]
+                    )
+                    key = tuple(sorted(merged))
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    children.append(build(merged))
+        nodes[sizes] = MergeNode(sizes, _count(counts, sizes), tuple(children))
+        return nodes[sizes]
+
+    return build(sizes)
 
 
 def tree_lines(node: MergeNode, indent: int = 0) -> list:
@@ -123,8 +141,9 @@ def tree_lines(node: MergeNode, indent: int = 0) -> list:
 
 
 def two_layer_table(max_k1: int = 9, max_k2: int = 9) -> list:
-    """Rows ``k1 = 2..max_k1`` of counts for two-layer networks."""
+    """Rows ``k1 = 2..max_k1`` of two-layer counts; each pair ``{k1, k2}`` counted once."""
+    counts = {}
     return [
-        [generic_ed_degree((k1, k2)) for k2 in range(2, max_k2 + 1)]
+        [_count(counts, (k1, k2)) for k2 in range(2, max_k2 + 1)]
         for k1 in range(2, max_k1 + 1)
     ]

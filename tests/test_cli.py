@@ -58,13 +58,32 @@ class TestEddeg:
             (("-k", "2,3", "--table", "1", "5"), "--table"),
             (("-k", "5", "--tree"), "two filter sizes"),
             ((), "-k"),
+            (("-k", "2,2,2", "--tree", "--table", "2", "2"), "--tree and --table"),
         ],
     )
     def test_usage_error_prints_nothing(self, capsys, argv, message):
         code, out, err = run(capsys, "eddeg", *argv)
         assert code == 2
         assert out == ""
+        assert "error: " in err
         assert message in err
+
+    @pytest.mark.parametrize(
+        "argv,sha",
+        [
+            (("-k", "7,7,7,7,7,7,7"), "f73724f0ce115faa17b8766d3cf8b888d26ebec091360a2fc8d9beb26e8d6f63"),
+            (("-k", "4,4,4,4,4,4,4,4,4"), "3f6292cad4f682c4c45fe4263ff4bec3eecc70be63e672269da7cf9f2d1bb8ca"),
+            (("-k", "2,3,4,5,6,7", "--tree"), "e4fceef3552789f040a2c8f9b9595efb0886ad8c8c9f060570704dc8152a517b"),
+            (("-k", "2", "--table", "20", "20"), "7f0225353ddd2f82c7ff16d0ae6f3bb8369ceba647d92f171f0c557995c09cf7"),
+        ],
+        ids=["seven-7s", "nine-4s", "tree", "table"],
+    )
+    def test_stdout_pinned(self, capsys, argv, sha):
+        # SHA-256 of stdout recorded before merge trees shared nodes and
+        # counts; pins every value and the order of the tree lines
+        code, out, _ = run(capsys, "eddeg", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 class TestIdeal:

@@ -1,12 +1,15 @@
 import runpy
 import sys
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import eddegree_oracle
+import lcn.eddegree
 from lcn.arch import Architecture
 from lcn.eddegree import (
     arch_ed_degree,
@@ -189,6 +192,71 @@ class TestMergeTree:
         lines = tree_lines(merge_tree((2, 3, 8)))
         assert lines[0] == "C[2,3,8] = 12698"
         assert any(line.strip().startswith("C[") for line in lines[1:])
+
+
+ORACLE_TREES = [s for n in (2, 3, 4) for s in product(range(1, 5), repeat=n)]
+ORACLE_TREES += [(2, 3, 4, 5, 6, 7), (1, 2, 2, 3, 3)]
+
+
+class TestAgainstPlainRecursion:
+    def test_merge_trees_equal_oracle(self):
+        assert len(ORACLE_TREES) == 338
+        for sizes in ORACLE_TREES:
+            root, expected = merge_tree(sizes), eddegree_oracle.merge_tree(sizes)
+            assert root == expected, sizes
+            assert tree_lines(root) == tree_lines(expected), sizes
+
+    def test_two_layer_table_entry_by_entry(self):
+        expected = [[generic_ed_degree((k1, k2)) for k2 in range(2, 21)] for k1 in range(2, 21)]
+        assert two_layer_table(20, 20) == expected
+
+
+class TestSharedWork:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        count = lcn.eddegree.generic_ed_degree
+
+        def counting(sizes):
+            made.append(tuple(sizes))
+            return count(sizes)
+
+        monkeypatch.setattr(lcn.eddegree, "generic_ed_degree", counting)
+        return made
+
+    def test_merge_tree_counts_each_multiset_once(self, calls):
+        root = merge_tree((2, 3, 4, 5, 6, 7))
+        assert len(calls) == len({tuple(sorted(c)) for c in calls}) == 108
+
+        visited = []
+
+        def walk(node):
+            visited.append(node)
+            for child in node.children:
+                walk(child)
+
+        walk(root)
+        assert len(visited) == len(tree_lines(root)) == 2836
+        by_sizes = {}
+        for node in visited:
+            assert by_sizes.setdefault(node.filter_sizes, node) is node
+        assert len({id(node) for node in visited}) == len(by_sizes) == 182
+
+    def test_equal_tuple_by_two_paths_is_one_node(self):
+        # (7,5) is reached from (4,4,5), (5,3,5) and (2,6,5)
+        root = merge_tree((2, 3, 4, 5))
+        reached = [c for p in root.children for c in p.children if c.filter_sizes == (7, 5)]
+        assert len(reached) == 3
+        assert reached[0] is reached[1] is reached[2]
+
+    def test_nothing_shared_between_calls(self, calls):
+        first, second = merge_tree((2, 3, 4)), merge_tree((2, 3, 4))
+        assert first == second and first is not second
+        assert len(calls) == 2 * len(set(calls)) == 8
+
+    def test_two_layer_table_counts_each_pair_once(self, calls):
+        two_layer_table(20, 20)
+        assert len(calls) == len(set(calls)) == 190
 
 
 class TestTablesScript:
