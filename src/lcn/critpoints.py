@@ -13,12 +13,13 @@ critical points solve the square Lagrange system
     f(w) = 0,      T (w - u) = lambda * grad f(w)
 
 in ``(w, lambda)``.  We count its isolated complex solutions by damped
-Newton iteration from many random complex starts, deduplicate converged
-points, and compare against the predicted count.  Points on the singular
-locus (vanishing gradient) are discarded: the distance function is only
-defined on the smooth part.  Starts are solved in batches, one numpy array
-per chunk of starts, with the same random draws and the same per-start
-Newton path as solving them one at a time.
+Newton iteration from every one of many random complex starts and
+deduplicate converged points; comparing the count with the predicted one
+is the caller's job.  Points on the singular locus (vanishing gradient) are
+discarded: the distance function is only defined on the smooth part.
+Starts are solved in batches, one numpy array per chunk of starts, with the
+same random draws and the same per-start Newton path as solving them one at
+a time.
 
 A Newton step builds the Jacobian from the Hessian of ``f``, evaluated once
 per step on the rows about to be solved; the line search needs only ``f``
@@ -125,7 +126,8 @@ def seeded_problem(arch: Architecture, data_seed: int, d_out: int):
 
 # Newton steps allowed per start before the start is given up.
 _MAX_NEWTON_STEPS = 100
-# Starts solved together; only bounds the arrays when ``starts`` is large.
+# Starts solved together as one set of arrays.  It bounds their size, so they
+# stay in cache; which points are found does not depend on it.
 _CHUNK = 256
 
 # Why a start adds no point: Newton's three ways to give up, a converged
@@ -192,17 +194,15 @@ class CriticalPoint:
 
 @dataclass
 class CriticalPointReport:
-    """Distinct points found, and the starts used that found none.
-
-    ``failures`` counts those starts by cause (``FAILURE_KINDS``), so
-    ``distinct_count + sum(failures.values()) == starts_used``.
-    """
+    """Distinct points found, and the starts that found none, counted by
+    cause (``FAILURE_KINDS``)."""
 
     points: list
-    expected: "int | None"
-    starts_used: int
-    saturated: bool
     failures: dict
+
+    @property
+    def starts_used(self) -> int:
+        return self.distinct_count + sum(self.failures.values())
 
     @property
     def distinct_count(self) -> int:
@@ -310,21 +310,17 @@ def _newton(system, T, u, tol, Z, V=None):
 
 
 def solve_critical_points(
-    problem: WeightedDistanceProblem,
-    starts: int = 500,
-    seed: int = 0,
-    expected: "int | None" = None,
+    problem: WeightedDistanceProblem, starts: int = 500, seed: int = 0
 ) -> CriticalPointReport:
     """Count distinct complex critical points by multi-start damped Newton.
 
     Starts are complex Gaussians scaled to |u|; each is refined to residual
     below 1e-12 relative to the problem scale or discarded.  Starts are
     drawn and refined in chunks, as arrays, but every start follows its own
-    Newton path and the draws are those of one start at a time.  Converged
-    points are deduplicated at relative distance 1e-8 in (w, lambda), in
-    start order.  The search stops early once the expected count is reached
-    and no new point has shown up for 60% of the start budget; falling short
-    of ``expected`` after the full budget is reported via ``saturated=False``.
+    Newton path and the draws are those of one start at a time.  Every start
+    is solved; converged points are deduplicated at relative distance 1e-8
+    in (w, lambda), in start order.  Comparing the count with a prediction
+    is left to the caller.
     """
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts}")
@@ -332,6 +328,8 @@ def solve_critical_points(
     k = len(f.vars)
     T = np.asarray(problem.T, dtype=float)
     u = np.asarray(problem.u, dtype=float)
+    if not (np.all(np.isfinite(T)) and np.all(np.isfinite(u))):
+        raise ValueError("T and u must have finite entries")
     if T.shape != (k, k) or not np.allclose(T, T.T):
         raise ValueError(f"T must be a symmetric {k} x {k} matrix for an equation in {k} variables")
     if u.shape != (k,):
@@ -348,55 +346,36 @@ def solve_critical_points(
     rng = np.random.default_rng(seed)
     amp = max(1.0, float(np.linalg.norm(u)))
 
-    def runs():
-        """``(w, lambda, grad f, residual norm, status)`` per start, in start order."""
-        for first in range(0, starts, _CHUNK):
-            z = rng.standard_normal((min(_CHUNK, starts - first), 2, k))
-            Z = np.zeros((len(z), k + 1), dtype=complex)
-            Z[:, :k] = (z[:, 0] + 1j * z[:, 1]) * amp / np.sqrt(2)
-            V = system.values(Z[:, :k])
-            G0 = V[:, 1:]
-            denom = np.sum(G0.conj() * G0, axis=1)
-            num = np.sum(G0.conj() * ((Z[:, :k] - u) @ T.T), axis=1)
-            np.divide(num, denom, out=Z[:, k], where=np.abs(denom) > 1e-30)
-            Z, G, nF, status = _newton(system, T, u, tol, Z, V)
-            yield from zip(Z[:, :k], Z[:, k], G, nF, status)
-
     found = []
     found_vecs = []
     failures = dict.fromkeys(FAILURE_KINDS, 0)
-    last_new = -1
-    used = 0
-    for idx, (w, lam, grad, res, status) in enumerate(runs()):
-        used = idx + 1
-        if status != _CONVERGED:
-            failures[FAILURE_KINDS[status]] += 1
-        elif not np.linalg.norm(grad) >= 1e-8 * max(1.0, np.linalg.norm(w)):
-            failures["singular_locus"] += 1
-        else:
-            # gradient nonzero: the point lies on the smooth locus
-            vec = np.concatenate([w, [lam]])
-            is_dup = any(
+    for first in range(0, starts, _CHUNK):
+        z = rng.standard_normal((min(_CHUNK, starts - first), 2, k))
+        Z = np.zeros((len(z), k + 1), dtype=complex)
+        Z[:, :k] = (z[:, 0] + 1j * z[:, 1]) * amp / np.sqrt(2)
+        V = system.values(Z[:, :k])
+        G0 = V[:, 1:]
+        denom = np.sum(G0.conj() * G0, axis=1)
+        num = np.sum(G0.conj() * ((Z[:, :k] - u) @ T.T), axis=1)
+        np.divide(num, denom, out=Z[:, k], where=np.abs(denom) > 1e-30)
+        Z, G, nF, status = _newton(system, T, u, tol, Z, V)
+        for vec, grad, res, st in zip(Z, G, nF, status):
+            w = vec[:k]
+            if st != _CONVERGED:
+                failures[FAILURE_KINDS[st]] += 1
+            elif not np.linalg.norm(grad) >= 1e-8 * max(1.0, np.linalg.norm(w)):
+                failures["singular_locus"] += 1
+            elif any(
                 np.linalg.norm(vec - other)
                 < 1e-8 * max(1.0, np.linalg.norm(vec), np.linalg.norm(other))
                 for other in found_vecs
-            )
-            if is_dup:
+            ):
+                # gradient nonzero, so on the smooth locus, but already found
                 failures["duplicate"] += 1
             else:
                 found_vecs.append(vec)
                 is_real = float(np.max(np.abs(vec.imag))) < 1e-8 * max(
                     1.0, float(np.linalg.norm(vec))
                 )
-                found.append(CriticalPoint(w, complex(lam), float(res) / scale, is_real))
-                last_new = idx
-        # stop early once the target is met and no new point has appeared
-        # for 60% of the start budget
-        if (
-            expected is not None
-            and len(found) == expected
-            and idx - last_new >= 0.6 * starts
-        ):
-            break
-    saturated = expected is None or len(found) >= expected
-    return CriticalPointReport(found, expected, used, saturated, failures)
+                found.append(CriticalPoint(w, complex(vec[k]), float(res) / scale, is_real))
+    return CriticalPointReport(found, failures)

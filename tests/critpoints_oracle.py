@@ -2,10 +2,10 @@
 
 ``sequential_solve`` is the one-start-at-a-time damped Newton that
 ``lcn.critpoints.solve_critical_points`` batches: same draws, tolerances,
-line search, singular-locus test, deduplication and early stop, with each
-start evaluated through ``w ** exps`` and solved by its own
-``np.linalg.solve``.  The only addition is the tally of lost starts, so
-the batched failure counts are checked against it too.  ``newton`` is its
+line search, singular-locus test and deduplication, with each start
+evaluated through ``w ** exps`` and solved by its own ``np.linalg.solve``.
+The only addition is the tally of lost starts, so the batched failure
+counts are checked against it too.  ``newton`` is its
 Newton iteration for one start, whose line search halves ``t`` one trial
 at a time while ``t > MIN_STEP``.
 
@@ -118,10 +118,7 @@ def newton(system, T, u, tol, w, lam):
 
 
 def sequential_solve(
-    problem: WeightedDistanceProblem,
-    starts: int = 500,
-    seed: int = 0,
-    expected: "int | None" = None,
+    problem: WeightedDistanceProblem, starts: int = 500, seed: int = 0
 ) -> CriticalPointReport:
     """Count distinct complex critical points, one Newton start at a time."""
     k = len(problem.f.vars)
@@ -143,10 +140,7 @@ def sequential_solve(
     found = []
     found_vecs = []
     failures = dict.fromkeys(FAILURE_KINDS, 0)
-    last_new = -1
-    used = 0
-    for idx in range(starts):
-        used = idx + 1
+    for _ in range(starts):
         w0 = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * amp / np.sqrt(2)
         _, grad0, _ = system(w0)
         denom = np.vdot(grad0, grad0)
@@ -170,18 +164,8 @@ def sequential_solve(
                         1.0, float(np.linalg.norm(vec))
                     )
                     found.append(CriticalPoint(w, complex(lam), res / scale, is_real))
-                    last_new = idx
                 else:
                     failures["duplicate"] += 1
             else:
                 failures["singular_locus"] += 1
-        # stop early once the target is met and no new point has appeared
-        # for 60% of the start budget
-        if (
-            expected is not None
-            and len(found) == expected
-            and idx - last_new >= 0.6 * starts
-        ):
-            break
-    saturated = expected is None or len(found) >= expected
-    return CriticalPointReport(found, expected, used, saturated, failures)
+    return CriticalPointReport(found, failures)

@@ -187,9 +187,8 @@ def test_criterion_7_critical_point_counts():
             arch = Architecture(sizes, (2, 1))
             assert arch_ed_degree(arch) == expected
             _, _, prob = seeded_problem(arch, 7, 3)
-            report = solve_critical_points(prob, starts=2000, seed=42, expected=expected)
+            report = solve_critical_points(prob, starts=2000, seed=42)
             assert report.distinct_count == expected, (sizes, report.distinct_count)
-            assert report.saturated
             assert report.max_residual < 1e-10
             vecs = [np.concatenate([p.w, [p.multiplier]]) for p in report.points]
             for v in vecs:

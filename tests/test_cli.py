@@ -315,6 +315,32 @@ class TestCritpoints:
         assert code == 2
         assert "--json" in err
 
+    # The benchmark's (2,2) operations at its seed 1: (--seed, --data-seed)
+    # and the (distinct, real) counts that 100 starts find.
+    @pytest.mark.parametrize(
+        "seed,data_seed,counts",
+        [
+            (1360519128, 854298711, (6, 2)),
+            (1297078773, 1460426806, (6, 2)),
+            (1486213216, 1982260984, (6, 2)),
+            (2107584400, 1304393579, (5, 1)),
+            (305538746, 776982476, (6, 2)),
+            (517455722, 1048435624, (5, 1)),
+            (608914157, 439391812, (6, 2)),
+            (669840859, 636460010, (6, 2)),
+        ],
+    )
+    def test_benchmark_counts_pinned(self, capsys, seed, data_seed, counts):
+        code, out, _ = run(
+            capsys, "critpoints", "-k", "2,2", "-s", "2,1", "--format", "json",
+            "--starts", "100", "--seed", str(seed), "--data-seed", str(data_seed),
+        )
+        payload = json.loads(out)
+        assert (payload["distinct"], payload["real"]) == counts
+        assert payload["starts_used"] == 100
+        assert payload["saturated"] == (counts[0] == 6)
+        assert code == (0 if payload["saturated"] else 1)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

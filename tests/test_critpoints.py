@@ -192,15 +192,14 @@ class TestSolve:
     def test_count_2_2(self):
         arch = Architecture((2, 2), (2, 1))
         _, _, prob = seeded_problem(arch, 7, 3)
-        report = solve_critical_points(prob, starts=500, seed=42, expected=6)
+        report = solve_critical_points(prob, starts=500, seed=42)
         assert report.distinct_count == 6
-        assert report.saturated
         assert report.max_residual < 1e-10
 
     def test_conjugation_closure_and_parity(self):
         arch = Architecture((2, 2), (2, 1))
         _, _, prob = seeded_problem(arch, 7, 3)
-        report = solve_critical_points(prob, starts=500, seed=42, expected=6)
+        report = solve_critical_points(prob, starts=500, seed=42)
         vecs = [np.concatenate([p.w, [p.multiplier]]) for p in report.points]
         for v in vecs:
             assert any(
@@ -212,7 +211,7 @@ class TestSolve:
     def test_points_satisfy_equations(self):
         arch = Architecture((2, 2), (2, 1))
         _, _, prob = seeded_problem(arch, 7, 3)
-        report = solve_critical_points(prob, starts=400, seed=1, expected=6)
+        report = solve_critical_points(prob, starts=400, seed=1)
         T, u = prob.T, prob.u
         for p in report.points:
             A, B, C, D = p.w
@@ -263,9 +262,20 @@ class TestSolve:
     def test_shortfall_reported(self):
         arch = Architecture((2, 2), (2, 1))
         _, _, prob = seeded_problem(arch, 7, 3)
-        report = solve_critical_points(prob, starts=3, seed=0, expected=6)
-        assert not report.saturated
+        report = solve_critical_points(prob, starts=3, seed=0)
         assert report.distinct_count < 6
+
+    @pytest.mark.parametrize("name", ["T", "u"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, name, bad):
+        _, _, prob = seeded_problem(Architecture((2, 2), (2, 1)), 7, 3)
+        T, u = prob.T.copy(), prob.u.copy()
+        if name == "T":
+            T[1, 2] = T[2, 1] = bad
+        else:
+            u[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve_critical_points(WeightedDistanceProblem(T, u, prob.f), starts=50, seed=0)
 
     def test_wrong_target_length_rejected(self):
         f = vanishing_generators(Architecture((2, 2), (2, 1))).generators[0]
@@ -277,7 +287,7 @@ class TestSolve:
     def test_start_count_below_one_rejected(self, starts):
         _, _, prob = seeded_problem(Architecture((2, 2), (2, 1)), 7, 3)
         with pytest.raises(ValueError, match="starts must be at least 1"):
-            solve_critical_points(prob, starts=starts, seed=0, expected=6)
+            solve_critical_points(prob, starts=starts, seed=0)
 
     def test_equation_in_wrong_dimension_rejected(self):
         f = vanishing_generators(Architecture((3, 2), (2, 1))).generators[0]
@@ -291,7 +301,6 @@ def assert_same_report(report, oracle):
     assert report.distinct_count == oracle.distinct_count
     assert report.real_count == oracle.real_count
     assert report.starts_used == oracle.starts_used
-    assert report.saturated == oracle.saturated
     assert report.failures == oracle.failures
     for p, q in zip(report.points, oracle.points):
         np.testing.assert_allclose(p.w, q.w, rtol=1e-9, atol=0)
@@ -307,15 +316,15 @@ class TestBatchedNewton:
     def test_matches_sequential(self, sizes, seed, data_seed):
         arch = Architecture(sizes, (2, 1))
         _, _, prob = seeded_problem(arch, data_seed, 3)
-        expected = arch_ed_degree(arch)
-        report = solve_critical_points(prob, starts=100, seed=seed, expected=expected)
-        assert_same_report(report, sequential_solve(prob, starts=100, seed=seed, expected=expected))
+        report = solve_critical_points(prob, starts=100, seed=seed)
+        assert_same_report(report, sequential_solve(prob, starts=100, seed=seed))
 
-    def test_early_stop_matches_sequential(self):
+    def test_many_chunks_match_sequential(self):
+        # 2000 starts span eight chunks, every one of them solved
         _, _, prob = seeded_problem(Architecture((2, 2), (2, 1)), 7, 3)
-        report = solve_critical_points(prob, starts=2000, seed=42, expected=6)
-        assert report.starts_used == 1269
-        assert_same_report(report, sequential_solve(prob, starts=2000, seed=42, expected=6))
+        report = solve_critical_points(prob, starts=2000, seed=42)
+        assert report.starts_used == 2000
+        assert_same_report(report, sequential_solve(prob, starts=2000, seed=42))
 
     def test_identity_weight_matches_sequential(self):
         # the Frobenius case of acceptance criterion 7
@@ -345,10 +354,12 @@ class TestBatchedNewton:
 
     @pytest.mark.parametrize("starts,expected", [(100, 6), (2000, 6), (7, None)])
     def test_failures_account_for_every_start(self, starts, expected):
+        # ``expected`` is the count found when the starts are enough to find it
         _, _, prob = seeded_problem(Architecture((2, 2), (2, 1)), 7, 3)
-        report = solve_critical_points(prob, starts=starts, seed=42, expected=expected)
+        report = solve_critical_points(prob, starts=starts, seed=42)
         assert tuple(report.failures) == FAILURE_KINDS
-        assert report.distinct_count + sum(report.failures.values()) == report.starts_used
+        assert report.distinct_count + sum(report.failures.values()) == starts
+        assert expected is None or report.distinct_count == expected
 
 
 class CountingSystem(_CompiledSystem):
@@ -381,7 +392,7 @@ class TestLineSearch:
     def converged(self):
         # converged points of (3,2), and copies perturbed at relative 1e-6
         _, _, prob = seeded_problem(Architecture((3, 2), (2, 1)), 7, 3)
-        report = solve_critical_points(prob, starts=100, seed=5, expected=10)
+        report = solve_critical_points(prob, starts=100, seed=5)
         Z = np.array([np.concatenate([p.w, [p.multiplier]]) for p in report.points])
         rng = np.random.default_rng(9)
         noise = rng.standard_normal(Z.shape) + 1j * rng.standard_normal(Z.shape)
@@ -429,7 +440,7 @@ class TestEvaluationCounts:
         monkeypatch.setattr("lcn.critpoints._CompiledSystem", make_system)
         monkeypatch.setattr("lcn.critpoints._solve_rows", counted_solve)
         _, _, prob = seeded_problem(Architecture((3, 2), (2, 1)), 7, 3)
-        report = solve_critical_points(prob, starts=100, seed=5, expected=10)
+        report = solve_critical_points(prob, starts=100, seed=5)
         (system,) = systems
         steps = len(solved)
         assert report.starts_used == 100 and steps > 0

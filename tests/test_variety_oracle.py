@@ -61,7 +61,6 @@ class TestOnVariety:
         arch, w = case
         gens = generators(reduce_arch(arch))
         expected = on_variety(arch, w)
-        assert expected == all(g.evaluate(w) == 0 for g in gens)
         assert expected == (not any(evaluate_many(gens, w)))
 
     def test_top_slot_matrix_decides(self):
