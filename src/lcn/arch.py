@@ -7,9 +7,9 @@ strides before layer ``l``.  The last stride never influences the end-to-end
 filter, but it is kept as given: the stride of the composed convolution, and
 with it the training data model, is the product of all strides.
 
-Filters are plain sequences (ints, Fractions, floats or complex); all the
-helpers here are generic over the entry type so exact and numeric callers
-share one code path.
+Filters are plain sequences (ints, Fractions, floats, complex or
+polynomials); all the helpers here are generic over the entry type so
+exact, numeric and symbolic callers share one code path.
 """
 
 from __future__ import annotations

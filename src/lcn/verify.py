@@ -1,16 +1,23 @@
-"""Cross-cutting checks: exact sampling against generators, dimension, rank.
+"""Cross-cutting checks: exact membership proof, dimension, nonmembership.
 
-The generated equations are certified set-theoretically: every composable
-filter (sampled with exact rational layer entries) must satisfy every
-generator with value exactly zero, while random ambient points must violate
-at least one.  Both checks evaluate the whole generator set at a point with
-one call of :func:`lcn.polyring.evaluate_many`, which fills one table of
-the monomials' values at the point (one multiplication per monomial of the
-ring) and yields the exact values lazily, so a nonmember stops at its first
-nonzero generator and fills the table only as far as it got.  The
-dimension claim ``sum k_i - (L - 1)`` is checked through the rank of the
-parametrization Jacobian, which for a multilinear map is assembled
-column-by-column from unit-vector substitutions.
+That the generators vanish on the whole neuromanifold is proved, not
+sampled: every layer entry becomes a fresh symbol, the composed filter
+``phi(theta)`` is a vector of polynomials in them, and each generator
+composed with ``phi`` must be the zero polynomial
+(:func:`lcn.polyring.nonzero_compositions`).  This proves image ⊆ V(gens),
+and so closure ⊆ V(gens).
+
+The dimension ``sum k_i - (L - 1)`` is proved by the exact rank of the
+parametrization Jacobian at one rational sample.  The parametrization is
+unchanged by rescaling between layers, so no point has a larger rank, and
+the rank at any one point bounds the generic rank from below.  For a
+multilinear map the Jacobian is assembled column by column from unit-vector
+substitutions.
+
+The reverse inclusion has no such certificate here: random ambient points
+must each violate a generator, a smoke test that evaluates the whole
+generator set at a point with one call of :func:`lcn.polyring.evaluate_many`
+and stops at the first nonzero value.
 """
 
 from __future__ import annotations
@@ -18,26 +25,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
-
-import numpy as np
 
 from .arch import Architecture, compose_filters, expected_dimension, sample_neuromanifold
 from .idealgen import vanishing_generators
-from .polyring import evaluate_many
+from .polyring import MultiPoly, evaluate_many, nonzero_compositions, symbols
 from .resultant import IdealGenerators
-
-
-# Random ambient points per nonmembership check of :func:`verify_ideal`.
-NONMEMBER_TRIALS = 20
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     architecture: Architecture
-    samples_tested: int
+    samples_tested: int  # random ambient points of the nonmembership test
     generators_tested: int
-    failures: tuple
+    failures: tuple  # indices of the generators that do not vanish on the image
     jacobian_rank: int
     expected_dim: int
     nonmember_violations: "int | None"  # None when there are no generators
@@ -47,12 +49,24 @@ class VerificationReport:
         return (
             not self.failures
             and self.jacobian_rank == self.expected_dim
-            and self.nonmember_violations in (None, NONMEMBER_TRIALS)
+            and self.nonmember_violations in (None, self.samples_tested)
         )
 
 
-def parametrization_jacobian(arch: Architecture, layer_filters: Sequence) -> np.ndarray:
-    """Jacobian of (layer filters) -> end-to-end filter at the given point.
+def symbolic_filter(arch: Architecture) -> list:
+    """The composed filter ``phi(theta)`` as polynomials in one fresh symbol
+    ``t0, t1, ...`` per layer entry, layer by layer."""
+    atoms = symbols(f"t{i}" for i in range(sum(arch.filter_sizes)))
+    ends = list(accumulate(arch.filter_sizes, initial=0))
+    layers = [atoms[a:b] for a, b in zip(ends, ends[1:])]
+    zero = MultiPoly.constant(atoms[0].vars, 0)
+    # entries between the taps of a strided layer stay the int 0
+    return [zero + c for c in compose_filters(arch, layers)]
+
+
+def parametrization_jacobian(arch: Architecture, layer_filters: Sequence) -> tuple:
+    """Exact Jacobian of (layer filters) -> end-to-end filter at the given
+    point, one row per filter entry and one column per layer entry.
 
     The composition is linear in each layer, so column (l, t) is the
     composed filter with layer l replaced by the t-th unit vector.
@@ -60,52 +74,57 @@ def parametrization_jacobian(arch: Architecture, layer_filters: Sequence) -> np.
     cols = []
     for l, k_l in enumerate(arch.filter_sizes):
         for t in range(k_l):
-            unit = tuple(1 if i == t else 0 for i in range(k_l))
             subst = list(layer_filters)
-            subst[l] = unit
-            cols.append([float(v) for v in compose_filters(arch, subst)])
-    return np.array(cols, dtype=float).T
+            subst[l] = tuple(1 if i == t else 0 for i in range(k_l))
+            cols.append(compose_filters(arch, subst))
+    return tuple(zip(*cols))
 
 
-def numeric_rank(matrix: np.ndarray, rel_tol: float = 1e-8) -> int:
-    """Rank with singular values below rel_tol * sigma_max treated as zero."""
-    sv = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
-    if len(sv) == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
+def exact_rank(rows: Sequence[Sequence]) -> int:
+    """Rank over the rationals, by elimination on ``Fraction`` entries."""
+    pending = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    while pending:
+        top = pending.pop()
+        col = next((j for j, v in enumerate(top) if v), None)
+        if col is None:
+            continue
+        rank += 1
+        for row in pending:
+            if row[col]:
+                factor = row[col] / top[col]
+                row[:] = [v - factor * t for v, t in zip(row, top)]
+    return rank
 
 
 def verify_ideal(arch: Architecture, n_samples: int = 100, seed: int = 0) -> VerificationReport:
-    """Exact membership of sampled filters, nonmembership of random points
-    and a numeric dimension check, all on one generator set.
+    """Exact membership of the whole image, exact dimension and
+    nonmembership of ``n_samples`` random ambient points, all on one
+    generator set.
 
-    Failures are collected, not raised: entry (i, j) means sample i violated
-    generator j.  The Jacobian is evaluated at a random sample; a sample
-    flagged singular (rank below expected) is retried once at a fresh point
-    and the better rank is reported.
+    Failures are collected, not raised: ``failures`` holds the indices of
+    the generators whose composition with ``phi`` is not zero.  The Jacobian
+    is taken at a random sample; a sample of rank below the expected
+    dimension is retried once at a fresh one and the better rank is
+    reported.
     """
     gens = vanishing_generators(arch)
-    rng = random.Random(seed)
-    failures = []
-    for i in range(n_samples):
-        _, w = sample_neuromanifold(arch, rng.randrange(2**62))
-        failures.extend((i, j) for j, v in enumerate(evaluate_many(gens.generators, w)) if v)
-
+    failures = nonzero_compositions(gens.generators, symbolic_filter(arch))
     expected = expected_dimension(arch)
+    rng = random.Random(seed)
     rank = -1
     for _ in range(2):
         layers, _ = sample_neuromanifold(arch, rng.randrange(2**62))
-        J = parametrization_jacobian(arch, layers)
-        rank = max(rank, numeric_rank(J))
+        rank = max(rank, exact_rank(parametrization_jacobian(arch, layers)))
         if rank == expected:
             break
-    nonmember = smoke_nonmembership(gens, NONMEMBER_TRIALS, seed) if gens.generators else None
+    nonmember = smoke_nonmembership(gens, n_samples, seed) if gens.generators else None
     return VerificationReport(
-        arch, n_samples, len(gens.generators), tuple(failures), rank, expected, nonmember
+        arch, n_samples, len(gens.generators), failures, rank, expected, nonmember
     )
 
 
-def smoke_nonmembership(gens: IdealGenerators, n_trials: int = NONMEMBER_TRIALS, seed: int = 0) -> int:
+def smoke_nonmembership(gens: IdealGenerators, n_trials: int, seed: int = 0) -> int:
     """How many random ambient points violate at least one generator.
 
     Random points miss a lower-dimensional variety, so for the generators of

@@ -1,12 +1,14 @@
 import hashlib
 import json
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
 import lcn.verify
 from lcn.arch import Architecture
-from lcn.cli import main
+from lcn.cli import _build_parser, main
+from lcn.polyring import MultiPoly
 
 
 def run(capsys, *argv):
@@ -167,13 +169,29 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["ok"] is True
         assert payload["failures"] == []
-        assert payload["nonmember_violations"] == 20
+        assert payload["samples"] == 10
+        assert payload["nonmember_violations"] == 10
+
+    def test_json_failures_are_generator_indices(self, capsys, monkeypatch):
+        original = lcn.verify.vanishing_generators
+
+        def with_constant(arch):
+            gens = original(arch)
+            one = MultiPoly.constant(gens.variables, 1)
+            return replace(gens, generators=gens.generators[:2] + (one,) + gens.generators[2:])
+
+        monkeypatch.setattr(lcn.verify, "vanishing_generators", with_constant)
+        code, out, _ = run(capsys, "verify", "-k", "5,2", "-s", "3,1", "--samples", "3", "--format", "json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["failures"] == [2]
+        assert payload["ok"] is False
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_nonmembership_shortfall_fails(self, capsys, monkeypatch, fmt):
         monkeypatch.setattr(lcn.verify, "smoke_nonmembership", lambda *args, **kwargs: 19)
         code, out, _ = run(
-            capsys, "verify", "-k", "2,2", "-s", "2,1", "--samples", "5", "--format", fmt,
+            capsys, "verify", "-k", "2,2", "-s", "2,1", "--samples", "20", "--format", fmt,
         )
         assert code == 1
         if fmt == "json":
@@ -197,6 +215,27 @@ class TestVerify:
         assert code == 0
         assert len(built) == 1
 
+
+    # The benchmark's verify command lines at seed 1: generator count and the
+    # SHA-256 of the whole stdout.
+    BENCHMARK_LINES = {
+        ("5,3,2", "2,2,1", 30): (464, "f77a96feac4f105ddb5db817461bda01b103f85aac3171529d12775cb2c89de1"),
+        ("3,3,3", "2,2,1", 60): (163, "79e81375ab06e52ddec0d797037e1e0524bef8043775207d223a48eba55bbbe1"),
+        ("5,5", "2,1", 60): (56, "34b7c8b003a0d959a483ecbfd28350e25a83abfa2a534152487236a1cca9ad66"),
+        ("4,3", "3,1", 100): (40, "1977f26c4207d348f9302f7b85ec49f5962e0cee4fa070d9b8558b9f207f6867"),
+        ("3,2,2", "2,2,1", 100): (42, "df9fd5d89332e7edff82ef9649f26df842130524a8e360f2328e061c5b27b12a"),
+    }
+
+    @pytest.mark.parametrize("line", BENCHMARK_LINES)
+    def test_benchmark_lines_pinned(self, capsys, line):
+        k, s, n = line
+        gens, sha = self.BENCHMARK_LINES[line]
+        code, out, _ = run(capsys, "verify", "-k", k, "-s", s, "--samples", str(n), "--seed", "1")
+        assert code == 0
+        assert f"generators     : {gens}\n" in out
+        assert f"nonmembership  : {n}/{n} random points violate a generator\n" in out
+        assert out.splitlines()[-1] == "ok"
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
 
     def test_negative_samples_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "-k", "2,2", "-s", "2,1", "--samples", "-1")
@@ -360,3 +399,18 @@ class TestDeterminism:
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    def test_one_parser_serves_every_call(self, capsys):
+        calls = [
+            ("verify", "-k", "2,2", "-s", "2,1", "--samples", "-1"),
+            ("eddeg", "-k", "2,3,4,5", "--tree"),
+            ("verify", "-k", "3,2,2", "-s", "2,2,1", "--samples", "5", "--seed", "2"),
+        ]
+        separate = []
+        for argv in calls:
+            _build_parser.cache_clear()
+            separate.append(run(capsys, *argv))
+        assert [code for code, _, _ in separate] == [2, 0, 0]
+        # a usage error on the shared parser leaves nothing behind for the next call
+        assert [run(capsys, *argv) for argv in calls] == separate
+        assert _build_parser() is _build_parser()

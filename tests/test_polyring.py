@@ -22,6 +22,7 @@ from lcn.polyring import (
     determinant,
     evaluate_many,
     minor_expansion,
+    nonzero_compositions,
     symbols,
 )
 
@@ -210,6 +211,81 @@ class TestEvaluateMany:
 
         assert any(evaluate_many(counting(), (1, 2, 3)))
         assert pulled == [u * v - w]
+
+
+def composed(p, values):
+    """``p`` with each variable replaced by its polynomial in ``values``,
+    by ring arithmetic (oracle for ``nonzero_compositions``)."""
+    total = MultiPoly.constant(values[0].vars, 0)
+    for exps, coeff in p.terms.items():
+        term = MultiPoly.constant(values[0].vars, coeff)
+        for value, e in zip(values, exps):
+            term = term * value**e
+        total = total + term
+    return total
+
+
+XY = ("x", "y")
+
+
+@st.composite
+def xy_polys(draw):
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3), max_size=3))
+    return MultiPoly(XY, terms)
+
+
+class TestNonzeroCompositions:
+    @given(st.lists(rational_polys(), max_size=6), st.tuples(xy_polys(), xy_polys(), xy_polys()))
+    @example([poly3({(1, 1, 0): 1, (0, 0, 1): -1}), poly3({(0, 2, 0): 1})], (symbols(XY)[0], symbols(XY)[1], symbols(XY)[0] * symbols(XY)[1]))
+    def test_matches_ring_arithmetic(self, ps, values):
+        expected = tuple(i for i, p in enumerate(ps) if composed(p, values))
+        assert nonzero_compositions(ps, values) == expected
+
+    def test_cancellation(self):
+        u, v, w = symbols(VARS3)
+        x, y = symbols(XY)
+        # (x + y)^2 - x^2 - 2xy - y^2 vanishes; u*v - w at (x, y, x*y) too
+        ps = (u**2 - v**2 - 2 * v * w - w**2, u * v - w, u * v + w, poly3({}), poly3({(0, 0, 0): 5}))
+        assert nonzero_compositions(ps, (x + y, x, y)) == (1, 2, 4)
+        assert nonzero_compositions(ps, (x, y, x * y)) == (0, 2, 4)
+
+    def test_empty_set(self):
+        assert nonzero_compositions((), symbols(XY)) == ()
+
+    def test_empty_ring(self):
+        ps = (MultiPoly.constant((), 3), MultiPoly.constant((), 0))
+        assert nonzero_compositions(ps, ()) == (0,)
+
+    def test_mixed_rings_rejected(self):
+        u, _, _ = symbols(VARS3)
+        x, _ = symbols(XY)
+        with pytest.raises(ValueError, match="different rings"):
+            nonzero_compositions((u, x), symbols(XY) + (x,))
+
+    def test_value_count_checked(self):
+        with pytest.raises(ValueError, match="2 values in a ring with 3 variables"):
+            nonzero_compositions(symbols(VARS3), symbols(XY))
+
+    def test_slots_are_released_after_their_last_use(self, monkeypatch):
+        gens = vanishing_generators(Architecture((3, 3, 3), (2, 2, 1))).generators
+        xs = symbols(f"x{i}" for i in range(len(gens[0].vars)))
+        values = tuple(x + 1 for x in xs)
+        made = []
+        live = []
+        mul = MultiPoly.__mul__
+
+        def tracking(a, b):
+            # a product is live while anything but ``made`` holds it
+            live.append(sum(sys.getrefcount(q) > 3 for q in made))
+            made.append(mul(a, b))
+            return made[-1]
+
+        monkeypatch.setattr(MultiPoly, "__mul__", tracking)
+        _monomial_program.cache_clear()
+        assert nonzero_compositions(gens, values) == tuple(range(len(gens)))
+        assert len(made) == len(_monomial_program(gens[0].vars).parents) - 1
+        assert max(live) < len(made) / 2
+        assert sum(sys.getrefcount(q) > 3 for q in made) == 0
 
 
 def ladder3():
