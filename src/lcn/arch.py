@@ -21,6 +21,22 @@ from math import prod
 from typing import Sequence
 
 
+def _integers(values: Sequence, what: str) -> tuple:
+    """``values`` as a tuple of ints.
+
+    Raises ValueError naming ``what`` unless every entry equals an integer:
+    ``2.0`` and numpy integers pass, ``2.5``, ``inf`` and ``nan`` do not.
+    """
+    values = tuple(values)
+    try:
+        ints = tuple(map(int, values))
+    except (OverflowError, ValueError):
+        ints = None
+    if ints != values:
+        raise ValueError(f"{what} must be integers, got {values}")
+    return ints
+
+
 @dataclass(frozen=True)
 class Architecture:
     """Filter sizes and strides of a 1D linear convolutional network."""
@@ -29,12 +45,8 @@ class Architecture:
     strides: tuple
 
     def __post_init__(self):
-        if any(int(v) != v for v in (*self.filter_sizes, *self.strides)):
-            raise ValueError(
-                f"filter sizes and strides must be integers, got {self.filter_sizes} and {self.strides}"
-            )
-        ks = tuple(int(v) for v in self.filter_sizes)
-        ss = tuple(int(v) for v in self.strides)
+        ks = _integers(self.filter_sizes, "filter sizes")
+        ss = _integers(self.strides, "strides")
         if not ks:
             raise ValueError("architecture needs at least one layer")
         if len(ks) != len(ss):

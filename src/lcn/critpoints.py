@@ -27,17 +27,41 @@ and its gradient.  It tries the full step on every row, then the halvings
 ``2^-1 ... 2^-13`` on the rows still pending in blocks of 2, 4 and 7
 candidates, one residual evaluation per block, and each row takes the first
 candidate that passes, as a loop over single halvings would.
+
+numpy loads on the solver's first use, not when this module is imported:
+``np`` is bound through :class:`importlib.util.LazyLoader`, so the exact
+commands that only import this module (through ``lcn.cli``) never load it.
+The first access to ``np`` happens inside the single-threaded solver; the
+lazy loader of Python 3.11 is not safe when two threads make that first
+access at once.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .arch import Architecture, expected_dimension, reduce_arch
 from .idealgen import vanishing_generators
 from .polyring import MultiPoly
+
+
+def _lazy_import(name: str):
+    """Module ``name``, executed on its first attribute access; the loaded
+    module itself if it is already imported."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+np = _lazy_import("numpy")
 
 
 def psi_map(M: np.ndarray, k: int, s: int, d_out: int) -> np.ndarray:
@@ -254,7 +278,11 @@ def _solve_rows(J, b):
 # Trial step sizes of the line search, in the order they are tried: the full
 # step, then the halvings down to the last one above the 1e-4 floor
 # (``2^-13``), in blocks of 1, 2, 4 and 7.  Each block is one residual call.
-_STEP_BLOCKS = tuple(0.5 ** np.arange(a, b) for a, b in ((0, 1), (1, 3), (3, 7), (7, 14)))
+# Plain floats, so that importing this module does not load numpy; ``_newton``
+# makes them arrays.
+_STEP_BLOCKS = tuple(
+    tuple(0.5**e for e in range(a, b)) for a, b in ((0, 1), (1, 3), (3, 7), (7, 14))
+)
 
 
 def _newton(system, T, u, tol, Z, V=None):
@@ -290,7 +318,7 @@ def _newton(system, T, u, tol, Z, V=None):
         act, step = act[ok], step[ok]
         # rows of act and step whose trials have all failed so far
         pending = np.arange(act.size)
-        for ts in _STEP_BLOCKS:
+        for ts in map(np.array, _STEP_BLOCKS):
             if pending.size == 0:
                 break
             rows = act[pending]

@@ -29,11 +29,11 @@ from dataclasses import dataclass
 from math import comb, factorial, perm, prod
 from typing import Sequence
 
-from .arch import Architecture, _convolve, reduce_arch
+from .arch import Architecture, _convolve, _integers, reduce_arch
 
 
 def _check_sizes(filter_sizes: Sequence[int]) -> tuple:
-    sizes = tuple(int(v) for v in filter_sizes)
+    sizes = _integers(filter_sizes, "filter sizes")
     if not sizes:
         raise ValueError("need at least one filter size")
     if any(v < 1 for v in sizes):

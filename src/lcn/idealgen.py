@@ -1,4 +1,4 @@
-"""Recursive generation of equations cutting out a network's filter variety.
+"""Equations cutting out a network's filter variety, one loop over merge levels.
 
 A depth-L architecture splits into a depth-(L-1) architecture obtained by
 merging its first two layers, plus the two-layer base architecture
@@ -9,10 +9,13 @@ the intersection of the two:
 
 so the union of the generator sets has the filter variety as its common
 zero locus (over the complex numbers).  No radicals are taken: the contract
-is set-theoretic, certified by exact sampling.
+is set-theoretic.  :mod:`lcn.verify` proves that the generators vanish on
+the neuromanifold by one symbolic substitution; only the reverse inclusion
+is checked by sampling.
 
 :func:`merge_levels` unrolls the recurrence into a list of two-layer
-architectures: level ``j`` contributes its base, labelled
+architectures, and :func:`vanishing_generators` is one loop over that list:
+level ``j`` contributes its base, labelled
 ``"merge(1,2)->" * j + "base(...)"``, and the last level its two-layer
 minors.  One keep-first dedup over all parts, deepest level first, gives
 the same list as deduplicating level by level.  Every merge preserves the

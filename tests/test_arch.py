@@ -53,7 +53,17 @@ class TestArchitecture:
         with pytest.raises(ValueError):
             Architecture((2, 2), (0, 1))
 
-    @pytest.mark.parametrize("ks,ss", [((2.5, 2), (2, 1)), ((2, 2), (2, 1.5))])
+    @pytest.mark.parametrize(
+        "ks,ss",
+        [
+            ((2.5, 2), (2, 1)),
+            ((2, 2), (2, 1.5)),
+            ((float("inf"), 2), (2, 1)),
+            ((2, 2), (float("inf"), 1)),
+            ((float("nan"), 2), (2, 1)),
+            ((2, 2), (2, float("nan"))),
+        ],
+    )
     def test_non_integral_entries_rejected(self, ks, ss):
         with pytest.raises(ValueError, match="integers"):
             Architecture(ks, ss)

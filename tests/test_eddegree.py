@@ -138,6 +138,17 @@ class TestErrors:
         with pytest.raises(ValueError):
             generic_ed_degree(())
 
+    @pytest.mark.parametrize("sizes", [(2.5, 3), (2.9, 3, 2), (float("inf"), 2), (2, float("nan"))])
+    def test_non_integral_sizes_rejected(self, sizes):
+        with pytest.raises(ValueError, match="must be integers"):
+            generic_ed_degree(sizes)
+        with pytest.raises(ValueError, match="must be integers"):
+            merge_tree(sizes)
+
+    def test_integral_numbers_accepted(self):
+        assert generic_ed_degree((2.0, 3)) == generic_ed_degree((2, 3)) == 10
+        assert merge_tree((2.0, 3, 2)) == merge_tree((2, 3, 2))
+
 
 class TestFullyConnected:
     def test_binomials(self):

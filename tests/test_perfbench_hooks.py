@@ -6,6 +6,9 @@ traced name would otherwise only show up as a failing ``--trace 1`` run.
 
 import importlib
 import inspect
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,6 +27,24 @@ def test_traced_names_resolve():
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), (module, attr)
+
+
+def test_cli_import_loads_every_traced_lcn_module():
+    # The tracer reads sys.modules right after ``import lcn.cli``; a module
+    # imported only inside a function would be missing there.
+    modules = sorted({m for m, _, _ in spans.SPANNED + spans.COUNTED if m.startswith("lcn.")})
+    code = "import json, sys, lcn.cli; print(json.dumps([m in sys.modules for m in sys.argv[1:]]))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *modules],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout
+    assert dict(zip(modules, json.loads(out))) == dict.fromkeys(modules, True)
 
 
 def test_minor_expansion_is_a_generator_function():
