@@ -99,7 +99,7 @@ def cmd_ideal(args) -> int:
                 line += f"\t# {prov}"
             print(line)
         if not gens.generators:
-            print("# zero ideal (single-layer architecture)", file=sys.stderr)
+            print("# zero ideal (the reduced architecture has one layer)", file=sys.stderr)
     return 0
 
 

@@ -27,8 +27,8 @@ So the values of all monomials at a point fill a table with one
 multiplication each, and each polynomial is a sum of coefficients times
 table entries.  Each call fills its own table and keeps nothing of the
 point, so a generator set at one point takes one :func:`evaluate_many` call.
-:func:`nonzero_compositions` runs the same program on polynomial values, to
-decide which polynomials vanish identically under a substitution.
+:func:`nonzero_compositions` runs a program of its own on polynomial values,
+to decide which polynomials vanish identically under a substitution.
 
 The minors of a :class:`PolyMatrix` come from one memoised Laplace
 expansion that shares sub-minors on ``(rows, columns)``.  Each minor is
@@ -39,11 +39,10 @@ cancel are dropped once at the end.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import chain, combinations
 from math import gcd, lcm
 from operator import add, mul
 from threading import Lock
@@ -458,14 +457,15 @@ def nonzero_compositions(polys: Sequence[MultiPoly], values: Sequence[MultiPoly]
     variable is replaced by its polynomial in ``values`` (ring order, all
     ``values`` in one ring of their own).
 
-    The monomials are composed through the ring's monomial program, as in
+    The monomials are composed through a monomial program of their own,
+    loaded with the ``polys`` in leading-monomial order, as in
     :func:`evaluate_many` but with polynomial values: slot ``s`` is slot
     ``parents[s]`` times ``values[factors[s]]``, filled in slot order as far
-    as the polynomials taken so far need, and only where some polynomial
-    reads it or its descendants.  Each composition is accumulated term by
-    term into one ``{key: coefficient}`` dict, so no polynomial is built per
-    term.  A slot is dropped after its last use, as a term of a polynomial
-    or as a parent, so only the slots still ahead stay alive.
+    as the polynomials taken so far need.  Each composition is accumulated
+    term by term into one ``{key: coefficient}`` dict, so no polynomial is
+    built per term.  Every slot is read, as a term of a polynomial or as
+    the parent of another slot, and is dropped at its last read, so only
+    the slots still ahead stay alive.
     """
     polys = tuple(polys)
     if not polys:
@@ -478,42 +478,32 @@ def nonzero_compositions(polys: Sequence[MultiPoly], values: Sequence[MultiPoly]
     # by leading monomial, so that polynomials sharing monomials are composed
     # close together and the slots they read die sooner
     order = sorted(range(len(polys)), key=lambda i: max(polys[i]._terms, default=0))
-    program = _monomial_program(ring)
+    program = _MonomialProgram(len(ring))
     slots = [list(map(program.__getitem__, polys[i]._terms)) for i in order]
     parents, factors = program.parents, program.factors
-    # tops[t]: the table must reach this slot before the t-th polynomial taken
-    tops = list(accumulate((max(row, default=0) for row in slots), max))
-    # last[s]: the step after which slot s is read no more; -1 if never
-    last = [-1] * (tops[-1] + 1)
-    for t, row in enumerate(slots):
-        for s in row:
-            last[s] = t
-    for s in range(len(last) - 1, 0, -1):
-        if last[s] >= 0:
-            # a parent is read when its child is filled
-            p = parents[s]
-            last[p] = max(last[p], bisect_left(tops, s))
-    expiring = [[] for _ in polys]
-    for s, t in enumerate(last):
-        if t >= 0:
-            expiring[t].append(s)
+    # reads[s]: one per term occurrence of slot s and one per child
+    reads = [0] * len(parents)
+    for s in chain(parents[1:], *slots):
+        reads[s] += 1
     table = {0: MultiPoly.constant(values[0].vars if values else (), 1)}
+
+    def read(s: int) -> MultiPoly:
+        reads[s] -= 1
+        return table[s] if reads[s] else table.pop(s)
+
     filled = 0
     flagged = []
-    for t, (i, row) in enumerate(zip(order, slots)):
-        for s in range(filled + 1, tops[t] + 1):
-            if last[s] >= 0:
-                table[s] = table[parents[s]] * values[factors[s]]
-        filled = tops[t]
+    for i, row in zip(order, slots):
+        for s in range(filled + 1, max(row, default=0) + 1):
+            table[s] = read(parents[s]) * values[factors[s]]
+            filled = s
         acc = {}
         get = acc.get
         for c1, s in zip(polys[i]._terms.values(), row):
-            for k, c2 in table[s]._terms.items():
+            for k, c2 in read(s)._terms.items():
                 acc[k] = get(k, 0) + c1 * c2
         if any(acc.values()):
             flagged.append(i)
-        for s in expiring[t]:
-            del table[s]
     return tuple(sorted(flagged))
 
 

@@ -7,12 +7,14 @@ composed with ``phi`` must be the zero polynomial
 (:func:`lcn.polyring.nonzero_compositions`).  This proves image ⊆ V(gens),
 and so closure ⊆ V(gens).
 
-The dimension ``sum k_i - (L - 1)`` is proved by the exact rank of the
-parametrization Jacobian at one rational sample.  The parametrization is
-unchanged by rescaling between layers, so no point has a larger rank, and
-the rank at any one point bounds the generic rank from below.  For a
-multilinear map the Jacobian is assembled column by column from unit-vector
-substitutions.
+The image must have the dimension ``sum k_i - (L - 1)`` of the reduced
+architecture's variety, which the generators cut out; a size-1 layer that
+is merged away at a stride above 1 can make it smaller.  The dimension is
+proved by the exact rank of the parametrization Jacobian at one rational
+sample.  The parametrization is unchanged by rescaling between layers, so
+no point has a larger rank, and the rank at any one point bounds the
+generic rank from below.  For a multilinear map the Jacobian is assembled
+column by column from unit-vector substitutions.
 
 The reverse inclusion has no such certificate here: random ambient points
 must each violate a generator, a smoke test that evaluates the whole
@@ -28,7 +30,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
-from .arch import Architecture, compose_filters, expected_dimension, sample_neuromanifold
+from .arch import Architecture, compose_filters, expected_dimension, reduce_arch, sample_neuromanifold
 from .idealgen import vanishing_generators
 from .polyring import MultiPoly, evaluate_many, nonzero_compositions, symbols
 from .resultant import IdealGenerators
@@ -110,7 +112,7 @@ def verify_ideal(arch: Architecture, n_samples: int = 100, seed: int = 0) -> Ver
     """
     gens = vanishing_generators(arch)
     failures = nonzero_compositions(gens.generators, symbolic_filter(arch))
-    expected = expected_dimension(arch)
+    expected = expected_dimension(reduce_arch(arch))
     rng = random.Random(seed)
     rank = -1
     for _ in range(2):

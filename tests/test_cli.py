@@ -146,6 +146,13 @@ class TestIdeal:
         assert "c31" in out
         assert hashlib.sha256(out.encode()).hexdigest() == sha
 
+    def test_zero_ideal_names_the_reduced_architecture(self, capsys):
+        # two typed layers; the leading size-1 layer is merged away
+        code, out, err = run(capsys, "ideal", "-k", "1,3", "-s", "2,1")
+        assert code == 0
+        assert out == ""
+        assert err == "# zero ideal (the reduced architecture has one layer)\n"
+
     def test_missing_strides(self, capsys):
         code, out, err = run(capsys, "ideal", "-k", "2,2")
         assert code == 2

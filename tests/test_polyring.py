@@ -16,6 +16,7 @@ from lcn.idealgen import vanishing_generators
 from lcn.polyring import (
     MultiPoly,
     PolyMatrix,
+    _MonomialProgram,
     _monomial_program,
     coefficient_symbols,
     dedup_generators,
@@ -228,6 +229,15 @@ def composed(p, values):
 XY = ("x", "y")
 
 
+def loaded_program(polys):
+    """A fresh monomial program given the monomials of ``polys`` in order."""
+    program = _MonomialProgram(len(polys[0].vars))
+    for p in polys:
+        for key in p._terms:
+            program[key]
+    return program
+
+
 @st.composite
 def xy_polys(draw):
     terms = draw(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3), max_size=3))
@@ -266,6 +276,15 @@ class TestNonzeroCompositions:
         with pytest.raises(ValueError, match="2 values in a ring with 3 variables"):
             nonzero_compositions(symbols(VARS3), symbols(XY))
 
+    def test_ring_program_is_left_alone(self):
+        u, v, w = symbols(VARS3)
+        x, y = symbols(XY)
+        program = _monomial_program(VARS3)
+        steps = len(program.parents)
+        assert nonzero_compositions((u**3 * v - w, u * v * w**2), (x + y, x, y)) == (0, 1)
+        assert _monomial_program(VARS3) is program
+        assert len(program.parents) == steps
+
     def test_slots_are_released_after_their_last_use(self, monkeypatch):
         gens = vanishing_generators(Architecture((3, 3, 3), (2, 2, 1))).generators
         xs = symbols(f"x{i}" for i in range(len(gens[0].vars)))
@@ -283,7 +302,8 @@ class TestNonzeroCompositions:
         monkeypatch.setattr(MultiPoly, "__mul__", tracking)
         _monomial_program.cache_clear()
         assert nonzero_compositions(gens, values) == tuple(range(len(gens)))
-        assert len(made) == len(_monomial_program(gens[0].vars).parents) - 1
+        by_leading_monomial = sorted(gens, key=lambda g: max(g._terms))
+        assert len(made) == len(loaded_program(by_leading_monomial).parents) - 1
         assert max(live) < len(made) / 2
         assert sum(sys.getrefcount(q) > 3 for q in made) == 0
 

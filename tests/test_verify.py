@@ -7,7 +7,7 @@ import pytest
 import lcn.verify
 from lcn.arch import Architecture, reduce_arch, sample_neuromanifold
 from lcn.idealgen import vanishing_generators
-from lcn.polyring import MultiPoly, coefficient_symbols, nonzero_compositions
+from lcn.polyring import MultiPoly, _monomial_program, coefficient_symbols, nonzero_compositions
 from lcn.verify import (
     exact_rank,
     parametrization_jacobian,
@@ -18,6 +18,7 @@ from lcn.verify import (
 
 from test_acceptance import cached_generators, reduced_family
 from test_idealgen import radical_generators_3_2_2, radical_generators_5_2
+from test_polyring import loaded_program
 import variety_oracle
 
 
@@ -159,6 +160,35 @@ class TestVerifyIdeal:
         assert r1.expected_dim == r2.expected_dim == 4
         assert r1.jacobian_rank == r2.jacobian_rank == 4
         assert r1.nonmember_violations == r2.nonmember_violations == 40
+
+    @pytest.mark.parametrize(
+        "sizes,strides,rank,expected",
+        [
+            # a leading or interior size-1 layer at stride 2 or 3 is merged
+            # away, and V(gens) is larger than the image
+            ((1, 3), (2, 1), 3, 5),
+            ((2, 1, 2), (2, 3, 1), 3, 5),
+            # stride-1 merges and trailing size-1 layers keep the dimension
+            ((2, 2, 2), (1, 2, 1), 4, 4),
+            ((2, 2, 1), (2, 3, 1), 3, 3),
+            ((3, 1), (2, 1), 3, 3),
+            ((6,), (1,), 6, 6),
+        ],
+    )
+    def test_expected_dimension_is_the_reduced_variety(self, sizes, strides, rank, expected):
+        report = verify_ideal(Architecture(sizes, strides), n_samples=10, seed=0)
+        assert report.failures == ()
+        assert (report.jacobian_rank, report.expected_dim) == (rank, expected)
+        assert report.ok == (rank == expected)
+
+    def test_ring_program_holds_only_the_evaluated_generator(self):
+        # each random point violates the first generator, so the smoke test
+        # evaluates no other; the proof adds nothing to the ring's program
+        arch = Architecture((5, 3, 2), (2, 2, 1))
+        _monomial_program.cache_clear()
+        assert verify_ideal(arch, 30, 1).ok
+        first = cached_generators(arch).generators[:1]
+        assert _monomial_program(first[0].vars).parents == loaded_program(first).parents
 
     def test_failures_name_the_generator(self, monkeypatch):
         # a nonzero constant inserted as generator 1 does not vanish on the image
