@@ -104,24 +104,21 @@ def expected_dimension(arch: Architecture) -> int:
 
 
 def reduce_arch(arch: Architecture) -> Architecture:
-    """Merge away unit strides and unit filter sizes.
+    """Merge away unit strides and unit filter sizes where the merge is exact.
 
     Layers ``i`` and ``i+1`` merge (:meth:`Architecture.merged`) whenever
-    ``s_i = 1`` or ``k_i = 1``; a trailing size-1 layer is absorbed into
-    its predecessor.  The result is reduced or a single layer, and the
-    end-to-end filter size is unchanged.
-    Every filter realizable by the input architecture is realizable by the
-    reduced one.
+    ``s_i = 1`` or ``k_{i+1} = 1``: a stride-1 layer with its successor, a
+    size-1 layer after the first into its predecessor.  A size-1 first
+    layer at a stride above 1 stays: its filter is the successor's filter
+    spaced by ``s_1``, which no single dense layer describes.  The result
+    has the same filter variety, end-to-end filter size and stride product.
     """
     while arch.depth > 1:
         ks, ss = arch.filter_sizes, arch.strides
-        unit = [i for i in range(len(ks) - 1) if ss[i] == 1 or ks[i] == 1]
-        if unit:
-            arch = arch.merged(unit[0])
-        elif ks[-1] == 1:
-            arch = arch.merged(len(ks) - 2)
-        else:
+        unit = [i for i in range(len(ks) - 1) if ss[i] == 1 or ks[i + 1] == 1]
+        if not unit:
             break
+        arch = arch.merged(unit[0])
     return arch
 
 

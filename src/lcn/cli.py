@@ -36,7 +36,7 @@ from .eddegree import (
     two_layer_table,
 )
 from .idealgen import vanishing_generators
-from .polyring import PolyMatrix, coefficient_symbols
+from .polyring import coefficient_symbols
 from .resultant import two_layer_resultants
 from .verify import verify_ideal
 
@@ -219,9 +219,10 @@ def cmd_resultant(args) -> int:
         print("matrix 2       : not needed")
     if args.print_matrices:
         for name, shift_cap, size, rows in matrices:
-            matrix = PolyMatrix(len(rows), shift_cap + 1, tuple(e for row in rows for e in row))
-            print(f"{name} = R_{shift_cap}  ({matrix.rows}x{matrix.cols}, minors of size {size})")
-            print(matrix.text())
+            print(f"{name} = R_{shift_cap}  ({len(rows)}x{shift_cap + 1}, minors of size {size})")
+            cells = [[e.text() for e in row] for row in rows]
+            widths = [max(map(len, col)) for col in zip(*cells)]
+            print("\n".join("[ " + "  ".join(c.rjust(w) for c, w in zip(r, widths)) + " ]" for r in cells))
     return 0
 
 

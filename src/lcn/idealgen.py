@@ -54,11 +54,11 @@ def merge_levels(arch: Architecture) -> list:
 def vanishing_generators(arch: Architecture) -> IdealGenerators:
     """Polynomials vanishing exactly on the architecture's filter variety.
 
-    The architecture is reduced first (the variety only grows under the
-    size-1 merges, and is unchanged under the stride-1 merges, so the
-    generated equations hold on every composable filter of the input).
-    Depth 1 yields no equations; otherwise each merge level contributes
-    its two-layer base, and the last level its two-layer minors.
+    The architecture is reduced first, which keeps its variety.  Depth 1
+    yields no equations; otherwise each merge level contributes its
+    two-layer base, and the last level its two-layer minors.  A size-1
+    first layer at a stride above 1 makes the outermost base contribute the
+    linear generators ``c_j`` with ``j`` off the multiples of that stride.
     """
     arch = reduce_arch(arch)
     levels = merge_levels(arch)

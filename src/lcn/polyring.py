@@ -30,8 +30,9 @@ point, so a generator set at one point takes one :func:`evaluate_many` call.
 :func:`nonzero_compositions` runs a program of its own on polynomial values,
 to decide which polynomials vanish identically under a substitution.
 
-The minors of a :class:`PolyMatrix` come from one memoised Laplace
-expansion that shares sub-minors on ``(rows, columns)``.  Each minor is
+A matrix is a sequence of equally long rows of polynomials from one ring.
+Its minors come from one memoised Laplace expansion that shares sub-minors
+on ``(rows, columns)``.  Each minor is
 built in one term dictionary: entry terms times cofactor terms are added
 into it directly (a fused multiply-accumulate), and the coefficients that
 cancel are dropped once at the end.
@@ -39,7 +40,6 @@ cancel are dropped once at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
@@ -546,45 +546,14 @@ def dedup_generators(tagged: Iterable) -> tuple:
 # -- polynomial matrices -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
-    """Row-major matrix of polynomials from one shared ring."""
-
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"{len(self.entries)} entries for a {self.rows}x{self.cols} matrix"
-            )
-        if len({e.vars for e in self.entries}) > 1:
-            raise ValueError("matrix entries come from different rings")
-
-    @property
-    def variables(self) -> tuple:
-        return self.entries[0].vars if self.entries else ()
-
-    def entry(self, i: int, j: int) -> MultiPoly:
-        return self.entries[i * self.cols + j]
-
-    def text(self) -> str:
-        cells = [[self.entry(i, j).text() for j in range(self.cols)] for i in range(self.rows)]
-        widths = [max(map(len, col)) for col in zip(*cells)]
-        return "\n".join("[ " + "  ".join(c.rjust(w) for c, w in zip(r, widths)) + " ]" for r in cells)
-
-
-def _cofactor_expansion(m: PolyMatrix):
-    """``det(rows, mask)``: the minor on the row tuple ``rows`` and the
-    columns set in ``mask``, expanded along ``rows[-1]`` in ascending column
-    order.  Sub-minors are memoised in one table per length of the row
-    prefix ``rows[:-1]``, emptied when that prefix changes: asked for row
-    sets in lexicographic order, each sub-minor is computed once (O(2^n)
-    products for a determinant, not n!) and only those of the current row
-    prefixes stay alive.
+def _cofactor_expansion(rows: Sequence[Sequence[MultiPoly]]):
+    """``det(ri, mask)``: the minor of the matrix ``rows`` on the row tuple
+    ``ri`` and the columns set in ``mask``, expanded along ``ri[-1]`` in
+    ascending column order.  Sub-minors are memoised in one table per
+    length of the row prefix ``ri[:-1]``, emptied when that prefix changes:
+    asked for row sets in lexicographic order, each sub-minor is computed
+    once (O(2^n) products for a determinant, not n!) and only those of the
+    current row prefixes stay alive.
 
     Each minor is accumulated in one ``{key: coefficient}`` dict: every term
     ``c1 x^k1`` of a nonzero entry times every term ``c2 x^k2`` of its
@@ -592,32 +561,38 @@ def _cofactor_expansion(m: PolyMatrix):
     product, negation or sum polynomials.  Coefficients that cancel to zero
     are dropped once, when the minor is finished.
 
-    A minor takes one entry from each of at most ``min(rows, cols)`` rows,
-    so the exponent fields are checked once for the whole matrix: per
-    variable, the largest exponents of that many rows must fit in a field."""
-    vars_ = m.variables
+    Raises ``ValueError`` unless the rows have one length and the entries
+    one ring.  A minor takes one entry from each of at most
+    ``min(rows, cols)`` rows, so the exponent fields are checked once for
+    the whole matrix: per variable, the largest exponents of that many rows
+    must fit in a field."""
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("matrix rows of different lengths")
+    rings = {e.vars for row in rows for e in row}
+    if len(rings) > 1:
+        raise ValueError("matrix entries come from different rings")
+    vars_ = next(iter(rings), ())
     n = len(vars_)
-    row_tops = [
-        _max_exponents([k for j in range(m.cols) for k in m.entry(i, j)._terms], n)
-        for i in range(m.rows)
-    ]
-    size = min(m.rows, m.cols)
+    cols = len(rows[0]) if rows else 0
+    row_tops = [_max_exponents([k for e in row for k in e._terms], n) for row in rows]
+    size = min(len(rows), cols)
     _check_fields(sum(sorted(col, reverse=True)[:size]) for col in zip(*row_tops))
     one = MultiPoly.constant(vars_, 1)
     tables = {}  # prefix length -> (prefix, {mask: minor})
 
-    def det(rows: tuple, mask: int) -> MultiPoly:
-        if not rows:
+    def det(ri: tuple, mask: int) -> MultiPoly:
+        if not ri:
             return one
-        above = rows[:-1]
+        above = ri[:-1]
         prefix, table = tables.get(len(above), (None, None))
         if prefix != above:
             table = {}
             tables[len(above)] = (above, table)
         acc = {}
         get = acc.get
-        for pos, j in enumerate(j for j in range(m.cols) if (mask >> j) & 1):
-            e = m.entry(rows[-1], j)
+        row = rows[ri[-1]]
+        for pos, j in enumerate(j for j in range(cols) if (mask >> j) & 1):
+            e = row[j]
             if e._terms:
                 sub = mask ^ (1 << j)
                 if sub not in table:
@@ -635,15 +610,18 @@ def _cofactor_expansion(m: PolyMatrix):
     return det
 
 
-def determinant(m: PolyMatrix) -> MultiPoly:
-    """Exact symbolic determinant: the full-size minor of a square matrix."""
-    if m.rows != m.cols:
+def determinant(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
+    """Exact symbolic determinant of the square matrix ``rows``: its
+    full-size minor."""
+    if any(len(row) != len(rows) for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    return _cofactor_expansion(m)(tuple(range(m.rows)), (1 << m.rows) - 1)
+    return _cofactor_expansion(rows)(tuple(range(len(rows))), (1 << len(rows)) - 1)
 
 
-def minor_expansion(m: PolyMatrix, size: int) -> Iterator:
-    """All (row-set, col-set, determinant) triples of the given minor size.
+def minor_expansion(rows: Sequence[Sequence[MultiPoly]], size: int) -> Iterator:
+    """All (row-set, col-set, determinant) triples of the given minor size of
+    the matrix ``rows``, a sequence of equally long rows of polynomials from
+    one ring.
 
     Enumeration is lexicographic in (row-set, col-set).  One expansion serves
     the whole call, so sub-minors are shared on ``(rows, columns)``.  A square
@@ -652,12 +630,11 @@ def minor_expansion(m: PolyMatrix, size: int) -> Iterator:
     """
     if size < 1:
         raise ValueError("minor size must be at least 1")
-    if size > min(m.rows, m.cols):
+    cols = len(rows[0]) if rows else 0
+    if size == len(rows) == cols:
+        yield tuple(range(size)), tuple(range(size)), determinant(rows)
         return
-    if size == m.rows == m.cols:
-        yield tuple(range(size)), tuple(range(size)), determinant(m)
-        return
-    det = _cofactor_expansion(m)
-    for ri in combinations(range(m.rows), size):
-        for ci in combinations(range(m.cols), size):
+    det = _cofactor_expansion(rows)
+    for ri in combinations(range(len(rows)), size):
+        for ci in combinations(range(cols), size):
             yield ri, ci, det(ri, sum(1 << j for j in ci))

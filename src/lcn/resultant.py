@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .decomp import profile, s_decompose
-from .polyring import PolyMatrix, coefficient_symbols, dedup_generators, minor_expansion
+from .polyring import coefficient_symbols, dedup_generators, minor_expansion
 
 
 def resultant_rows(polys: Sequence[Sequence], l: int) -> list:
@@ -58,12 +58,14 @@ def two_layer_resultants(k1: int, k2: int, s1: int, coeffs: Sequence) -> list:
     top and bottom slot degrees; ``I2`` uses the ``r`` top-degree slots and
     is present exactly when ``1 < r <`` the number of nonzero slots.  A
     filter lies on the variety exactly when every matrix has rank below its
-    minor size.
+    minor size.  For ``k1 = 1``, ``I1`` is ``R_{k2-2}`` with one row per
+    lower slot and minors of size 1: the entries ``c_j`` with ``j`` off the
+    multiples of ``s1``.
     """
-    if min(k1, k2) < 2 or s1 < 2:
+    if k1 < 1 or k2 < 2 or s1 < 2:
         raise ValueError(
-            f"({k1},{k2}) with stride {s1} is not a reduced two-layer "
-            "architecture; apply reduce_arch first"
+            f"({k1},{k2}) with stride {s1} is not a two-layer architecture "
+            "that reduce_arch returns: it needs k2 >= 2 and a stride >= 2"
         )
     k = k1 + s1 * (k2 - 1)
     if len(coeffs) != k:
@@ -106,11 +108,10 @@ def two_layer_ideal(k1: int, k2: int, s1: int) -> IdealGenerators:
     label = f"two_layer({k1},{k2};{s1})"
     candidates = []
     raw = []
-    for name, l, size, rows in two_layer_resultants(k1, k2, s1, syms):
-        matrix = PolyMatrix(len(rows), l + 1, tuple(e for row in rows for e in row))
+    for name, _, size, rows in two_layer_resultants(k1, k2, s1, syms):
         dets = [
             (f"{label}:{name}[r={ri};c={ci}]", det)
-            for ri, ci, det in minor_expansion(matrix, size)
+            for ri, ci, det in minor_expansion(rows, size)
         ]
         candidates += dets
         raw.append((f"{label}:{name}", len(dets)))

@@ -8,8 +8,7 @@ composed with ``phi`` must be the zero polynomial
 and so closure ⊆ V(gens).
 
 The image must have the dimension ``sum k_i - (L - 1)`` of the reduced
-architecture's variety, which the generators cut out; a size-1 layer that
-is merged away at a stride above 1 can make it smaller.  The dimension is
+architecture's variety, which the generators cut out.  The dimension is
 proved by the exact rank of the parametrization Jacobian at one rational
 sample.  The parametrization is unchanged by rescaling between layers, so
 no point has a larger rank, and the rank at any one point bounds the

@@ -4,31 +4,31 @@
 ``lcn.polyring.minor_expansion`` fuses into one term dictionary per minor:
 the same row-prefix tables, expansion row and column order, but each
 cofactor term is a whole polynomial product ``entry * sub-minor``, folded
-into the running total with ``+`` or ``-``.
+into the running total with ``+`` or ``-``.  A matrix is a list of rows.
 """
 
 from itertools import combinations
 
-from lcn.polyring import MultiPoly, PolyMatrix
+from lcn.polyring import MultiPoly
 
 
-def _product_then_add(m: PolyMatrix):
-    """``det(rows, mask)`` over polynomial products and sums."""
-    vars_ = m.variables
+def _product_then_add(rows: list):
+    """``det(ri, mask)`` over polynomial products and sums."""
+    vars_ = rows[0][0].vars
     one = MultiPoly.constant(vars_, 1)
     tables = {}  # prefix length -> (prefix, {mask: minor})
 
-    def det(rows: tuple, mask: int) -> MultiPoly:
-        if not rows:
+    def det(ri: tuple, mask: int) -> MultiPoly:
+        if not ri:
             return one
-        above = rows[:-1]
+        above = ri[:-1]
         prefix, table = tables.get(len(above), (None, None))
         if prefix != above:
             table = {}
             tables[len(above)] = (above, table)
         total = MultiPoly(vars_)
-        for pos, j in enumerate(j for j in range(m.cols) if (mask >> j) & 1):
-            e = m.entry(rows[-1], j)
+        for pos, j in enumerate(j for j in range(len(rows[0])) if (mask >> j) & 1):
+            e = rows[ri[-1]][j]
             if e.terms:
                 sub = mask ^ (1 << j)
                 if sub not in table:
@@ -40,12 +40,12 @@ def _product_then_add(m: PolyMatrix):
     return det
 
 
-def product_then_add_minors(m: PolyMatrix, size: int) -> list:
+def product_then_add_minors(rows: list, size: int) -> list:
     """All (row-set, col-set, determinant) triples of one minor size, in
     lexicographic order, as ``minor_expansion`` lists them."""
-    det = _product_then_add(m)
+    det = _product_then_add(rows)
     return [
         (ri, ci, det(ri, sum(1 << j for j in ci)))
-        for ri in combinations(range(m.rows), size)
-        for ci in combinations(range(m.cols), size)
+        for ri in combinations(range(len(rows)), size)
+        for ci in combinations(range(len(rows[0])), size)
     ]

@@ -105,7 +105,13 @@ class TestReduce:
         assert reduce_arch(a) == a
 
     def test_unit_size_merge(self):
-        assert reduce_arch(Architecture((1, 3), (5, 1))) == Architecture((11,), (5,))
+        # a size-1 first layer at stride 5 spaces its successor's filter: kept
+        a = Architecture((1, 3), (5, 1))
+        assert reduce_arch(a) == a
+        # at stride 1 it is a scalar of the successor's filter
+        assert reduce_arch(Architecture((1, 3), (1, 1))) == Architecture((3,), (1,))
+        # an interior size-1 layer merges into its predecessor
+        assert reduce_arch(Architecture((2, 1, 2), (2, 3, 1))) == Architecture((2, 2), (6, 1))
 
     def test_trailing_unit_size(self):
         assert reduce_arch(Architecture((3, 1), (2, 1))) == Architecture((3,), (2,))
@@ -116,6 +122,8 @@ class TestReduce:
         assert red.out_size == arch.out_size
         assert red.stride_product == arch.stride_product
         assert reduce_arch(red) == red
+        assert all(s > 1 for s in red.strides[:-1])
+        assert all(k > 1 for k in red.filter_sizes[1:])
 
 
 class TestPiS:

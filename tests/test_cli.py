@@ -147,11 +147,24 @@ class TestIdeal:
         assert hashlib.sha256(out.encode()).hexdigest() == sha
 
     def test_zero_ideal_names_the_reduced_architecture(self, capsys):
-        # two typed layers; the leading size-1 layer is merged away
-        code, out, err = run(capsys, "ideal", "-k", "1,3", "-s", "2,1")
+        # two typed layers; the trailing size-1 layer merges into the first
+        code, out, err = run(capsys, "ideal", "-k", "3,1", "-s", "2,1")
         assert code == 0
         assert out == ""
         assert err == "# zero ideal (the reduced architecture has one layer)\n"
+
+    @pytest.mark.parametrize(
+        "sizes,strides,expected",
+        [
+            # a size-1 first layer at stride 2: the odd entries vanish
+            ("1,3", "2,1", "B\nD\n"),
+            # an interior size-1 layer at stride 3: c2..c5 vanish, and the
+            # rest is the (2,2) network at stride 6
+            ("2,1,2", "2,3,1", "F\nE\nD\nC\nA*H - B*G\n"),
+        ],
+    )
+    def test_size_one_layer_at_a_stride(self, capsys, sizes, strides, expected):
+        assert run(capsys, "ideal", "-k", sizes, "-s", strides) == (0, expected, "")
 
     def test_missing_strides(self, capsys):
         code, out, err = run(capsys, "ideal", "-k", "2,2")
@@ -270,6 +283,11 @@ class TestResultant:
                 digest.update(out.encode())
         assert digest.hexdigest() == "622f9375b020fe64517e7745a57a84d4795e22e60669409c47d3a0a55013a6f6"
 
+    def test_size_one_first_layer(self, capsys):
+        code, out, _ = run(capsys, "resultant", "-k", "1,3", "-s", "2,1", "--print-matrices")
+        assert code == 0
+        assert out.splitlines()[-2:] == ["I1 = R_1  (1x2, minors of size 1)", "[ B  D ]"]
+
     def test_rejects_deep_architectures(self, capsys):
         code, _, err = run(capsys, "resultant", "-k", "2,2,2", "-s", "2,2,1")
         assert code == 2
@@ -333,6 +351,19 @@ class TestCritpoints:
         code, _, err = run(capsys, "critpoints", "-k", "5,2", "-s", "3,1")
         assert code == 2
         assert "non-hypersurface" in err
+
+    def test_size_one_first_layer_is_a_linear_space(self, capsys):
+        # (1,2) at stride 2: the filters with c1 = 0, one critical point
+        code, out, _ = run(
+            capsys, "critpoints", "-k", "1,2", "-s", "2,1", "--starts", "20", "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["distinct"] == payload["expected"] == 1
+        # (1,2,2) at strides 2,1,1: c1 = c3 = 0 has codimension 2
+        code, _, err = run(capsys, "critpoints", "-k", "1,2,2", "-s", "2,1,1")
+        assert code == 2
+        assert "codimension 2" in err
 
     # the second case merges its size-1 layer away and keeps the stride product
     @pytest.mark.parametrize("sizes,strides", [("2,2", "2,3"), ("2,2,1", "2,3,1")])

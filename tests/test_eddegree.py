@@ -124,6 +124,8 @@ class TestInvariance:
             assert arch_ed_degree(Architecture((3, 2), strides)) == 10
         # merging a unit stride first changes nothing either
         assert arch_ed_degree(Architecture((2, 2, 2), (1, 2, 1))) == 10
+        # an interior size-1 layer adds nothing: the (2,2) count
+        assert arch_ed_degree(Architecture((2, 1, 2), (2, 3, 1))) == 6
 
     def test_single_layer(self):
         assert generic_ed_degree((4,)) == 1

@@ -213,8 +213,8 @@ class TestReductionInvariance:
             assert all_vanish(gens_red, w)
 
     def test_unit_filter_merge_keeps_samples_inside(self):
-        # size-1 merges may enlarge the variety; samples of the original
-        # must still satisfy the reduced architecture's generators
+        # an interior size-1 layer merges exactly into its predecessor;
+        # samples of the original satisfy the reduced architecture's generators
         arch = Architecture((2, 1, 2), (2, 3, 1))
         gens_red = vanishing_generators(reduce_arch(arch))
         for seed in range(50):

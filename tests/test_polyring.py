@@ -15,7 +15,6 @@ from lcn.arch import Architecture, sample_neuromanifold
 from lcn.idealgen import vanishing_generators
 from lcn.polyring import (
     MultiPoly,
-    PolyMatrix,
     _MonomialProgram,
     _monomial_program,
     coefficient_symbols,
@@ -79,6 +78,11 @@ def fraction_loop_evaluate(p, point):
                 term *= val**e
         total += term
     return total
+
+
+def grid(cols, entries):
+    """The rows of a matrix with ``cols`` columns, filled row by row."""
+    return [list(entries[i : i + cols]) for i in range(0, len(entries), cols)]
 
 
 def int_det(rows):
@@ -496,31 +500,31 @@ class TestDeterminant:
     def test_three_by_three(self):
         A, B, C, D, E = coefficient_symbols(5)
         zero = MultiPoly(A.vars)
-        m = PolyMatrix(3, 3, (A, C, E, B, D, zero, zero, B, D))
+        m = [[A, C, E], [B, D, zero], [zero, B, D]]
         assert determinant(m).text() == "A*D^2 + B^2*E - B*C*D"
 
     def test_identity(self):
         one = MultiPoly.constant(("t",), 1)
         zero = MultiPoly(("t",))
-        m = PolyMatrix(3, 3, (one, zero, zero, zero, one, zero, zero, zero, one))
+        m = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
         assert determinant(m) == 1
 
     def test_two_by_two_row_order(self):
         # cofactor expansion of [[B, D], [A, C]]
         A, B, C, D = coefficient_symbols(4)
-        m = PolyMatrix(2, 2, (B, D, A, C))
+        m = [[B, D], [A, C]]
         assert determinant(m) == B * C - A * D
 
     def test_non_square(self):
         A, B = coefficient_symbols(2)
         with pytest.raises(ValueError):
-            determinant(PolyMatrix(1, 2, (A, B)))
+            determinant([[A, B]])
 
     @given(st.lists(st.integers(-9, 9), min_size=16, max_size=16))
     def test_against_numeric_oracle(self, values):
         # symbolic 4x4 with distinct symbols, evaluated at integers
         syms = symbols([f"m{i}" for i in range(16)])
-        m = PolyMatrix(4, 4, syms)
+        m = grid(4, syms)
         sym_det = determinant(m)
         rows = [values[4 * i : 4 * i + 4] for i in range(4)]
         assert sym_det.evaluate(values) == int_det(rows)
@@ -530,20 +534,44 @@ class TestDeterminant:
 class TestMinors:
     def test_generic_counts(self):
         syms = symbols([f"m{i}" for i in range(21)])
-        m = PolyMatrix(7, 3, syms)
+        m = grid(3, syms)
         assert len(list(minor_expansion(m, 3))) == 35
-        m2 = PolyMatrix(3, 5, symbols([f"n{i}" for i in range(15)]))
+        m2 = grid(5, symbols([f"n{i}" for i in range(15)]))
         assert len(list(minor_expansion(m2, 3))) == 10
+
+    def test_ragged_rows_rejected(self):
+        A, B, C = coefficient_symbols(3)
+        with pytest.raises(ValueError, match="different lengths"):
+            list(minor_expansion([[A, B], [C]], 1))
+        with pytest.raises(ValueError, match="different lengths"):
+            list(minor_expansion([[A], [B, C]], 2))
+        with pytest.raises(ValueError, match="non-square"):
+            determinant([[A, B], [C]])
+
+    def test_entries_from_two_rings_rejected(self):
+        A, B = coefficient_symbols(2)
+        u, v, _ = symbols(VARS3)
+        with pytest.raises(ValueError, match="different rings"):
+            list(minor_expansion([[A, B], [u, v]], 1))
+        with pytest.raises(ValueError, match="different rings"):
+            determinant([[A, B], [u, v]])
+
+    def test_non_square_determinant_rejected(self):
+        A, B, C, D, E, F = coefficient_symbols(6)
+        with pytest.raises(ValueError, match="non-square"):
+            determinant([[A, B, C], [D, E, F]])
+        with pytest.raises(ValueError, match="non-square"):
+            determinant([[A, B], [C, D], [E, F]])
 
     def test_size_exceeding_dimension(self):
         syms = symbols([f"m{i}" for i in range(4)])
-        assert list(minor_expansion(PolyMatrix(2, 2, syms), 3)) == []
+        assert list(minor_expansion(grid(2, syms), 3)) == []
 
     def test_zero_minors_dropped_and_sign_dedup(self):
         A, B = coefficient_symbols(2)
         zero = MultiPoly(A.vars)
         # rows (A, B), (-A, -B), (0, 0): all 1x1 minors are A, B up to sign
-        m = PolyMatrix(3, 2, (A, B, -A, -B, zero, zero))
+        m = [[A, B], [-A, -B], [zero, zero]]
         _, polys = dedup_generators((ci, det) for _, ci, det in minor_expansion(m, 1))
         assert polys == (A, B)
 
@@ -569,7 +597,7 @@ class TestMinors:
         # whose cofactors the expansion skips
         syms = symbols([f"m{i}" for i in range(20)])
         zero = MultiPoly(syms[0].vars)
-        m = PolyMatrix(5, 4, tuple(zero if z else x for x, z in zip(syms, zeros)))
+        m = grid(4, [zero if z else x for x, z in zip(syms, zeros)])
         rows = [[0 if zeros[4 * i + j] else values[4 * i + j] for j in range(4)] for i in range(5)]
         triples = list(minor_expansion(m, size))
         assert [(ri, ci) for ri, ci, _ in triples] == list(
@@ -585,7 +613,7 @@ class TestMinors:
         # one table per row-prefix length, at most C(3, 1) + C(3, 2) sub-minors
         # plus the constant 1, not the sub-minors of every prefix seen so far
         t = ("t",)
-        m = PolyMatrix(12, 3, tuple(MultiPoly.constant(t, 7 * i % 11 - 5) for i in range(36)))
+        m = grid(3, [MultiPoly.constant(t, 7 * i % 11 - 5) for i in range(36)])
 
         def live():
             return sum(type(o) is MultiPoly for o in gc.get_objects())
@@ -617,12 +645,12 @@ def cancelling_matrices(draw):
             max_size=rows * cols,
         )
     )
-    return PolyMatrix(rows, cols, tuple(entries)), draw(st.integers(1, min(rows, cols)))
+    return grid(cols, entries), draw(st.integers(1, min(rows, cols)))
 
 
 def _all_u(rows, cols):
     u = symbols(VARS3)[0]
-    return PolyMatrix(rows, cols, (u,) * (rows * cols))
+    return [[u] * cols for _ in range(rows)]
 
 
 class TestFusedExpansion:
@@ -637,9 +665,9 @@ class TestFusedExpansion:
         assert triples == product_then_add_minors(m, size)
         for _, _, det in triples:
             assert 0 not in det.terms.values()
-        if m.rows == m.cols:
+        if len(m) == len(m[0]):
             det = determinant(m)
-            assert det == product_then_add_minors(m, m.rows)[0][2]
+            assert det == product_then_add_minors(m, len(m))[0][2]
             assert 0 not in det.terms.values()
 
 
@@ -809,7 +837,7 @@ class TestPackedTerms:
         with pytest.raises(ValueError, match="above 255"):
             (u * v + w) ** 256
         with pytest.raises(ValueError, match="above 255"):
-            determinant(PolyMatrix(2, 2, (u**128, v, w, u**128)))
+            determinant([[u**128, v], [w, u**128]])
 
     def test_exponent_255_accepted(self):
         u, v, w = symbols(VARS3)
@@ -818,5 +846,5 @@ class TestPackedTerms:
         assert (u**200 * v**100 * w**255).terms == {(200, 100, 255): 1}
         assert ((u + v) ** 255).terms[(128, 127, 0)] > 0
         # a 3x1 matrix: one row per minor, not the sum over its rows
-        m = PolyMatrix(3, 1, (u**255, u**255, u**255))
+        m = [[u**255], [u**255], [u**255]]
         assert [det for _, _, det in minor_expansion(m, 1)] == [u**255] * 3

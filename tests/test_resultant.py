@@ -97,9 +97,18 @@ class TestPlan:
 
     def test_non_reduced_rejected(self):
         with pytest.raises(ValueError, match="reduce_arch"):
-            two_layer_resultants(1, 2, 2, coefficient_symbols(3))
+            two_layer_resultants(3, 1, 2, coefficient_symbols(3))
         with pytest.raises(ValueError, match="reduce_arch"):
             two_layer_resultants(3, 2, 1, coefficient_symbols(4))
+
+    def test_size_one_first_layer(self):
+        # (1,3) at stride 2: one row per lower slot, and its 1x1 minors are
+        # the entries off the multiples of the stride
+        assert plan(1, 3, 2) == {"I1": (1, 1)}
+        ((_, _, _, rows),) = two_layer_resultants(1, 3, 2, coefficient_symbols(5))
+        assert matrix_texts(rows) == [["B", "D"]]
+        ((_, _, _, rows),) = two_layer_resultants(1, 2, 3, coefficient_symbols(4))
+        assert matrix_texts(rows) == [["C"], ["B"]]
 
     @pytest.mark.parametrize("k", [7, 9])
     def test_wrong_filter_length_rejected(self, k):

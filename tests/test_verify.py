@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -164,10 +165,10 @@ class TestVerifyIdeal:
     @pytest.mark.parametrize(
         "sizes,strides,rank,expected",
         [
-            # a leading or interior size-1 layer at stride 2 or 3 is merged
-            # away, and V(gens) is larger than the image
-            ((1, 3), (2, 1), 3, 5),
-            ((2, 1, 2), (2, 3, 1), 3, 5),
+            # a leading size-1 layer at stride 2 stays, an interior one at
+            # stride 3 merges into its predecessor
+            ((1, 3), (2, 1), 3, 3),
+            ((2, 1, 2), (2, 3, 1), 3, 3),
             # stride-1 merges and trailing size-1 layers keep the dimension
             ((2, 2, 2), (1, 2, 1), 4, 4),
             ((2, 2, 1), (2, 3, 1), 3, 3),
@@ -180,6 +181,18 @@ class TestVerifyIdeal:
         assert report.failures == ()
         assert (report.jacobian_rank, report.expected_dim) == (rank, expected)
         assert report.ok == (rank == expected)
+
+    def test_every_small_architecture_verifies(self):
+        # depth 2-3, sizes and strides 1-3, last stride 1: size-1 layers at
+        # every position and stride
+        archs = [
+            Architecture(ks, ss + (1,))
+            for depth in (2, 3)
+            for ks in product((1, 2, 3), repeat=depth)
+            for ss in product((1, 2, 3), repeat=depth - 1)
+        ]
+        assert len(archs) == 270
+        assert [a.describe() for a in archs if not verify_ideal(a, 10).ok] == []
 
     def test_ring_program_holds_only_the_evaluated_generator(self):
         # each random point violates the first generator, so the smoke test
