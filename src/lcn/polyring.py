@@ -18,7 +18,9 @@ rather than carry into the next field.  The constructor takes and the
 module reads the key layout.
 
 Variable lists of the form ``c0, c1, ...`` with at most 26 entries print as
-the letters ``A, B, ...`` so that small generators stay readable.
+the letters ``A, B, ...`` so that small generators stay readable.  The
+string of each monomial is memoised for the most recent ring and made from
+that of its prefix, the monomial without its last variable.
 
 :func:`evaluate_many` evaluates exactly through a monomial program kept for
 the most recent ring: each packed key gets a slot the first time it is
@@ -32,10 +34,11 @@ to decide which polynomials vanish identically under a substitution.
 
 A matrix is a sequence of equally long rows of polynomials from one ring.
 Its minors come from one memoised Laplace expansion that shares sub-minors
-on ``(rows, columns)``.  Each minor is
-built in one term dictionary: entry terms times cofactor terms are added
-into it directly (a fused multiply-accumulate), and the coefficients that
-cancel are dropped once at the end.
+on ``(rows, columns)`` and visits only the nonzero entries of each row,
+taking each one's sign from the number of columns of the minor before it.
+Each minor is built in one term dictionary: entry terms times cofactor
+terms are added into it directly (a fused multiply-accumulate), and the
+coefficients that cancel are dropped once at the end.
 """
 
 from __future__ import annotations
@@ -145,26 +148,21 @@ class MultiPoly:
             return -1
         return max(self._terms) >> _BITS * len(self.vars)
 
-    def leading_term(self):
-        """(exponents, coefficient) of the graded-lex maximal term."""
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        key = max(self._terms)
-        return tuple(_exponents(key, len(self.vars))), self._terms[key]
-
     def sign_normalized(self) -> "MultiPoly":
-        """Flip the sign if needed so the leading coefficient is positive."""
-        if not self._terms:
-            return self
-        _, coeff = self.leading_term()
-        return -self if coeff < 0 else self
+        """Flip the sign if needed so the leading coefficient (that of the
+        largest key) is positive."""
+        terms = self._terms
+        return -self if terms and terms[max(terms)] < 0 else self
 
     def content(self) -> int:
         """Positive gcd of the integer coefficients (1 if any is fractional)."""
         coeffs = self._terms.values()
-        if any(c.denominator != 1 for c in coeffs):
-            return 1
-        return gcd(*(c.numerator for c in coeffs)) or 1
+        try:
+            return gcd(*coeffs) or 1
+        except TypeError:  # a Fraction among them
+            if any(c.denominator != 1 for c in coeffs):
+                return 1
+            return gcd(*(c.numerator for c in coeffs))
 
     def primitive_part(self) -> "MultiPoly":
         g = self.content()
@@ -289,23 +287,15 @@ class MultiPoly:
         if not self._terms:
             return "0"
         monomial = _monomial_texts(self.vars)
-        pieces = []
+        out = []
         for k in sorted(self._terms, reverse=True):
             coeff = self._terms[k]
-            mono = monomial(k)
+            mono = monomial[k]
+            out.append(" - " if coeff < 0 else " + ")
             mag = abs(coeff)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            pieces.append(("-" if coeff < 0 else "+", body))
-        sign0, body0 = pieces[0]
-        out = body0 if sign0 == "+" else "-" + body0
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+            out.append(f"{mag}*{mono}" if mag != 1 and mono else mono or str(mag))
+        out[0] = "-" if out[0] == " - " else ""
+        return "".join(out)
 
     __str__ = text
 
@@ -332,28 +322,44 @@ class MultiPoly:
         return {"vars": list(self.vars), "terms": terms}
 
 
+class _MonomialTexts(dict):
+    """``packed key -> monomial string`` for one ring, e.g. ``A*D^2``; the
+    empty string for the constant monomial.
+
+    A key's string is made the first time it is looked up, from the string
+    of its head, the key without the last variable that occurs in it, and
+    that variable's power: ``head*D^2``.  So a new monomial whose head is
+    known costs one concatenation, whatever the number of variables.
+    """
+
+    def __init__(self, vars_: tuple):
+        super().__init__({0: ""})
+        n = len(vars_)
+        letters = n <= 26 and all(v == f"c{i}" for i, v in enumerate(vars_))
+        # field f holds the exponent of variable n - 1 - f
+        self.names = (_LETTERS[:n] if letters else vars_)[::-1]
+        self.shift = _BITS * n  # of the total degree
+
+    def __missing__(self, key: int) -> str:
+        # walk down to a key that has a string, then build the chain up
+        chain = []
+        while key not in self:
+            field = ((key & -key).bit_length() - 1) // _BITS
+            e = key >> _BITS * field & _MAX_EXPONENT
+            name = self.names[field]
+            chain.append((key, name if e == 1 else f"{name}^{e}"))
+            key -= e << self.shift | e << _BITS * field
+        head = self[key]
+        for key, power in reversed(chain):
+            head = self[key] = f"{head}*{power}" if head else power
+        return head
+
+
 @lru_cache(maxsize=1)
-def _monomial_texts(vars_: tuple):
-    """``key -> monomial string`` for ``vars_``, e.g. ``A*D^2``; the empty
-    string for the constant monomial.  Strings are memoised for the most
-    recent ring only, so the memo holds at most the monomials of one
-    generator set."""
-    n = len(vars_)
-    letters = n <= 26 and all(v == f"c{i}" for i, v in enumerate(vars_))
-    names = _LETTERS[:n] if letters else vars_
-    memo = {}
-
-    def monomial(key: int) -> str:
-        mono = memo.get(key)
-        if mono is None:
-            mono = memo[key] = "*".join(
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(names, _exponents(key, n))
-                if e
-            )
-        return mono
-
-    return monomial
+def _monomial_texts(vars_: tuple) -> _MonomialTexts:
+    """The monomial strings of the most recent ring only, so the memo holds
+    at most the monomials of one generator set."""
+    return _MonomialTexts(vars_)
 
 
 class _MonomialProgram(dict):
@@ -548,12 +554,14 @@ def dedup_generators(tagged: Iterable) -> tuple:
 
 def _cofactor_expansion(rows: Sequence[Sequence[MultiPoly]]):
     """``det(ri, mask)``: the minor of the matrix ``rows`` on the row tuple
-    ``ri`` and the columns set in ``mask``, expanded along ``ri[-1]`` in
-    ascending column order.  Sub-minors are memoised in one table per
-    length of the row prefix ``ri[:-1]``, emptied when that prefix changes:
-    asked for row sets in lexicographic order, each sub-minor is computed
-    once (O(2^n) products for a determinant, not n!) and only those of the
-    current row prefixes stay alive.
+    ``ri`` and the columns set in ``mask``, expanded along ``ri[-1]`` over
+    its nonzero entries in ascending column order; an entry's sign is the
+    parity of ``len(ri) - 1`` plus the number of ``mask`` columns before
+    it.  Sub-minors are memoised in one table per length of the row prefix
+    ``ri[:-1]``, emptied when that prefix changes: asked for row sets in
+    lexicographic order, each sub-minor is computed once (O(2^n) products
+    for a determinant, not n!) and only those of the current row prefixes
+    stay alive.
 
     Each minor is accumulated in one ``{key: coefficient}`` dict: every term
     ``c1 x^k1`` of a nonzero entry times every term ``c2 x^k2`` of its
@@ -578,6 +586,9 @@ def _cofactor_expansion(rows: Sequence[Sequence[MultiPoly]]):
     size = min(len(rows), cols)
     _check_fields(sum(sorted(col, reverse=True)[:size]) for col in zip(*row_tops))
     one = MultiPoly.constant(vars_, 1)
+    # per row, (column bit, term items) of each nonzero entry
+    nonzero = [[(1 << j, tuple(e._terms.items())) for j, e in enumerate(row) if e._terms]
+               for row in rows]
     tables = {}  # prefix length -> (prefix, {mask: minor})
 
     def det(ri: tuple, mask: int) -> MultiPoly:
@@ -590,21 +601,21 @@ def _cofactor_expansion(rows: Sequence[Sequence[MultiPoly]]):
             tables[len(above)] = (above, table)
         acc = {}
         get = acc.get
-        row = rows[ri[-1]]
-        for pos, j in enumerate(j for j in range(cols) if (mask >> j) & 1):
-            e = row[j]
-            if e._terms:
-                sub = mask ^ (1 << j)
-                if sub not in table:
-                    table[sub] = det(above, sub)
-                cofactor = table[sub]._terms.items()
-                odd = (len(above) + pos) % 2
-                for k1, c1 in e._terms.items():
-                    if odd:
-                        c1 = -c1
-                    for k2, c2 in cofactor:
-                        key = k1 + k2
-                        acc[key] = get(key, 0) + c1 * c2
+        for bit, terms in nonzero[ri[-1]]:
+            if not mask & bit:
+                continue
+            sub = mask ^ bit
+            if sub not in table:
+                table[sub] = det(above, sub)
+            cofactor = table[sub]._terms.items()
+            # the entry's position among the mask's columns sets the sign
+            odd = (len(above) + (mask & (bit - 1)).bit_count()) % 2
+            for k1, c1 in terms:
+                if odd:
+                    c1 = -c1
+                for k2, c2 in cofactor:
+                    key = k1 + k2
+                    acc[key] = get(key, 0) + c1 * c2
         return _packed(vars_, {key: c for key, c in acc.items() if c})
 
     return det

@@ -10,6 +10,7 @@ from itertools import combinations, product
 import pytest
 from expansion_oracle import product_then_add_minors
 from hypothesis import example, given, strategies as st
+from text_oracle import zip_text
 
 from lcn.arch import Architecture, sample_neuromanifold
 from lcn.idealgen import vanishing_generators
@@ -25,6 +26,7 @@ from lcn.polyring import (
     nonzero_compositions,
     symbols,
 )
+from lcn.resultant import resultant_rows
 
 VARS3 = ("u", "v", "w")
 
@@ -648,6 +650,28 @@ def cancelling_matrices(draw):
     return grid(cols, entries), draw(st.integers(1, min(rows, cols)))
 
 
+@st.composite
+def banded_matrices(draw):
+    """``(matrix, minor size)`` shaped like ``resultant_rows`` output:
+    shifted copies of one or two coefficient rows, with leading and
+    trailing zeros.  Coefficients are multi-term with non-unit coefficients
+    or zero, so nonzero entries also sit at odd positions of a minor's
+    columns."""
+    u, v, w = symbols(VARS3)
+    pool = [3 * u - 2 * v, u * v + 5 * w**2 - 4, -7 * u, Fraction(2, 3) * v - 6 * w, 0 * u]
+    slots = draw(st.lists(st.lists(st.sampled_from(pool), min_size=2, max_size=4), min_size=1, max_size=2))
+    top = max(map(len, slots)) - 1
+    rows = resultant_rows(slots, draw(st.integers(top, 4)))
+    return rows, draw(st.integers(1, min(len(rows), len(rows[0]))))
+
+
+def _odd_band():
+    """Three shifts of ``(0, a, 0, b)``: each row's nonzero entries one
+    column apart, at odd positions of the full column set."""
+    u, v, w = symbols(VARS3)
+    return resultant_rows([[0 * u, 3 * u - 2 * v, 0 * u, u * v + 5 * w**2 - 4]], 5)
+
+
 def _all_u(rows, cols):
     u = symbols(VARS3)[0]
     return [[u] * cols for _ in range(rows)]
@@ -669,6 +693,13 @@ class TestFusedExpansion:
             det = determinant(m)
             assert det == product_then_add_minors(m, len(m))[0][2]
             assert 0 not in det.terms.values()
+
+    @given(banded_matrices())
+    @example((_odd_band(), 2))
+    @example((_odd_band(), 3))
+    def test_banded_rows_match_product_then_add(self, drawn):
+        m, size = drawn
+        assert list(minor_expansion(m, size)) == product_then_add_minors(m, size)
 
 
 def _rebuilt(p):
@@ -708,6 +739,9 @@ class TestFastPaths:
         as_fractions = MultiPoly(VARS3, {e: Fraction(c) for e, c in p.terms.items()})
         assert all(type(c) is Fraction for c in as_fractions.terms.values())
         assert p.content() == as_fractions.content()
+        # every other coefficient an integral Fraction, the rest ints
+        mixed = MultiPoly(VARS3, {e: Fraction(c) if i % 2 else c for i, (e, c) in enumerate(p.terms.items())})
+        assert mixed.content() == p.content()
 
     def test_constructor_still_checks_exponents(self):
         with pytest.raises(ValueError):
@@ -723,6 +757,12 @@ class TestNormalization:
         assert p.sign_normalized() == A * D - B * C
         assert (A * D - B * C).sign_normalized() == A * D - B * C
 
+    def test_zero(self):
+        zero = MultiPoly(VARS3)
+        assert zero.sign_normalized() is zero
+        assert zero.content() == 1
+        assert zero.primitive_part() is zero
+
     def test_content(self):
         A, B = coefficient_symbols(2)
         p = 6 * A - 4 * B
@@ -732,6 +772,41 @@ class TestNormalization:
         q = Fraction(3, 2) * A - 6 * B
         assert q.content() == 1
         assert q.primitive_part() is q
+        assert MultiPoly.constant(A.vars, Fraction(-4, 3)).content() == 1
+        # positive when every coefficient is negative, on both paths
+        assert (-6 * A - 4 * B).content() == 2
+        assert (Fraction(-6) * A - 4 * B).content() == 2
+        assert (-3 * A).primitive_part() == -A
+
+
+# letter rings, plain c-rings past the letters, and rings of other names
+rings = st.one_of(
+    st.integers(1, 26).map(lambda n: tuple(f"c{i}" for i in range(n))),
+    st.integers(27, 40).map(lambda n: tuple(f"c{i}" for i in range(n))),
+    st.sampled_from([VARS3, ("c1", "c0"), ("c0", "c2", "c3"), ("x", "y_1", "alpha", "c3")]),
+)
+coefficients = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-(10**40), 10**40),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+)
+
+
+@st.composite
+def ring_polys(draw, vars_=None):
+    """A polynomial of a drawn ring (or of ``vars_``): a few sparse terms
+    with exponents up to 255, the constant term among them at times."""
+    vars_ = vars_ or draw(rings)
+    field = st.tuples(
+        st.integers(0, len(vars_) - 1), st.one_of(st.integers(1, 3), st.integers(250, 255))
+    )
+    terms = {}
+    for fields in draw(st.lists(st.lists(field, max_size=4), max_size=5)):
+        exps = [0] * len(vars_)
+        for i, e in fields:
+            exps[i] = e
+        terms[tuple(exps)] = draw(coefficients)
+    return MultiPoly(vars_, terms)
 
 
 def from_json(data):
@@ -749,6 +824,21 @@ class TestSerialization:
     def test_text_plain_names_beyond_letters(self):
         syms = coefficient_symbols(27)
         assert (syms[0] * syms[26]).text() == "c0*c26"
+
+    @given(ring_polys())
+    @example(MultiPoly.constant(VARS3, -(10**40)))
+    @example(MultiPoly(("c0", "c1"), {(0, 0): Fraction(-3, 2), (255, 1): -1, (0, 255): 7}))
+    def test_text_matches_zip_renderer(self, p):
+        assert p.text() == zip_text(p)
+        assert (-p).text() == zip_text(-p)
+
+    @given(st.lists(st.tuples(ring_polys(("c0", "c1", "c2")), ring_polys(VARS3)), max_size=4))
+    def test_text_of_two_rings_alternately(self, pairs):
+        # each call in the other ring rebuilds the one-ring memo
+        for p, q in pairs:
+            assert p.text() == zip_text(p)
+            assert q.text() == zip_text(q)
+            assert p.text() == zip_text(p)
 
     def test_json_round_trip(self):
         A, B, C, D = coefficient_symbols(4)
@@ -796,8 +886,8 @@ class TestPackedTerms:
         order = sorted(p.terms, key=grlex, reverse=True)
         if not order:
             return
-        assert p.leading_term() == (order[0], p.terms[order[0]])
         assert p.total_degree() == sum(order[0])
+        assert p.sign_normalized() == (-p if p.terms[order[0]] < 0 else p)
         assert [tuple(t["exps"]) for t in p.to_json()["terms"]] == order
         pieces = [MultiPoly(p.vars, {e: p.terms[e]}).text() for e in order]
         assert p.text() == pieces[0] + "".join(
