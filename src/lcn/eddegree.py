@@ -18,14 +18,19 @@ checks numerically.
 The inner sum is the ``z^t`` coefficient of
 ``prod_j sum_i binom(n_j + 1, i) z^i / (n_j - i)!``, so it is evaluated as
 one product of polynomials, each row scaled by ``n_j!`` to keep integer
-coefficients.  Everything here is exact big-integer arithmetic; each
-``t``-term is an integer because ``(kbar - t)! / prod (n_j - i_j)!`` is a
-multinomial coefficient.
+coefficients; a size's row is a pure function of ``n_j``, memoised for up to
+256 sizes per process.  The outer sum over ``t`` is taken by Horner's rule,
+``total = total * (kbar + 1 - t) +/- (2^{kbar+1-t} - 1) c_t``, so no
+factorial is formed per term, and is divided once by ``prod n_j!``.
+Everything here is exact big-integer arithmetic; the division is exact
+because each ``t``-term is an integer (``(kbar - t)! / prod (n_j - i_j)!`` is
+a multinomial coefficient).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, factorial, perm, prod
 from typing import Sequence
 
@@ -41,20 +46,28 @@ def _check_sizes(filter_sizes: Sequence[int]) -> tuple:
     return sizes
 
 
+@lru_cache(maxsize=256)
+def _row(n: int) -> tuple:
+    """``n! * binom(n + 1, i) / (n - i)!`` for ``i = 0..n``: one size's factor."""
+    return tuple(comb(n + 1, i) * perm(n, i) for i in range(n + 1))
+
+
 def generic_ed_degree(filter_sizes: Sequence[int]) -> int:
     """Exact critical-point count for the given multiset of filter sizes."""
     dims = [k - 1 for k in _check_sizes(filter_sizes)]
     kbar = sum(dims)
     # coeffs[t] = prod_j n_j! * (inner sum at t)
-    coeffs = [1]
-    for n in dims:
-        coeffs = _convolve(coeffs, [comb(n + 1, i) * perm(n, i) for i in range(n + 1)])
-    scale = prod(factorial(n) for n in dims)
+    coeffs = _row(dims[0])
+    for n in dims[1:]:
+        coeffs = _convolve(coeffs, _row(n))
+    # Horner: term t picks up the factors kbar - t, ..., 1 of later steps
     total = 0
     for t, c in enumerate(coeffs):
-        term, rest = divmod(c * factorial(kbar - t), scale)
-        assert rest == 0, "each t-term must clear its denominators"
-        total += (-1) ** t * (2 ** (kbar + 1 - t) - 1) * term
+        m = kbar + 1 - t
+        term = ((1 << m) - 1) * c
+        total = total * m + (-term if t & 1 else term)
+    total, rest = divmod(total, prod(factorial(n) for n in dims))
+    assert rest == 0, "the sum must clear its denominators"
     return total
 
 
@@ -100,7 +113,9 @@ def merge_tree(filter_sizes: Sequence[int]) -> MergeNode:
     Children enumerate the distinct merged multisets (the merged size takes
     the first slot of the pair); recursion stops at two layers.  Within one
     call, equal size tuples share one (frozen) node, and each multiset is
-    counted once; nothing is kept between calls.
+    counted once; nodes and counts are not kept between calls.  Only the
+    per-size rows of ``generic_ed_degree`` outlive a call, as a memo of a
+    pure function.
     """
     sizes = _check_sizes(filter_sizes)
     if len(sizes) < 2:
@@ -133,10 +148,24 @@ def merge_tree(filter_sizes: Sequence[int]) -> MergeNode:
 
 
 def tree_lines(node: MergeNode, indent: int = 0) -> list:
-    label = ",".join(map(str, node.filter_sizes))
-    lines = [f"{'  ' * indent}C[{label}] = {node.value}"]
-    for child in node.children:
-        lines.extend(tree_lines(child, indent + 1))
+    """``C[sizes] = value`` per node in preorder, two spaces of indent per level.
+
+    Within one call each distinct node's text is formatted once; a shared
+    node seen again only gets its new indent.
+    """
+    texts, lines = {}, []
+
+    def walk(node: MergeNode, pad: str) -> None:
+        text = texts.get(id(node))
+        if text is None:
+            label = ",".join(map(str, node.filter_sizes))
+            text = texts[id(node)] = f"C[{label}] = {node.value}"
+        lines.append(pad + text)
+        pad += "  "
+        for child in node.children:
+            walk(child, pad)
+
+    walk(node, "  " * indent)
     return lines
 
 

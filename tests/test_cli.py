@@ -87,6 +87,23 @@ class TestEddeg:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha
 
+    @pytest.mark.parametrize(
+        "argv,sha",
+        [
+            (("--table", "30", "30"), "4489bfc2ee3e19e3d5e47057201d831c7f082bc087892e2db4ff8250e4555f8d"),
+            (("-k", "2,3,4,5,6,7,8", "--tree"), "88a7b67c65cfb823d015496bf027c0cf22bd6039f186f07d20a3ea7dda9d5204"),
+            (("-k", "50,50,50,50,50,50,50,50"), "033c945347f5f12b9d26c6490869d55d06ce2605bf24557da00ac4598211d7d5"),
+            (("-k", "1,2,1,3"), "917df3320d778ddbaa5c5c7742bc4046bf803c36ed2b050f30844ed206783469"),
+        ],
+        ids=["table-30", "tree-2-to-8", "eight-50s", "size-one-layers"],
+    )
+    def test_stdout_pinned_before_horner_sum(self, capsys, argv, sha):
+        # SHA-256 of stdout recorded while each t-term had its own factorial
+        # and division and each tree line was formatted afresh
+        code, out, _ = run(capsys, "eddeg", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+
 
 class TestIdeal:
     def test_two_layer_text(self, capsys):

@@ -6,7 +6,7 @@ from math import comb, factorial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import eddegree_oracle
 import lcn.eddegree
@@ -84,6 +84,24 @@ class TestAgainstCompositionSum:
     @given(st.lists(st.integers(1, 7), min_size=1, max_size=6))
     def test_random_multisets(self, sizes):
         assert generic_ed_degree(sizes) == composition_sum(sizes)
+
+
+class TestAgainstTermByTerm:
+    # the oracle divides each t-term on its own, so it also checks that every
+    # term is an integer, which the library no longer asserts
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=9))
+    @example([1])
+    @example([1, 2, 1, 3])
+    @example([40] * 9)
+    @example([1, 40, 1, 40, 40])
+    def test_random_multisets(self, sizes):
+        assert generic_ed_degree(sizes) == eddegree_oracle.term_by_term_count(sizes)
+
+    @pytest.mark.parametrize(
+        "sizes", [(50,) * 8, (100,) * 6, tuple(range(2, 40))], ids=["eight-50s", "six-100s", "2-to-39"]
+    )
+    def test_large_fixed_cases(self, sizes):
+        assert generic_ed_degree(sizes) == eddegree_oracle.term_by_term_count(sizes)
 
 
 class TestTable:
@@ -270,6 +288,14 @@ class TestSharedWork:
     def test_two_layer_table_counts_each_pair_once(self, calls):
         two_layer_table(20, 20)
         assert len(calls) == len(set(calls)) == 190
+
+    def test_two_layer_table_builds_each_row_once(self):
+        # sizes 2..20 need the rows n = 1..19; 190 counts read two rows each
+        lcn.eddegree._row.cache_clear()
+        two_layer_table(20, 20)
+        info = lcn.eddegree._row.cache_info()
+        assert info.misses == info.currsize == 19
+        assert info.hits + info.misses == 2 * 190
 
 
 class TestTablesScript:
