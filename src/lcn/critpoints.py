@@ -28,44 +28,26 @@ and its gradient.  It tries the full step on every row, then the halvings
 candidates, one residual evaluation per block, and each row takes the first
 candidate that passes, as a loop over single halvings would.
 
-numpy loads on the solver's first use, not when this module is imported:
-``np`` is bound through :class:`importlib.util.LazyLoader`, so the exact
-commands that only import this module (through ``lcn.cli``) never load it.
-The first access to ``np`` happens inside the single-threaded solver; the
-lazy loader of Python 3.11 is not safe when two threads make that first
-access at once.
+numpy is imported inside the functions that use it, so the exact commands,
+which import this module through ``lcn.cli``, never load it.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .arch import Architecture, expected_dimension, reduce_arch
 from .idealgen import vanishing_generators
 from .polyring import MultiPoly
 
-
-def _lazy_import(name: str):
-    """Module ``name``, executed on its first attribute access; the loaded
-    module itself if it is already imported."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    loader = importlib.util.LazyLoader(spec.loader)
-    spec.loader = loader
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    loader.exec_module(module)
-    return module
-
-
-np = _lazy_import("numpy")
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def psi_map(M: np.ndarray, k: int, s: int, d_out: int) -> np.ndarray:
     """Sum of the ``d_out`` principal k x k blocks of M at offsets s*m."""
+    import numpy as np
     M = np.asarray(M)
     d0 = k + (d_out - 1) * s
     if M.shape != (d0, d0):
@@ -78,8 +60,9 @@ def psi_map(M: np.ndarray, k: int, s: int, d_out: int) -> np.ndarray:
 
 @dataclass
 class WeightedDistanceProblem:
-    """Weight matrix T, target u, and hypersurface f; the ambient dimension
-    is the number of variables of f."""
+    """Weight matrix T, target u, hypersurface f and constant ``offset``: the
+    loss is ``(w - u)^T T (w - u) + offset``.  The ambient dimension is the
+    number of variables of f."""
 
     T: np.ndarray
     u: np.ndarray
@@ -97,6 +80,7 @@ def training_reduce(X: np.ndarray, Y: np.ndarray, arch: Architecture) -> Weighte
     (reduced) architecture is a hypersurface, i.e. cut out by a single
     equation.
     """
+    import numpy as np
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     reduced = reduce_arch(arch)
@@ -139,6 +123,7 @@ def seeded_problem(arch: Architecture, data_seed: int, d_out: int):
     ``d0 = k + (d_out - 1) * s``, both drawn in that order from
     ``default_rng(data_seed)``.  Returns ``(X, Y, problem)``.
     """
+    import numpy as np
     d0 = arch.out_size + (d_out - 1) * arch.stride_product
     rng = np.random.default_rng(data_seed)
     X = rng.standard_normal((d0, d0 + 5))
@@ -169,6 +154,7 @@ class _MonomialMap:
     """
 
     def __init__(self, polys: list, k: int):
+        import numpy as np
         support = sorted({e for p in polys for e in p.terms})
         index = {e: i for i, e in enumerate(support)}
         self.exps = np.array(support, dtype=int).reshape(len(support), k)
@@ -181,6 +167,7 @@ class _MonomialMap:
 
     def __call__(self, W: np.ndarray) -> np.ndarray:
         """One column per polynomial, at the rows of ``W``."""
+        import numpy as np
         powers = np.empty(W.shape + (self.top_power + 1,), dtype=complex)
         powers[..., 0] = 1.0
         if self.top_power:
@@ -247,6 +234,7 @@ def _residuals(system, T, u, Z, V=None):
     Returns them with the rows ``(f, grad f)`` at ``w``, which are evaluated
     unless given as ``V``.
     """
+    import numpy as np
     k = Z.shape[1] - 1
     if V is None:
         V = system.values(Z[:, :k])
@@ -262,6 +250,7 @@ def _solve_rows(J, b):
     Returns ``(x, ok)``.  One stacked solve raises for the whole stack if
     any matrix is singular, so that case is redone one row at a time.
     """
+    import numpy as np
     try:
         return np.linalg.solve(J, b[..., None])[..., 0], np.ones(len(b), dtype=bool)
     except np.linalg.LinAlgError:
@@ -299,6 +288,7 @@ def _newton(system, T, u, tol, Z, V=None):
     status per row; ``status`` is ``_CONVERGED`` or an index into
     ``FAILURE_KINDS``.
     """
+    import numpy as np
     k = Z.shape[1] - 1
     Z = Z.copy()
     F, V = _residuals(system, T, u, Z, None if V is None else V.copy())
@@ -350,6 +340,7 @@ def solve_critical_points(
     in (w, lambda), in start order.  Comparing the count with a prediction
     is left to the caller.
     """
+    import numpy as np
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts}")
     f = problem.f

@@ -147,7 +147,7 @@ def merge_tree(filter_sizes: Sequence[int]) -> MergeNode:
     return build(sizes)
 
 
-def tree_lines(node: MergeNode, indent: int = 0) -> list:
+def tree_lines(node: MergeNode) -> list:
     """``C[sizes] = value`` per node in preorder, two spaces of indent per level.
 
     Within one call each distinct node's text is formatted once; a shared
@@ -165,7 +165,7 @@ def tree_lines(node: MergeNode, indent: int = 0) -> list:
         for child in node.children:
             walk(child, pad)
 
-    walk(node, "  " * indent)
+    walk(node, "")
     return lines
 
 

@@ -15,10 +15,12 @@ no point has a larger rank, and the rank at any one point bounds the
 generic rank from below.  For a multilinear map the Jacobian is assembled
 column by column from unit-vector substitutions.
 
-The reverse inclusion has no such certificate here: random ambient points
-must each violate a generator, a smoke test that evaluates the whole
-generator set at a point with one call of :func:`lcn.polyring.evaluate_many`
-and stops at the first nonzero value.
+The reverse inclusion, V(gens) ⊆ closure, is certified only by the test
+suite, by Gröbner bases on a fixed list of small architectures
+(``tests/test_closure_groebner.py``).  Here it is still sampled: random
+ambient points must each violate a generator, a smoke test that evaluates
+the whole generator set at a point with one call of
+:func:`lcn.polyring.evaluate_many` and stops at the first nonzero value.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Start-up contract: the exact ``lcn`` commands never load numpy.
 
-numpy is bound lazily in ``lcn.critpoints`` and loads on the solver's first
-use.  Each check runs in a fresh interpreter, since the test process itself
-has numpy loaded.  ``numpy.linalg`` is the marker: the lazy placeholder sits
-in ``sys.modules["numpy"]`` before numpy is loaded.
+``lcn.critpoints`` imports numpy inside the functions that use it, so numpy
+enters ``sys.modules`` only when the solver or the training reduction first
+runs, and the import lock makes that first use safe from several threads.
+Each check runs in a fresh interpreter, since the test process itself has
+numpy loaded.
 """
 
 import json
@@ -24,7 +25,7 @@ import contextlib, io, json, runpy, sys
 import lcn.cli
 
 def numpy_loaded():
-    return "numpy.linalg" in sys.modules
+    return "numpy" in sys.modules
 
 steps = [["import", 0, numpy_loaded(), "lcn.critpoints" in sys.modules]]
 for argv in json.loads(sys.argv[1]):
@@ -50,11 +51,40 @@ EXACT = [
 CRITPOINTS = ["critpoints", "-k", "2,2", "-s", "2,1", "--starts", "20"]
 
 
-def fresh(commands) -> list:
+# Two threads meet right after ``import lcn.cli``, so both make the first
+# use of numpy at once; prints the exceptions they raised.
+THREADS = """
+import json, threading
+
+import lcn.cli
+from lcn.arch import Architecture
+from lcn.critpoints import seeded_problem, solve_critical_points
+
+barrier = threading.Barrier(2)
+errors = []
+
+def solve():
+    barrier.wait()
+    try:
+        _, _, problem = seeded_problem(Architecture((2, 2), (2, 1)), 7, 3)
+        solve_critical_points(problem, starts=20, seed=1)
+    except Exception as exc:
+        errors.append(repr(exc))
+
+threads = [threading.Thread(target=solve) for _ in range(2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+print(json.dumps(errors))
+"""
+
+
+def fresh(commands, child: str = CHILD) -> list:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(commands)],
+        [sys.executable, "-c", child, json.dumps(commands)],
         env=env,
         capture_output=True,
         text=True,
@@ -74,3 +104,7 @@ def test_exact_commands_never_load_numpy_and_critpoints_does():
     # 20 starts may fall short of the count: exit 1, not an error
     name, rc, loaded = steps[-1]
     assert (name, loaded) == ("critpoints", True) and rc in (0, 1)
+
+
+def test_two_threads_can_make_the_first_numpy_use_at_once():
+    assert fresh([], THREADS) == []
