@@ -88,7 +88,10 @@ class Architecture:
     def merged(self, i: int) -> "Architecture":
         """Layers ``i`` and ``i+1`` merged into one layer of filter size
         ``k_i + s_i (k_{i+1} - 1)`` and stride ``s_i * s_{i+1}``; the
-        end-to-end filter size is unchanged."""
+        end-to-end filter size is unchanged.  Raises ``ValueError`` unless
+        ``0 <= i < depth - 1``."""
+        if not 0 <= i < self.depth - 1:
+            raise ValueError(f"layer {i} has no next layer in a {self.depth}-layer architecture")
         ks, ss = list(self.filter_sizes), list(self.strides)
         ks[i : i + 2] = [ks[i] + ss[i] * (ks[i + 1] - 1)]
         ss[i : i + 2] = [ss[i] * ss[i + 1]]

@@ -208,7 +208,7 @@ def cmd_resultant(args) -> int:
         raise UsageError("the resultant view is defined for two-layer architectures")
     (k1, k2), s1, k = arch.filter_sizes, arch.strides[0], arch.out_size
     prof = profile(k, s1)
-    degs = ",".join("-" if d is None else str(d) for d in prof.degrees)
+    degs = ",".join(map(str, prof.degrees))
     print(f"architecture {arch.describe()}  filter size {k}")
     print(f"slot degrees   : {degs}  (n*={prof.n_max}, n_*={prof.n_min}, r={prof.r})")
     matrices = two_layer_resultants(k1, k2, s1, coefficient_symbols(k))

@@ -228,16 +228,13 @@ class CriticalPointReport:
         return max((p.residual for p in self.points), default=0.0)
 
 
-def _residuals(system, T, u, Z, V=None):
-    """Lagrange residuals ``(f, T (w - u) - lambda grad f)`` at rows ``Z = (w, lambda)``.
-
-    Returns them with the rows ``(f, grad f)`` at ``w``, which are evaluated
-    unless given as ``V``.
+def _residuals(system, T, u, Z):
+    """Lagrange residuals ``(f, T (w - u) - lambda grad f)`` at rows ``Z = (w, lambda)``,
+    returned with the rows ``V = (f, grad f)`` at ``w``.
     """
     import numpy as np
     k = Z.shape[1] - 1
-    if V is None:
-        V = system.values(Z[:, :k])
+    V = system.values(Z[:, :k])
     F = np.empty_like(Z)
     F[:, 0] = V[:, 0]
     F[:, 1:] = (Z[:, :k] - u) @ T.T - Z[:, k:] * V[:, 1:]
@@ -274,9 +271,8 @@ _STEP_BLOCKS = tuple(
 )
 
 
-def _newton(system, T, u, tol, Z, V=None):
-    """Damped Newton on the Lagrange system from every row ``(w, lambda)`` of ``Z``,
-    starting from the rows ``V = (f, grad f)`` at its ``w`` when given.
+def _newton(system, T, u, tol, Z):
+    """Damped Newton on the Lagrange system from every row ``(w, lambda)`` of ``Z``.
 
     Each row takes a full step, halved until the residual norm drops by the
     Armijo factor ``1 - t/4``; it stops at residual below ``tol``, or fails
@@ -291,7 +287,7 @@ def _newton(system, T, u, tol, Z, V=None):
     import numpy as np
     k = Z.shape[1] - 1
     Z = Z.copy()
-    F, V = _residuals(system, T, u, Z, None if V is None else V.copy())
+    F, V = _residuals(system, T, u, Z)
     nF = np.linalg.norm(F, axis=1)
     status = np.full(len(Z), _CONVERGED)
     for _ in range(_MAX_NEWTON_STEPS):
@@ -372,12 +368,11 @@ def solve_critical_points(
         z = rng.standard_normal((min(_CHUNK, starts - first), 2, k))
         Z = np.zeros((len(z), k + 1), dtype=complex)
         Z[:, :k] = (z[:, 0] + 1j * z[:, 1]) * amp / np.sqrt(2)
-        V = system.values(Z[:, :k])
-        G0 = V[:, 1:]
+        G0 = system.values(Z[:, :k])[:, 1:]
         denom = np.sum(G0.conj() * G0, axis=1)
         num = np.sum(G0.conj() * ((Z[:, :k] - u) @ T.T), axis=1)
         np.divide(num, denom, out=Z[:, k], where=np.abs(denom) > 1e-30)
-        Z, G, nF, status = _newton(system, T, u, tol, Z, V)
+        Z, G, nF, status = _newton(system, T, u, tol, Z)
         for vec, grad, res, st in zip(Z, G, nF, status):
             w = vec[:k]
             if st != _CONVERGED:

@@ -6,8 +6,9 @@ x-exponent is congruent to ``i - 1`` mod ``s``.  All functions here work in
 the change-of-variables convention ``x^s -> x``, ``y^s -> y``, so slot ``i``
 is simply the coefficient list of a form of degree ``floor((k - i) / s)``.
 
-Slots are returned as tuples ordered by decreasing x-exponent; an
-identically-zero slot (possible only when ``s > k``) is the empty tuple.
+Slots are returned as tuples ordered by decreasing x-exponent.  The stride
+must satisfy ``1 <= s <= k``, so every slot has at least one coefficient; a
+reduced two-layer architecture always has ``k = k1 + s1 (k2 - 1) > s1``.
 The public API is 0-based: ``slots[0]`` is slot 1 of the decomposition.
 """
 
@@ -21,10 +22,10 @@ from typing import Sequence
 class DecompProfile:
     """Degree bookkeeping of one decomposition.
 
-    ``degrees[i]`` is the degree of slot ``i+1`` (None for the zero slot),
-    ``n_max``/``n_min`` are the extreme degrees over nonzero slots, and ``r``
-    counts the leading slots attaining ``n_max``.  Over nonzero slots the
-    degrees are non-increasing and span at most two consecutive values.
+    ``degrees[i]`` is the degree of slot ``i+1``; the degrees are
+    non-increasing and span at most two consecutive values.  ``n_max`` and
+    ``n_min`` are the first and last degree, and ``r`` counts the leading
+    slots attaining ``n_max``.
     """
 
     degrees: tuple
@@ -32,21 +33,13 @@ class DecompProfile:
     n_min: int
     r: int
 
-    @property
-    def nonzero_slots(self) -> int:
-        return sum(1 for d in self.degrees if d is not None)
-
 
 def profile(k: int, s: int) -> DecompProfile:
     """Slot degrees for a form of degree ``k - 1`` split at stride ``s``."""
-    if k < 1 or s < 1:
-        raise ValueError("k and s must be positive")
-    degrees = tuple((k - i) // s if k - i >= 0 else None for i in range(1, s + 1))
-    present = [d for d in degrees if d is not None]
-    n_max = present[0]
-    n_min = min(present)
-    r = sum(1 for d in present if d == n_max)
-    return DecompProfile(degrees, n_max, n_min, r)
+    if not 1 <= s <= k:
+        raise ValueError(f"stride {s} must lie in 1..k, here 1..{k}")
+    degrees = tuple((k - i) // s for i in range(1, s + 1))
+    return DecompProfile(degrees, degrees[0], degrees[-1], degrees.count(degrees[0]))
 
 
 def s_decompose(coeffs: Sequence, s: int) -> list:
@@ -54,13 +47,8 @@ def s_decompose(coeffs: Sequence, s: int) -> list:
 
     Works uniformly for symbolic and rational entries.  Coefficient ``c_j``
     (the ``x^{k-1-j} y^j`` term) lands in slot ``(k-1-j) mod s``, positioned
-    by decreasing x-exponent.
+    by decreasing x-exponent.  Raises ``ValueError`` unless ``1 <= s <= k``.
     """
     k = len(coeffs)
-    prof = profile(k, s)
-    slots = [[0] * (d + 1) if d is not None else [] for d in prof.degrees]
-    for j, c in enumerate(coeffs):
-        e = k - 1 - j
-        i = e % s
-        slots[i][prof.degrees[i] - e // s] = c
-    return [tuple(slot) for slot in slots]
+    profile(k, s)
+    return [tuple(coeffs[(k - 1 - i) % s : k - i : s]) for i in range(s)]

@@ -30,17 +30,15 @@ from .polyring import coefficient_symbols, dedup_generators, minor_expansion
 def resultant_rows(polys: Sequence[Sequence], l: int) -> list:
     """Rows of R_l, shared by symbolic and numeric callers.
 
-    ``polys`` are coefficient sequences (empty = zero polynomial, excluded).
-    Each row is padded with ``0 * entry``, a zero of the entries' own ring.
+    ``polys`` are nonempty coefficient sequences.  Each row is padded with
+    ``0 * entry``, a zero of the entries' own ring.
     """
     if l < 0:
         raise ValueError("shift cap l must be nonnegative")
-    if all(len(q) == 0 for q in polys):
-        raise ValueError("all input polynomials are zero")
+    if any(len(q) == 0 for q in polys):
+        raise ValueError("every polynomial needs at least one coefficient")
     rows = []
     for q in polys:
-        if not len(q):
-            continue
         n, zero = len(q) - 1, 0 * q[0]
         for shift in range(l - n + 1):
             row = [zero] * (l + 1)
@@ -54,13 +52,13 @@ def two_layer_resultants(k1: int, k2: int, s1: int, coeffs: Sequence) -> list:
     with stride ``s1``, with rows built from the filter entries ``coeffs``.
 
     Each entry is ``(name, shift cap, minor size, rows)``.  ``I1`` uses all
-    nonzero slots of ``s_decompose(coeffs, s1)`` with the shift cap of the
-    top and bottom slot degrees; ``I2`` uses the ``r`` top-degree slots and
-    is present exactly when ``1 < r <`` the number of nonzero slots.  A
-    filter lies on the variety exactly when every matrix has rank below its
-    minor size.  For ``k1 = 1``, ``I1`` is ``R_{k2-2}`` with one row per
-    lower slot and minors of size 1: the entries ``c_j`` with ``j`` off the
-    multiples of ``s1``.
+    slots of ``s_decompose(coeffs, s1)`` with the shift cap of the top and
+    bottom slot degrees; ``I2`` uses the ``r`` top-degree slots and is
+    present exactly when ``1 < r < s1``.  A filter lies on the variety
+    exactly when every matrix has rank below its minor size.  For
+    ``k1 = 1``, ``I1`` is ``R_{k2-2}`` with one row per lower slot and
+    minors of size 1: the entries ``c_j`` with ``j`` off the multiples of
+    ``s1``.
     """
     if k1 < 1 or k2 < 2 or s1 < 2:
         raise ValueError(
@@ -75,7 +73,7 @@ def two_layer_resultants(k1: int, k2: int, s1: int, coeffs: Sequence) -> list:
     m = k2 - 1
     l1 = prof.n_min + prof.n_max - m
     out = [("I1", l1, l1 - m + 2, resultant_rows(slots, l1))]
-    if 1 < prof.r < prof.nonzero_slots:
+    if 1 < prof.r < s1:
         l2 = 2 * prof.n_max - m
         out.append(("I2", l2, l2 - m + 2, resultant_rows(slots[: prof.r], l2)))
     return out

@@ -56,13 +56,8 @@ def s_recompose(slots: Sequence[Sequence], s: int, k: int) -> tuple:
     out = [0] * k
     for i, slot in enumerate(slots):
         d = prof.degrees[i]
-        expected = 0 if d is None else d + 1
-        if len(slot) != expected:
-            raise ValueError(
-                f"slot {i + 1} has {len(slot)} entries, expected {expected}"
-            )
-        if d is None:
-            continue
+        if len(slot) != d + 1:
+            raise ValueError(f"slot {i + 1} has {len(slot)} entries, expected {d + 1}")
         for t, c in enumerate(slot):
             e = (d - t) * s + i
             out[k - 1 - e] = c

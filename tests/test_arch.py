@@ -96,6 +96,21 @@ class TestArchitecture:
             assert len(compose_filters(arch, layers)) == arch.out_size
 
 
+class TestMerged:
+    ARCH = Architecture((2, 3, 4), (2, 2, 1))
+
+    def test_merges_each_layer_with_the_next(self):
+        assert self.ARCH.merged(0) == Architecture((6, 4), (4, 1))
+        assert self.ARCH.merged(1) == Architecture((2, 9), (2, 2))
+
+    # -3 would wrap to layer 0, -1 would merge the last layer with nothing,
+    # and 2 is past the last pair of layers
+    @pytest.mark.parametrize("i", [-3, -1, 2], ids=["wraps", "last-layer", "past-the-end"])
+    def test_index_outside_the_layer_pairs_rejected(self, i):
+        with pytest.raises(ValueError, match=f"layer {i} "):
+            self.ARCH.merged(i)
+
+
 class TestReduce:
     def test_unit_stride_merge(self):
         assert reduce_arch(Architecture((2, 2, 2), (1, 2, 1))) == Architecture((3, 2), (2, 1))

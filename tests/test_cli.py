@@ -300,6 +300,22 @@ class TestResultant:
                 digest.update(out.encode())
         assert digest.hexdigest() == "622f9375b020fe64517e7745a57a84d4795e22e60669409c47d3a0a55013a6f6"
 
+    @pytest.mark.parametrize(
+        "ks, ss, sha256",
+        [
+            ("5,2", "3,1", "e888626aa3e46463b6d8991ea2ecdc797037fc15dc1fefca41b8a912e486cf48"),
+            ("3,2", "2,1", "20a0db45b92fddf30ced20216b6a2f0d4470961cc1a4fdc553e4c828a74a583e"),
+            ("1,3", "2,1", "c95b5ed699f256bb8bdee52f3fd7a228ddb396948ccd950e86e3b27790412241"),
+            ("6,4", "2,1", "4263728c22c32930850312130b652928a2a3db945e9aa06de5acb93c56e2c5e2"),
+            ("4,3", "3,1", "a2c3af3b27eda3ebb06ca0261ec3f4fa688df703710d7ffb7c59f3fe7e08b414"),
+        ],
+    )
+    def test_print_matrices_stdout_pinned(self, capsys, ks, ss, sha256):
+        # recorded before slots were taken by slicing
+        code, out, _ = run(capsys, "resultant", "-k", ks, "-s", ss, "--print-matrices")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
     def test_size_one_first_layer(self, capsys):
         code, out, _ = run(capsys, "resultant", "-k", "1,3", "-s", "2,1", "--print-matrices")
         assert code == 0

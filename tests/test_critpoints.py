@@ -448,9 +448,9 @@ class TestEvaluationCounts:
         assert system.count("hessian") == steps
         assert system.rows("hessian") == sum(solved)
         # per step: the full step and at most three blocks of halvings; per
-        # chunk of starts: one call, which sets lambda and gives the initial
-        # residual
-        assert system.count("values") <= (1 + 3) * steps + 1
-        assert [name for name, _ in system.calls[:2]] == ["values", "hessian"]
+        # chunk of starts: two calls, one that sets lambda and one for the
+        # initial residual
+        assert system.count("values") <= (1 + 3) * steps + 2
+        assert [name for name, _ in system.calls[:3]] == ["values", "values", "hessian"]
         # some step halved, so the bound is not met by full steps alone
-        assert system.count("values") > steps + 1
+        assert system.count("values") > steps + 2

@@ -29,9 +29,13 @@ class TestDecompose:
         slots = s_decompose(tuple("ABCDEFGHI"), 4)
         assert slots == [("A", "E", "I"), ("D", "H"), ("C", "G"), ("B", "F")]
 
-    def test_zero_slots_when_stride_exceeds_length(self):
-        slots = s_decompose((1, 2, 3), 5)
-        assert slots == [(3,), (2,), (1,), (), ()]
+    def test_stride_above_length_rejected(self):
+        # a stride above the length would leave slots without coefficients
+        with pytest.raises(ValueError, match="stride 5"):
+            s_decompose((1, 2, 3), 5)
+        with pytest.raises(ValueError):
+            s_decompose((), 1)
+        assert s_decompose((1, 2, 3), 3) == [(3,), (2,), (1,)]
 
     def test_symbolic_input(self):
         syms = coefficient_symbols(5)
@@ -77,10 +81,13 @@ class TestProfile:
         assert prof.degrees == (2, 1, 1, 1)
         assert (prof.n_max, prof.r) == (2, 1)
 
-    def test_zero_slot_marking(self):
-        prof = profile(3, 5)
-        assert prof.degrees == (0, 0, 0, None, None)
-        assert prof.nonzero_slots == 3
+    def test_stride_outside_one_to_length_rejected(self):
+        for k, s in [(3, 5), (3, 4), (3, 0), (0, 1)]:
+            with pytest.raises(ValueError):
+                profile(k, s)
+        prof = profile(3, 3)
+        assert prof.degrees == (0, 0, 0)
+        assert (prof.n_max, prof.n_min, prof.r) == (0, 0, 3)
 
     def test_degree_bookkeeping_exhaustive(self):
         # slot degrees must follow floor((k - i) / s) and sum back to k

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from lcn.arch import Architecture, sample_neuromanifold, _convolve
+from lcn.arch import Architecture, reduce_arch, sample_neuromanifold, _convolve
+from lcn.decomp import profile, s_decompose
 from lcn.polyring import coefficient_symbols, evaluate_many
 from lcn.resultant import resultant_rows, two_layer_ideal, two_layer_resultants
 
@@ -52,13 +54,13 @@ class TestBuildResultant:
             ["0", "B", "D", "F", "H"],
         ]
 
-    def test_zero_polynomials_skipped(self):
+    def test_empty_polynomial_rejected(self):
         A, B = coefficient_symbols(2)
-        rows = resultant_rows([(), (A, B)], 1)
-        assert matrix_texts(rows) == [["A", "B"]]
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            resultant_rows([(), (A, B)], 1)
 
     def test_all_zero_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one coefficient"):
             resultant_rows([(), ()], 2)
 
     def test_degree_zero_rows(self):
@@ -114,6 +116,19 @@ class TestPlan:
     def test_wrong_filter_length_rejected(self, k):
         with pytest.raises(ValueError, match="filter of size 8"):
             two_layer_resultants(5, 2, 3, coefficient_symbols(k))
+
+    def test_every_slot_nonempty_on_reduced_two_layer_architectures(self):
+        # k = k1 + s1 (k2 - 1) > s1, so all s1 slots carry coefficients
+        for k1, k2, s1 in product(range(1, 7), range(2, 7), range(2, 7)):
+            k = k1 + s1 * (k2 - 1)
+            arch = Architecture((k1, k2), (s1, 1))
+            assert reduce_arch(arch) == arch
+            slots = s_decompose(range(k), s1)
+            assert len(slots) == s1 and all(slots)
+            assert [len(q) - 1 for q in slots] == list(profile(k, s1).degrees)
+            r = sum(len(q) == len(slots[0]) for q in slots)
+            names = [m[0] for m in two_layer_resultants(k1, k2, s1, range(k))]
+            assert names == (["I1", "I2"] if 1 < r < s1 else ["I1"]), (k1, k2, s1)
 
     def test_numeric_rows_are_the_symbolic_rows_evaluated(self):
         w = tuple(Fraction(i * i - 3, i + 1) for i in range(8))
