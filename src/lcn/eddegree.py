@@ -12,8 +12,9 @@ with ``n_j = k_j - 1`` and ``kbar = sum n_j`` (the dimension of the
 projectivized variety).  The count depends only on the multiset of filter
 sizes, and a size-1 filter adds nothing (its row of the product below is
 ``[1]``); strides play no role.  The same number governs the training loss of
-the matching convolutional network, which is what the rest of the package
-checks numerically.
+the matching convolutional network, which ``lcn critpoints`` checks
+numerically; the tests check it against the Chern-class formula for the ED
+degree of the Segre variety (Draisma et al., 2016, §5).
 
 The inner sum is the ``z^t`` coefficient of
 ``prod_j sum_i binom(n_j + 1, i) z^i / (n_j - i)!``, so it is evaluated as
@@ -75,18 +76,6 @@ def arch_ed_degree(arch: Architecture) -> int:
     """Critical-point count of an architecture (strides are irrelevant)."""
     reduced = reduce_arch(arch)
     return generic_ed_degree(reduced.filter_sizes)
-
-
-def fully_connected_count(m: int, n: int, r: int) -> int:
-    """Critical points when training a fully connected linear network.
-
-    The bounded-rank matrix variety has exactly ``binom(min(m, n), r)``
-    critical points for the (possibly weighted) Frobenius distance, far
-    fewer than the convolutional count with the same parameter budget.
-    """
-    if not 1 <= r <= min(m, n):
-        raise ValueError(f"rank {r} out of range for a {m}x{n} matrix")
-    return comb(min(m, n), r)
 
 
 @dataclass(frozen=True)
@@ -169,7 +158,7 @@ def tree_lines(node: MergeNode) -> list:
     return lines
 
 
-def two_layer_table(max_k1: int = 9, max_k2: int = 9) -> list:
+def two_layer_table(max_k1: int, max_k2: int) -> list:
     """Rows ``k1 = 2..max_k1`` of two-layer counts; each pair ``{k1, k2}`` counted once."""
     counts = {}
     return [

@@ -47,6 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
 from math import gcd, lcm
+from numbers import Integral
 from operator import add, mul
 from threading import Lock
 from typing import Iterable, Iterator, Sequence
@@ -78,6 +79,13 @@ def _check_fields(bounds):
         raise ValueError(f"exponent above {_MAX_EXPONENT}")
 
 
+def _coefficient(value):
+    """A Fraction as given, an integral number (numpy's too) as an int; else TypeError."""
+    if not isinstance(value, (Integral, Fraction)):
+        raise TypeError(f"coefficients must be int or Fraction, got {type(value).__name__} {value!r}")
+    return value if isinstance(value, Fraction) else int(value)
+
+
 def _packed(vars_: tuple, terms: dict) -> "MultiPoly":
     """A polynomial on packed keys that are valid for ``vars_``."""
     res = object.__new__(MultiPoly)
@@ -107,6 +115,7 @@ class MultiPoly:
                 raise ValueError(f"negative exponent in {exps}")
             if any(e > _MAX_EXPONENT for e in exps):
                 raise ValueError(f"exponent above {_MAX_EXPONENT} in {exps}")
+            coeff = _coefficient(coeff)
             if coeff:
                 key = sum(exps) << shift | int.from_bytes(bytes(exps), "big")
                 total = acc.get(key, 0) + coeff
@@ -128,6 +137,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, variables, value) -> "MultiPoly":
+        value = _coefficient(value)
         return _packed(tuple(variables), {0: value} if value else {})
 
     @classmethod

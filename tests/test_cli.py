@@ -414,6 +414,11 @@ class TestCritpoints:
         assert code == 2
         assert "--out-dim" in err
 
+    def test_zero_starts_usage_error(self, capsys):
+        code, out, err = run(capsys, "critpoints", "-k", "2,2", "-s", "2,1", "--starts", "0")
+        assert (code, out) == (2, "")
+        assert "argument --starts" in err
+
     @pytest.mark.parametrize("flag", ["--seed", "--data-seed"])
     def test_negative_seed_names_flag(self, capsys, flag):
         code, _, err = run(capsys, "critpoints", "-k", "2,2", "-s", "2,1", flag, "-1")

@@ -3,10 +3,10 @@ outside the tests.
 
 A name counts as used when it appears as a name or an attribute in the
 syntax tree (so not in a string or comment, but inside f-strings) of
-``src/lcn`` outside its own definition, or of ``scripts/``.  The names the
-benchmark's tracer wraps from outside (``perfbench/spans.py``) are exempt.
-Names starting with ``_`` are not checked.  Reference code that only the
-tests call belongs in ``tests/``.
+``src/lcn`` outside its own definition.  The names the benchmark's tracer
+wraps from outside (``perfbench/spans.py``) are exempt.  Names starting with
+``_`` are not checked.  Reference code that only the tests call belongs in
+``tests/``.
 """
 
 import ast
@@ -19,7 +19,6 @@ from pathlib import Path
 import lcn
 
 ROOT = Path(__file__).resolve().parents[1]
-SCRIPTS = ROOT / "scripts"
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import spans  # noqa: E402
@@ -67,7 +66,6 @@ def public_definitions():
 
 
 def test_every_public_name_has_a_library_caller():
-    used = {name for p in SCRIPTS.glob("*.py") for name, _ in used_names(p)}
     package = {p.resolve(): list(used_names(p)) for p in Path(lcn.__path__[0]).glob("*.py")}
     uncalled = []
     for qualified, name, obj in public_definitions():
@@ -76,7 +74,7 @@ def test_every_public_name_has_a_library_caller():
         lines, start = inspect.getsourcelines(obj)
         own = Path(inspect.getsourcefile(obj)).resolve()
         definition = range(start, start + len(lines))
-        called = name in used or any(
+        called = any(
             used_name == name and not (path == own and line in definition)
             for path, references in package.items()
             for used_name, line in references

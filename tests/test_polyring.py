@@ -4,9 +4,11 @@ import random
 import sys
 import threading
 import weakref
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from expansion_oracle import product_then_add_minors
 from hypothesis import example, given, strategies as st
@@ -812,6 +814,32 @@ def ring_polys(draw, vars_=None):
 def from_json(data):
     """Read back the ``MultiPoly.to_json`` form."""
     return MultiPoly(data["vars"], {tuple(t["exps"]): int(t["coeff"]) for t in data["terms"]})
+
+
+class TestCoefficientTypes:
+    INEXACT = [0.5, 0.0, 2.0, 1 + 2j, Decimal("0.5"), Decimal(2), "3"]
+
+    @pytest.mark.parametrize("coeff", INEXACT, ids=repr)
+    def test_inexact_rejected(self, coeff):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            MultiPoly(("x", "y"), {(1, 0): coeff})
+        with pytest.raises(TypeError, match="int or Fraction"):
+            MultiPoly.constant(("x",), coeff)
+
+    @pytest.mark.parametrize(
+        "coeff,value",
+        [(3, 3), (Fraction(3, 2), Fraction(3, 2)), (np.int64(3), 3), (np.uint8(3), 3), (True, 1)],
+        ids=repr,
+    )
+    def test_exact_coefficients_build_and_evaluate(self, coeff, value):
+        p = MultiPoly(("x", "y"), {(1, 0): coeff, (0, 1): 1})
+        assert p.terms == {(1, 0): value, (0, 1): 1}
+        assert all(type(c) in (int, Fraction) for c in p.terms.values())
+        assert p.evaluate((2, 5)) == 2 * value + 5
+        assert MultiPoly.constant(("x", "y"), coeff) == MultiPoly(("x", "y"), {(0, 0): value})
+        if isinstance(value, int):
+            assert p.to_json()["terms"][0]["coeff"] == str(value)
+            assert p.primitive_part() == p
 
 
 class TestSerialization:
