@@ -106,6 +106,8 @@ class MultiPoly:
         shift = _BITS * nv
         acc = {}
         for exps, coeff in (terms or {}).items():
+            if not all(isinstance(e, Integral) for e in exps):
+                raise TypeError(f"exponents must be integers, got {exps!r}")
             exps = tuple(int(e) for e in exps)
             if len(exps) != nv:
                 raise ValueError(
@@ -645,16 +647,12 @@ def minor_expansion(rows: Sequence[Sequence[MultiPoly]], size: int) -> Iterator:
     one ring.
 
     Enumeration is lexicographic in (row-set, col-set).  One expansion serves
-    the whole call, so sub-minors are shared on ``(rows, columns)``.  A square
-    matrix at full size has one minor, its :func:`determinant`.  Zero and
+    the whole call, so sub-minors are shared on ``(rows, columns)``.  Zero and
     duplicate determinants are kept; see :func:`dedup_generators`.
     """
     if size < 1:
         raise ValueError("minor size must be at least 1")
     cols = len(rows[0]) if rows else 0
-    if size == len(rows) == cols:
-        yield tuple(range(size)), tuple(range(size)), determinant(rows)
-        return
     det = _cofactor_expansion(rows)
     for ri in combinations(range(len(rows)), size):
         for ci in combinations(range(cols), size):

@@ -59,6 +59,15 @@ class TestPsiMap:
         with pytest.raises(ValueError):
             psi_map(np.eye(7), 4, 2, 3)
 
+    @pytest.mark.parametrize("M, k, s, d_out", [
+        (np.eye(1), 3, 2, 0),
+        (np.eye(3), 3, 0, 5),
+        (np.eye(3), 0, 1, 4),
+    ])
+    def test_sizes_below_one_rejected(self, M, k, s, d_out):
+        with pytest.raises(ValueError, match="at least 1"):
+            psi_map(M, k, s, d_out)
+
 
 class TestSeededProblem:
     @pytest.mark.parametrize("sizes,data_seed,d_out", [((2, 2), 7, 3), ((3, 2), 3, 3), ((4, 2), 11, 2)])
@@ -133,6 +142,15 @@ class TestTrainingReduce:
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError, match="samples"):
             training_reduce(rng.standard_normal((8, 7)), rng.standard_normal((3, 7)), arch)
+
+    def test_zero_output_rows_rejected(self):
+        # d0 = 4 + (0 - 1) * 2 = 2: consistent shapes, but no output window
+        arch = Architecture((2, 2), (2, 1))
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="at least 1"):
+            training_reduce(rng.standard_normal((2, 7)), np.zeros((0, 7)), arch)
+        with pytest.raises(ValueError, match="at least 1"):
+            seeded_problem(arch, 7, 0)
 
     def test_non_hypersurface_rejected(self):
         arch = Architecture((5, 2), (3, 1))

@@ -1,5 +1,7 @@
+import hashlib
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 import sympy
@@ -220,3 +222,32 @@ class TestReductionInvariance:
         for seed in range(50):
             _, w = sample_neuromanifold(arch, seed)
             assert all_vanish(gens_red, w)
+
+
+# Every depth-2 and depth-3 architecture with sizes and strides 1..3 (last
+# stride 1), then deeper, size-1 and one-layer cases.
+SWEEP = [
+    Architecture(sizes, strides + (1,))
+    for depth in (2, 3)
+    for sizes in product(range(1, 4), repeat=depth)
+    for strides in product(range(1, 4), repeat=depth - 1)
+] + [
+    Architecture((3, 3, 3, 3), (2, 2, 2, 1)),
+    Architecture((2, 2, 2, 2, 2), (2, 2, 2, 2, 1)),
+    Architecture((1, 2, 2, 2), (2, 2, 2, 1)),
+    Architecture((2, 1, 2, 2), (3, 2, 2, 1)),
+    Architecture((4,), (2,)),
+    Architecture((1, 1, 1), (2, 2, 1)),
+]
+
+
+def test_sweep_digest_is_pinned():
+    # SHA-256 of variables, provenance, generator text and raw counts over
+    # the sweep; a change to any generator, label or count shows here
+    digest = hashlib.sha256()
+    for arch in SWEEP:
+        gens = vanishing_generators(arch)
+        texts = [g.text() for g in gens.generators]
+        digest.update(repr((gens.variables, gens.provenance, texts, gens.raw_counts)).encode())
+    assert len(SWEEP) == 276
+    assert digest.hexdigest() == "135ed5873f749612d7118fb591bfa22882b9078695a2091111c1250a68370075"

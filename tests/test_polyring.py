@@ -957,6 +957,20 @@ class TestPackedTerms:
         with pytest.raises(ValueError, match="above 255"):
             determinant([[u**128, v], [w, u**128]])
 
+    @pytest.mark.parametrize("e", [1.5, 0.9, 2.0, "2"])
+    def test_non_integral_exponent_rejected(self, e):
+        with pytest.raises(TypeError, match="exponents must be integers"):
+            MultiPoly(("x", "y"), {(e, 0): 1})
+        with pytest.raises(TypeError, match="exponents must be integers"):
+            MultiPoly(("x", "y"), {(0, 1): 3, (1, e): 1})
+
+    def test_numpy_integer_exponent_accepted(self):
+        x, y = symbols(("x", "y"))
+        p = MultiPoly(("x", "y"), {(np.int64(2), np.uint8(1)): 1})
+        assert p == x**2 * y
+        assert p.text() == "x^2*y"
+        assert all(type(e) is int for exps in p.terms for e in exps)
+
     def test_exponent_255_accepted(self):
         u, v, w = symbols(VARS3)
         assert poly3({(255, 0, 0): 1}) == u**255

@@ -6,7 +6,7 @@ import pytest
 
 from lcn.arch import Architecture, reduce_arch, sample_neuromanifold, _convolve
 from lcn.decomp import profile, s_decompose
-from lcn.polyring import coefficient_symbols, evaluate_many
+from lcn.polyring import coefficient_symbols, determinant, evaluate_many, minor_expansion
 from lcn.resultant import resultant_rows, two_layer_ideal, two_layer_resultants
 
 from variety_oracle import exact_rank
@@ -175,6 +175,19 @@ class TestTwoLayerIdeal:
         gens = two_layer_ideal(3, 4, 2)
         assert gens.raw_counts == (("two_layer(3,4;2):I1", 10),)
         assert len(gens.generators) == 10
+
+    def test_square_full_size_matrices_have_one_minor(self):
+        # the square matrices at full size among k1 in 1..6, k2 and s1 in 2..6
+        square = 0
+        for k1, k2, s1 in product(range(1, 7), range(2, 7), range(2, 7)):
+            syms = coefficient_symbols(k1 + s1 * (k2 - 1))
+            for _, _, size, rows in two_layer_resultants(k1, k2, s1, syms):
+                if not size == len(rows) == len(rows[0]):
+                    continue
+                square += 1
+                full = tuple(range(size))
+                assert list(minor_expansion(rows, size)) == [(full, full, determinant(rows))]
+        assert square == 16
 
 
 def planted_instance(rng, degrees, m):
