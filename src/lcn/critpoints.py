@@ -23,10 +23,11 @@ a time.
 
 A Newton step builds the Jacobian from the Hessian of ``f``, evaluated once
 per step on the rows about to be solved; the line search needs only ``f``
-and its gradient.  It tries the full step on every row, then the halvings
-``2^-1 ... 2^-13`` on the rows still pending in blocks of 2, 4 and 7
-candidates, one residual evaluation per block, and each row takes the first
-candidate that passes, as a loop over single halvings would.
+and its gradient.  Each row tries the full step and the halvings down to
+``2^-13`` in order and takes the first that passes, as a loop over single
+halvings would.  Its first block of trials reaches one halving below the
+step it accepted last, and the first blocks of all rows share one residual
+evaluation, so one evaluation per Newton step usually settles every row.
 
 numpy is imported inside the functions that use it, so the exact commands,
 which import this module through ``lcn.cli``, never load it.
@@ -139,8 +140,15 @@ def seeded_problem(arch: Architecture, data_seed: int, d_out: int):
 _MAX_NEWTON_STEPS = 100
 # Starts solved together as one set of arrays; which points are found does
 # not depend on it.  On a 2-core Xeon, 2,000 starts on (4,2)/(2,1) took
-# 1.7-2.0 s and 43 MB peak RSS in chunks of 256, 2.3-2.8 s and 81 MB at once.
+# 1.9-2.6 s and 41 MB peak RSS in chunks of 256, 2.3-2.4 s and 60 MB at once.
 _CHUNK = 256
+
+# Rows a ``_MonomialMap`` evaluates at once.  Its temporaries grow with the
+# rows, and under glibc's malloc each new peak size is memory to fault in
+# again: on (4,2)/(2,1) with 500 starts the line-search calls grow from 512
+# to 1,604 rows over the first chunk, and evaluating them whole cost 44,000
+# minor page faults per solve, against 2,100-2,700 in blocks of 512.
+_MAP_ROWS = 512
 
 # Why a start adds no point: Newton's three ways to give up, a converged
 # point on the singular locus, and a point already found.
@@ -153,7 +161,8 @@ class _MonomialMap:
 
     Each monomial of their joint support is evaluated once per point, from
     one table of variable powers; every polynomial is then a column of a
-    coefficient matrix applied to that monomial vector.
+    coefficient matrix applied to that monomial vector.  Rows are evaluated
+    in blocks of ``_MAP_ROWS``.
     """
 
     def __init__(self, polys: list, k: int):
@@ -171,14 +180,18 @@ class _MonomialMap:
     def __call__(self, W: np.ndarray) -> np.ndarray:
         """One column per polynomial, at the rows of ``W``."""
         import numpy as np
-        powers = np.empty(W.shape + (self.top_power + 1,), dtype=complex)
-        powers[..., 0] = 1.0
-        if self.top_power:
-            # the Hessian of a quadric is constant: no power above 0
-            powers[..., 1] = W
-        for d in range(2, powers.shape[-1]):
-            powers[..., d] = powers[..., d - 1] * W
-        return powers[:, self.variables, self.exps].prod(axis=2) @ self.coef
+        out = np.empty((len(W), self.coef.shape[1]), dtype=complex)
+        for i in range(0, len(W), _MAP_ROWS):
+            w = W[i : i + _MAP_ROWS]
+            powers = np.empty(w.shape + (self.top_power + 1,), dtype=complex)
+            powers[..., 0] = 1.0
+            if self.top_power:
+                # the Hessian of a quadric is constant: no power above 0
+                powers[..., 1] = w
+            for d in range(2, powers.shape[-1]):
+                powers[..., d] = powers[..., d - 1] * w
+            out[i : i + _MAP_ROWS] = powers[:, self.variables, self.exps].prod(axis=2) @ self.coef
+        return out
 
 
 class _CompiledSystem:
@@ -266,12 +279,9 @@ def _solve_rows(J, b):
 
 # Trial step sizes of the line search, in the order they are tried: the full
 # step, then the halvings down to the last one above the 1e-4 floor
-# (``2^-13``), in blocks of 1, 2, 4 and 7.  Each block is one residual call.
-# Plain floats, so that importing this module does not load numpy; ``_newton``
-# makes them arrays.
-_STEP_BLOCKS = tuple(
-    tuple(0.5**e for e in range(a, b)) for a, b in ((0, 1), (1, 3), (3, 7), (7, 14))
-)
+# (``2^-13``).  Plain floats, so that importing this module does not load
+# numpy; ``_newton`` makes them an array.
+_STEPS = tuple(0.5**e for e in range(14))
 
 
 def _newton(system, T, u, tol, Z):
@@ -280,19 +290,24 @@ def _newton(system, T, u, tol, Z):
     Each row takes a full step, halved until the residual norm drops by the
     Armijo factor ``1 - t/4``; it stops at residual below ``tol``, or fails
     on a singular Jacobian, a step shrunk to ``1e-4`` or the step limit.
-    Per step, the Hessian is evaluated once, on the rows being solved, and
-    the trial steps ``t`` of ``_STEP_BLOCKS`` are tried one block at a time
-    on the rows that have not yet accepted one, each row taking the first
-    ``t`` that passes.  Returns the final ``Z``, grad f, residual norm and
-    status per row; ``status`` is ``_CONVERGED`` or an index into
-    ``FAILURE_KINDS``.
+    Per step, the Hessian is evaluated once, on the rows being solved.  Each
+    row then tries the steps ``t`` of ``_STEPS`` in order in blocks, all
+    pending rows' blocks in one residual call, and takes the first ``t``
+    that passes.  A row's first block is its window: ``t = 1, 1/2, ...``
+    down to one halving below the step it accepted last (``1, 1/2`` at the
+    start), so one call usually settles every row.  A row with no passing
+    trial goes on with the next halvings in a block twice the size of its
+    last.  Returns the final ``Z``, grad f, residual norm and status per
+    row; ``status`` is ``_CONVERGED`` or an index into ``FAILURE_KINDS``.
     """
     import numpy as np
     k = Z.shape[1] - 1
+    steps = np.array(_STEPS)
     Z = Z.copy()
     F, V = _residuals(system, T, u, Z)
     nF = np.linalg.norm(F, axis=1)
     status = np.full(len(Z), _CONVERGED)
+    window = np.full(len(Z), 2)
     for _ in range(_MAX_NEWTON_STEPS):
         act = np.flatnonzero((status == _CONVERGED) & ~(nF < tol))
         if act.size == 0:
@@ -305,23 +320,35 @@ def _newton(system, T, u, tol, Z):
         step, ok = _solve_rows(J, -F[act])
         status[act[~ok]] = FAILURE_KINDS.index("singular_jacobian")
         act, step = act[ok], step[ok]
-        # rows of act and step whose trials have all failed so far
-        pending = np.arange(act.size)
-        for ts in map(np.array, _STEP_BLOCKS):
-            if pending.size == 0:
-                break
-            rows = act[pending]
-            # trial j * len(rows) + i is row i at step ts[j]
-            Z_new = (Z[rows] + ts[:, None, None] * step[pending]).reshape(-1, k + 1)
+        # each pending row's block is the trials first[i] .. first[i] + size[i] - 1
+        first = np.zeros(act.size, dtype=int)
+        size = np.minimum(window[act], steps.size)
+        while act.size:
+            ends = np.cumsum(size)
+            heads = ends - size
+            owner = np.repeat(np.arange(act.size), size)
+            trial = np.arange(ends[-1]) - np.repeat(heads - first, size)
+            t = steps[trial]
+            rows = act[owner]
+            Z_new = Z[rows] + t[:, None] * step[owner]
             F_new, V_new = _residuals(system, T, u, Z_new)
             nF_new = np.linalg.norm(F_new, axis=1)
-            good = nF_new.reshape(ts.size, -1) < (1 - 0.25 * ts[:, None]) * nF[rows]
-            hit = good.any(axis=0)
-            pick = good.argmax(axis=0)[hit] * rows.size + np.flatnonzero(hit)
-            acc = rows[hit]
+            good = nF_new < (1 - 0.25 * t) * nF[rows]
+            # each row's first passing trial, or ends[-1] if none passes
+            pick = np.minimum.reduceat(np.where(good, np.arange(ends[-1]), ends[-1]), heads)
+            hit = pick < ends[-1]
+            acc, pick = act[hit], pick[hit]
             Z[acc], F[acc], V[acc], nF[acc] = Z_new[pick], F_new[pick], V_new[pick], nF_new[pick]
-            pending = pending[~hit]
-        status[act[pending]] = FAILURE_KINDS.index("line_search")
+            window[acc] = trial[pick] + 2
+            if hit.all():
+                break
+            miss = ~hit
+            act, step = act[miss], step[miss]
+            first, size = first[miss] + size[miss], 2 * size[miss]
+            spent = first == steps.size
+            status[act[spent]] = FAILURE_KINDS.index("line_search")
+            act, step, first = act[~spent], step[~spent], first[~spent]
+            size = np.minimum(size[~spent], steps.size - first)
     status[(status == _CONVERGED) & ~(nF < tol)] = FAILURE_KINDS.index("step_limit")
     return Z, V[:, 1:], nF, status
 

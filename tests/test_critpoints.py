@@ -3,6 +3,7 @@ import pytest
 
 from lcn.arch import Architecture
 from lcn.critpoints import (
+    _MAP_ROWS,
     FAILURE_KINDS,
     WeightedDistanceProblem,
     _CompiledSystem,
@@ -292,12 +293,21 @@ class TestBatchedNewton:
     """The batched solver against the one-start-at-a-time oracle."""
 
     @pytest.mark.parametrize("seed,data_seed", [(0, 1), (5, 7), (42, 3)])
-    @pytest.mark.parametrize("sizes", [(2, 2), (3, 2), (4, 2)])
+    @pytest.mark.parametrize("sizes", [(1, 2), (2, 2), (3, 2), (4, 2)])
     def test_matches_sequential(self, sizes, seed, data_seed):
+        # (1,2) has a linear f, so its Hessian map has no monomials
         arch = Architecture(sizes, (2, 1))
         _, _, prob = seeded_problem(arch, data_seed, 3)
         report = solve_critical_points(prob, starts=100, seed=seed)
         assert_same_report(report, sequential_solve(prob, starts=100, seed=seed))
+
+    def test_exhausted_line_search_matches_sequential(self):
+        # one start fails all 14 trial steps, so it runs every block after
+        # its first
+        _, _, prob = seeded_problem(Architecture((5, 2), (2, 1)), 3, 3)
+        report = solve_critical_points(prob, starts=100, seed=42)
+        assert report.failures["line_search"] >= 1
+        assert_same_report(report, sequential_solve(prob, starts=100, seed=42))
 
     def test_many_chunks_match_sequential(self):
         # 2000 starts span eight chunks, every one of them solved
@@ -365,6 +375,20 @@ class CountingSystem(_CompiledSystem):
         return sum(r for n, r in self.calls if n == name)
 
 
+class TestMonomialMap:
+    def test_blocks_match_pointwise_oracle(self):
+        # more rows than two blocks: every block's values land on its own rows
+        f = vanishing_generators(Architecture((3, 2), (2, 1))).generators[0]
+        system, oracle = _CompiledSystem(f), PointSystem(f)
+        z = np.random.default_rng(4).standard_normal((2, 2 * _MAP_ROWS + 3, 5))
+        W = z[0] + 1j * z[1]
+        expected = [oracle(w) for w in W]
+        values = np.array([np.concatenate([[fv], grad]) for fv, grad, _ in expected])
+        hessians = np.array([H.ravel() for _, _, H in expected])
+        for got, want in ((system.values(W), values), (system.hessian(W), hessians)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
 class TestLineSearch:
     """The blocked line search against the oracle's one-halving-at-a-time loop."""
 
@@ -427,10 +451,10 @@ class TestEvaluationCounts:
         # one Hessian call per Newton step, on exactly the rows it solves
         assert system.count("hessian") == steps
         assert system.rows("hessian") == sum(solved)
-        # per step: the full step and at most three blocks of halvings; per
+        # per step: usually one call, for the trial windows of all rows; per
         # chunk of starts: two calls, one that sets lambda and one for the
         # initial residual
-        assert system.count("values") <= (1 + 3) * steps + 2
+        assert system.count("values") <= 1.5 * steps + 2
         assert [name for name, _ in system.calls[:3]] == ["values", "values", "hessian"]
         # some step halved, so the bound is not met by full steps alone
         assert system.count("values") > steps + 2
