@@ -15,6 +15,7 @@ exact, numeric and symbolic callers share one code path.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -25,14 +26,18 @@ def _integers(values: Sequence, what: str) -> tuple:
     """``values`` as a tuple of ints.
 
     Raises ValueError naming ``what`` unless every entry equals an integer:
-    ``2.0`` and numpy integers pass, ``2.5``, ``inf`` and ``nan`` do not.
+    ``2.0`` and numpy integers pass, ``2.5``, ``inf``, ``nan`` and bools
+    (Python's or numpy's, which would read as 0 and 1) do not.
     """
     values = tuple(values)
+    # a numpy bool can only be among the values once numpy is loaded
+    numpy = sys.modules.get("numpy")
+    bools = {bool} if numpy is None else {bool, numpy.bool_}
     try:
         ints = tuple(map(int, values))
     except (OverflowError, ValueError):
         ints = None
-    if ints != values:
+    if ints != values or not bools.isdisjoint(map(type, values)):
         raise ValueError(f"{what} must be integers, got {values}")
     return ints
 

@@ -17,15 +17,18 @@ numerically; the tests check it against the Chern-class formula for the ED
 degree of the Segre variety (Draisma et al., 2016, §5).
 
 The inner sum is the ``z^t`` coefficient of
-``prod_j sum_i binom(n_j + 1, i) z^i / (n_j - i)!``, so it is evaluated as
-one product of polynomials, each row scaled by ``n_j!`` to keep integer
-coefficients; a size's row is a pure function of ``n_j``, memoised for up to
-256 sizes per process.  The outer sum over ``t`` is taken by Horner's rule,
-``total = total * (kbar + 1 - t) +/- (2^{kbar+1-t} - 1) c_t``, so no
-factorial is formed per term, and is divided once by ``prod n_j!``.
-Everything here is exact big-integer arithmetic; the division is exact
-because each ``t``-term is an integer (``(kbar - t)! / prod (n_j - i_j)!`` is
-a multinomial coefficient).
+``prod_j sum_i binom(n_j + 1, i) z^i / (n_j - i)!``, each row scaled by
+``n_j!`` to keep integer coefficients; a size's row is a pure function of
+``n_j``, memoised for up to 256 sizes per process.  The product of the rows
+is one big-integer product (Kronecker substitution): each row is packed into
+one integer with ``w`` bits per coefficient, the packed integers are
+multiplied, and the ``kbar + 1`` coefficients are read back by shift and
+mask.  The outer sum over ``t`` is one dot product of those coefficients with
+the weights ``(-1)^t (2^{kbar+1-t} - 1) (kbar - t)!``, memoised per ``kbar``
+like the rows, and is divided once by ``prod n_j!``.  Everything here is
+exact big-integer arithmetic; the division is exact because each ``t``-term
+is an integer (``(kbar - t)! / prod (n_j - i_j)!`` is a multinomial
+coefficient).
 """
 
 from __future__ import annotations
@@ -33,9 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, perm, prod
+from operator import mul
 from typing import Sequence
 
-from .arch import Architecture, _convolve, _integers, reduce_arch
+from .arch import Architecture, _integers, reduce_arch
 
 
 def _check_sizes(filter_sizes: Sequence[int]) -> tuple:
@@ -53,20 +57,41 @@ def _row(n: int) -> tuple:
     return tuple(comb(n + 1, i) * perm(n, i) for i in range(n + 1))
 
 
+@lru_cache(maxsize=256)
+def _weights(kbar: int) -> tuple:
+    """``(-1)^t (2^{kbar+1-t} - 1) (kbar - t)!`` for ``t = 0..kbar``: the outer sum's factors."""
+    return tuple(
+        (-1) ** t * ((1 << (kbar + 1 - t)) - 1) * factorial(kbar - t)
+        for t in range(kbar + 1)
+    )
+
+
+def _row_product(dims: Sequence[int]) -> list:
+    """Coefficients of ``prod_j _row(n_j)`` as polynomials in ``z``, lowest first."""
+    rows = [_row(n) for n in dims]
+    width = prod(map(sum, rows)).bit_length()
+    packed = 1
+    for row in rows:
+        word = 0
+        for c in reversed(row):
+            word = (word << width) | c
+        packed *= word
+    mask = (1 << width) - 1
+    return [(packed >> (t * width)) & mask for t in range(sum(dims) + 1)]
+
+
 def generic_ed_degree(filter_sizes: Sequence[int]) -> int:
-    """Exact critical-point count for the given multiset of filter sizes."""
+    """Exact critical-point count for the given multiset of filter sizes.
+
+    ``_row_product`` packs the rows into integers with slots of
+    ``w = bit_length(prod_j sum(_row(n_j)))`` bits and multiplies them.  All
+    row entries are positive, so every coefficient of the product is at most
+    that product of row sums, which is below ``2^w``: no slot carries into
+    the next.
+    """
     dims = [k - 1 for k in _check_sizes(filter_sizes)]
-    kbar = sum(dims)
-    # coeffs[t] = prod_j n_j! * (inner sum at t)
-    coeffs = _row(dims[0])
-    for n in dims[1:]:
-        coeffs = _convolve(coeffs, _row(n))
-    # Horner: term t picks up the factors kbar - t, ..., 1 of later steps
-    total = 0
-    for t, c in enumerate(coeffs):
-        m = kbar + 1 - t
-        term = ((1 << m) - 1) * c
-        total = total * m + (-term if t & 1 else term)
+    # coefficient t = prod_j n_j! * (inner sum at t)
+    total = sum(map(mul, _weights(sum(dims)), _row_product(dims)))
     total, rest = divmod(total, prod(factorial(n) for n in dims))
     assert rest == 0, "the sum must clear its denominators"
     return total
@@ -160,6 +185,8 @@ def tree_lines(node: MergeNode) -> list:
 
 def two_layer_table(max_k1: int, max_k2: int) -> list:
     """Rows ``k1 = 2..max_k1`` of two-layer counts; each pair ``{k1, k2}`` counted once."""
+    if max_k1 < 2 or max_k2 < 2:
+        raise ValueError(f"table bounds must be at least 2, got {max_k1} and {max_k2}")
     counts = {}
     return [
         [_count(counts, (k1, k2)) for k2 in range(2, max_k2 + 1)]

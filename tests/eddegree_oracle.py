@@ -2,7 +2,8 @@
 
 ``term_by_term_count`` evaluates the closed form one ``t``-term at a time,
 each with its own factorial and an exact division by ``prod n_j!``;
-``lcn.eddegree.generic_ed_degree`` (a Horner sum divided once) must agree.
+``lcn.eddegree.generic_ed_degree`` (one packed product of the rows and
+one dot product, divided once) must agree.
 ``merge_tree`` is the plain recursion that builds a fresh node and calls
 ``generic_ed_degree`` once for every node of the layer-merge tree, with no
 sharing between equal size tuples or equal multisets;

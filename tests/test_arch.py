@@ -62,6 +62,11 @@ class TestArchitecture:
             ((2, 2), (float("inf"), 1)),
             ((float("nan"), 2), (2, 1)),
             ((2, 2), (2, float("nan"))),
+            # True is not the size or stride 1
+            ((True, 2), (2, 1)),
+            ((2, 2), (2, True)),
+            ((np.True_, 2), (2, 1)),
+            ((2, 3), (np.bool_(True), 1)),
         ],
     )
     def test_non_integral_entries_rejected(self, ks, ss):

@@ -2,13 +2,14 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb, factorial
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 import eddegree_oracle
 import lcn.eddegree
 from eddegree_oracle import chern_ed_degree, fully_connected_count
-from lcn.arch import Architecture
+from lcn.arch import Architecture, _convolve
 from lcn.eddegree import (
     arch_ed_degree,
     generic_ed_degree,
@@ -94,11 +95,22 @@ class TestAgainstTermByTerm:
     def test_random_multisets(self, sizes):
         assert generic_ed_degree(sizes) == eddegree_oracle.term_by_term_count(sizes)
 
+    # the last six stress the packed product: slots of thousands of bits,
+    # depth, and size-1 layers whose row is [1]
     @pytest.mark.parametrize(
-        "sizes", [(50,) * 8, (100,) * 6, tuple(range(2, 40))], ids=["eight-50s", "six-100s", "2-to-39"]
+        "sizes",
+        [(50,) * 8, (100,) * 6, tuple(range(2, 40)), (200,), (60, 60), (30, 30, 30), (2,) * 16, (1, 1, 5), (7, 1, 1, 7)],
+        ids=["eight-50s", "six-100s", "2-to-39", "one-200", "two-60s", "three-30s", "sixteen-2s", "1-1-5", "7-1-1-7"],
     )
     def test_large_fixed_cases(self, sizes):
         assert generic_ed_degree(sizes) == eddegree_oracle.term_by_term_count(sizes)
+
+
+class TestPackedProduct:
+    def test_two_rows_decode_to_their_convolution(self):
+        row = lcn.eddegree._row
+        for a, b in product(range(31), repeat=2):
+            assert lcn.eddegree._row_product((a, b)) == _convolve(row(a), row(b)), (a, b)
 
 
 class TestTable:
@@ -155,14 +167,24 @@ class TestErrors:
         with pytest.raises(ValueError):
             generic_ed_degree(())
 
-    @pytest.mark.parametrize("sizes", [(2.5, 3), (2.9, 3, 2), (float("inf"), 2), (2, float("nan"))])
+    # bools too: True would otherwise count as a size-1 layer
+    @pytest.mark.parametrize(
+        "sizes",
+        [(2.5, 3), (2.9, 3, 2), (float("inf"), 2), (2, float("nan")), (True, 3), (2, False, 3), (np.True_, 3)],
+    )
     def test_non_integral_sizes_rejected(self, sizes):
         with pytest.raises(ValueError, match="must be integers"):
             generic_ed_degree(sizes)
         with pytest.raises(ValueError, match="must be integers"):
             merge_tree(sizes)
 
+    @pytest.mark.parametrize("bounds", [(1, 5), (3, 1), (0, 0), (-2, 9)])
+    def test_table_bounds_below_two_rejected(self, bounds):
+        with pytest.raises(ValueError, match="at least 2"):
+            two_layer_table(*bounds)
+
     def test_integral_numbers_accepted(self):
+        assert generic_ed_degree((np.int64(2), 3)) == 10
         assert generic_ed_degree((2.0, 3)) == generic_ed_degree((2, 3)) == 10
         assert merge_tree((2.0, 3, 2)) == merge_tree((2, 3, 2))
 
