@@ -23,11 +23,12 @@ a time.
 
 A Newton step builds the Jacobian from the Hessian of ``f``, evaluated once
 per step on the rows about to be solved; the line search needs only ``f``
-and its gradient.  Each row tries the full step and the halvings down to
-``2^-13`` in order and takes the first that passes, as a loop over single
-halvings would.  Its first block of trials reaches one halving below the
-step it accepted last, and the first blocks of all rows share one residual
-evaluation, so one evaluation per Newton step usually settles every row.
+and its gradient.  Each row tries the step sizes ``1, 1/2, ..., 2^-13``
+starting at twice the size it accepted last: that size and its halvings,
+then the larger sizes it skipped.  It takes the first that passes, as
+trying them one at a time in that order would.  The first three trials of
+all rows share one residual evaluation, which usually settles the whole
+Newton step.
 
 numpy is imported inside the functions that use it, so the exact commands,
 which import this module through ``lcn.cli``, never load it.
@@ -38,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .arch import Architecture, expected_dimension, reduce_arch
+from .arch import Architecture, _integers, expected_dimension, reduce_arch
 from .idealgen import vanishing_generators
 from .polyring import MultiPoly
 
@@ -140,14 +141,15 @@ def seeded_problem(arch: Architecture, data_seed: int, d_out: int):
 _MAX_NEWTON_STEPS = 100
 # Starts solved together as one set of arrays; which points are found does
 # not depend on it.  On a 2-core Xeon, 2,000 starts on (4,2)/(2,1) took
-# 1.9-2.6 s and 41 MB peak RSS in chunks of 256, 2.3-2.4 s and 60 MB at once.
+# 1.04-1.16 s and 40.5 MB peak RSS in chunks of 256, 1.00-1.06 s and 48.6 MB
+# at once.
 _CHUNK = 256
 
 # Rows a ``_MonomialMap`` evaluates at once.  Its temporaries grow with the
 # rows, and under glibc's malloc each new peak size is memory to fault in
-# again: on (4,2)/(2,1) with 500 starts the line-search calls grow from 512
-# to 1,604 rows over the first chunk, and evaluating them whole cost 44,000
-# minor page faults per solve, against 2,100-2,700 in blocks of 512.
+# again: on (4,2)/(2,1) with 500 starts the line-search calls reach 768 rows
+# (three trials for each of 256 starts), and evaluating them whole cost
+# 1,590 minor page faults per solve, against 1,180 in blocks of 512.
 _MAP_ROWS = 512
 
 # Why a start adds no point: Newton's three ways to give up, a converged
@@ -277,37 +279,43 @@ def _solve_rows(J, b):
         return x, ok
 
 
-# Trial step sizes of the line search, in the order they are tried: the full
-# step, then the halvings down to the last one above the 1e-4 floor
-# (``2^-13``).  Plain floats, so that importing this module does not load
-# numpy; ``_newton`` makes them an array.
+# Trial step sizes of the line search: the full step, then the halvings
+# down to the last one above the 1e-4 floor (``2^-13``).  ``_ORDER[s]`` is
+# the order of their indices for a row that starts at ``_STEPS[s]``: the
+# halvings from there down to ``2^-13``, then the larger steps it skipped,
+# from the full step down.  A row starts at twice the step it accepted last
+# (``s`` one below that step's index, and at least 0), and at the full step
+# on its first step.  Plain tuples, so that importing this module does not
+# load numpy; ``_newton`` makes them arrays.
 _STEPS = tuple(0.5**e for e in range(14))
+_ORDER = tuple(tuple(range(s, len(_STEPS))) + tuple(range(s)) for s in range(len(_STEPS)))
+# Trials in a row's first block; each further block is twice its last.
+_FIRST_BLOCK = 3
 
 
 def _newton(system, T, u, tol, Z):
     """Damped Newton on the Lagrange system from every row ``(w, lambda)`` of ``Z``.
 
-    Each row takes a full step, halved until the residual norm drops by the
-    Armijo factor ``1 - t/4``; it stops at residual below ``tol``, or fails
-    on a singular Jacobian, a step shrunk to ``1e-4`` or the step limit.
-    Per step, the Hessian is evaluated once, on the rows being solved.  Each
-    row then tries the steps ``t`` of ``_STEPS`` in order in blocks, all
-    pending rows' blocks in one residual call, and takes the first ``t``
-    that passes.  A row's first block is its window: ``t = 1, 1/2, ...``
-    down to one halving below the step it accepted last (``1, 1/2`` at the
-    start), so one call usually settles every row.  A row with no passing
-    trial goes on with the next halvings in a block twice the size of its
-    last.  Returns the final ``Z``, grad f, residual norm and status per
-    row; ``status`` is ``_CONVERGED`` or an index into ``FAILURE_KINDS``.
+    Each row takes the first step size ``t`` that drops the residual norm
+    by the Armijo factor ``1 - t/4``, trying ``_STEPS`` in the order
+    ``_ORDER`` from twice the size it accepted last (the full step at the
+    start).  It stops at residual below ``tol``, or fails on a singular
+    Jacobian, on no passing step size or on the step limit.  Per step, the
+    Hessian is evaluated once, on the rows being solved.  Each row then
+    tries its steps in blocks, all pending rows' blocks in one residual
+    call: a first block of ``_FIRST_BLOCK`` trials, which usually settles
+    every row, and for a row with no passing trial a block twice the size
+    of its last.  Returns the final ``Z``, grad f, residual norm and status
+    per row; ``status`` is ``_CONVERGED`` or an index into ``FAILURE_KINDS``.
     """
     import numpy as np
     k = Z.shape[1] - 1
-    steps = np.array(_STEPS)
+    steps, order = np.array(_STEPS), np.array(_ORDER)
     Z = Z.copy()
     F, V = _residuals(system, T, u, Z)
     nF = np.linalg.norm(F, axis=1)
     status = np.full(len(Z), _CONVERGED)
-    window = np.full(len(Z), 2)
+    start = np.zeros(len(Z), dtype=int)
     for _ in range(_MAX_NEWTON_STEPS):
         act = np.flatnonzero((status == _CONVERGED) & ~(nF < tol))
         if act.size == 0:
@@ -321,15 +329,17 @@ def _newton(system, T, u, tol, Z):
         status[act[~ok]] = FAILURE_KINDS.index("singular_jacobian")
         act, step = act[ok], step[ok]
         # each pending row's block is the trials first[i] .. first[i] + size[i] - 1
+        # of its order
         first = np.zeros(act.size, dtype=int)
-        size = np.minimum(window[act], steps.size)
+        size = np.full(act.size, _FIRST_BLOCK)
         while act.size:
             ends = np.cumsum(size)
             heads = ends - size
             owner = np.repeat(np.arange(act.size), size)
             trial = np.arange(ends[-1]) - np.repeat(heads - first, size)
-            t = steps[trial]
             rows = act[owner]
+            index = order[start[rows], trial]
+            t = steps[index]
             Z_new = Z[rows] + t[:, None] * step[owner]
             F_new, V_new = _residuals(system, T, u, Z_new)
             nF_new = np.linalg.norm(F_new, axis=1)
@@ -339,7 +349,7 @@ def _newton(system, T, u, tol, Z):
             hit = pick < ends[-1]
             acc, pick = act[hit], pick[hit]
             Z[acc], F[acc], V[acc], nF[acc] = Z_new[pick], F_new[pick], V_new[pick], nF_new[pick]
-            window[acc] = trial[pick] + 2
+            start[acc] = np.maximum(index[pick] - 1, 0)
             if hit.all():
                 break
             miss = ~hit
@@ -367,6 +377,7 @@ def solve_critical_points(
     is left to the caller.
     """
     import numpy as np
+    (starts,) = _integers([starts], "starts")
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts}")
     f = problem.f

@@ -5,9 +5,10 @@
 line search, singular-locus test and deduplication, with each start
 evaluated through ``w ** exps`` and solved by its own ``np.linalg.solve``.
 The only addition is the tally of lost starts, so the batched failure
-counts are checked against it too.  ``newton`` is its
-Newton iteration for one start, whose line search halves ``t`` one trial
-at a time while ``t > MIN_STEP``.
+counts are checked against it too.  ``newton`` is its Newton iteration for
+one start, whose line search tries one step size at a time: twice the size
+it accepted last, halved while ``t > MIN_STEP``, then the larger sizes it
+skipped.
 
 ``training_loss`` evaluates the convolution's quadratic loss directly,
 against which the training reduction is checked.
@@ -26,7 +27,7 @@ from lcn.critpoints import (
 from lcn.polyring import MultiPoly
 
 _MAX_NEWTON_STEPS = 100
-# The line search gives up once the step size is halved to this or below.
+# The line search tries the step sizes 1, 1/2, 1/4, ... above this.
 MIN_STEP = 1e-4
 
 
@@ -79,15 +80,24 @@ def residual_vec(system, T, u, w, lam):
     return F, grad, H
 
 
-def newton(system, T, u, tol, w, lam):
+def newton(system, T, u, tol, w, lam, path=None):
     """Damped Newton from one start ``(w, lam)``.
 
-    Returns the name of the failure (``FAILURE_KINDS``), or
+    Each step tries the step sizes ``t = 1, 1/2, 1/4, ...`` above
+    ``MIN_STEP`` one at a time: from ``min(1, 2 t_last)`` down, then the
+    larger ones from 1 down, where ``t_last`` is the size accepted at the
+    step before (1 before the first step).  If a list ``path`` is given,
+    each accepted step appends its size and the new ``w`` to it.  Returns
+    the name of the failure (``FAILURE_KINDS``), or
     ``(w, lam, grad f, residual norm)`` once the residual is below ``tol``.
     """
     k = len(w)
+    grid = [1.0]
+    while grid[-1] / 2 > MIN_STEP:
+        grid.append(grid[-1] / 2)
     F, grad, H = residual_vec(system, T, u, w, lam)
     nF = np.linalg.norm(F)
+    t_last = 1.0
     for _ in range(_MAX_NEWTON_STEPS):
         if nF < tol:
             break
@@ -100,17 +110,19 @@ def newton(system, T, u, tol, w, lam):
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
             return "singular_jacobian"
-        t = 1.0
-        while t > MIN_STEP:
+        first = min(1.0, 2 * t_last)
+        for t in [s for s in grid if s <= first] + [s for s in grid if s > first]:
             w_new = w + t * step[:k]
             lam_new = lam + t * step[k]
             F_new, grad_new, H_new = residual_vec(system, T, u, w_new, lam_new)
             nF_new = np.linalg.norm(F_new)
             if nF_new < (1 - 0.25 * t) * nF:
                 break
-            t *= 0.5
         else:
             return "line_search"
+        t_last = t
+        if path is not None:
+            path.append((t, w_new))
         w, lam, F, grad, H, nF = w_new, lam_new, F_new, grad_new, H_new, nF_new
     if nF >= tol:
         return "step_limit"

@@ -3,6 +3,7 @@ import pytest
 
 from lcn.arch import Architecture
 from lcn.critpoints import (
+    _CONVERGED,
     _MAP_ROWS,
     FAILURE_KINDS,
     WeightedDistanceProblem,
@@ -16,6 +17,7 @@ from lcn.critpoints import (
 )
 from lcn.eddegree import arch_ed_degree
 from lcn.idealgen import vanishing_generators
+from lcn.polyring import MultiPoly
 
 from critpoints_oracle import MIN_STEP, PointSystem, newton, sequential_solve, training_loss
 
@@ -270,6 +272,19 @@ class TestSolve:
         with pytest.raises(ValueError, match="starts must be at least 1"):
             solve_critical_points(prob, starts=starts, seed=0)
 
+    @pytest.mark.parametrize("starts", [True, False, np.True_, 2.5, float("nan"), float("inf"), "3"])
+    def test_non_integral_start_count_rejected(self, starts):
+        _, _, prob = seeded_problem(Architecture((2, 2), (2, 1)), 7, 3)
+        with pytest.raises(ValueError, match="starts must be integers"):
+            solve_critical_points(prob, starts=starts, seed=0)
+
+    @pytest.mark.parametrize("starts", [7.0, np.int64(7)])
+    def test_integral_start_count_honoured(self, starts):
+        _, _, prob = seeded_problem(Architecture((2, 2), (2, 1)), 7, 3)
+        report = solve_critical_points(prob, starts=starts, seed=42)
+        assert report.starts_used == 7
+        assert_same_report(report, solve_critical_points(prob, starts=7, seed=42))
+
     def test_equation_in_wrong_dimension_rejected(self):
         f = vanishing_generators(Architecture((3, 2), (2, 1))).generators[0]
         assert len(f.vars) == 5
@@ -390,7 +405,8 @@ class TestMonomialMap:
 
 
 class TestLineSearch:
-    """The blocked line search against the oracle's one-halving-at-a-time loop."""
+    """The blocked line search against the oracle's one-trial-at-a-time loop
+    over the same rotated order of step sizes."""
 
     @pytest.fixture(scope="class")
     def converged(self):
@@ -426,6 +442,33 @@ class TestLineSearch:
             t_last = 0.5 ** (trials - 1)
             assert t_last > MIN_STEP >= t_last / 2
 
+    def test_fallback_to_a_larger_step_matches_oracle(self):
+        # the nearest fifth root of unity to 1/2, from a seeded start: its
+        # fourth Newton step, after one of t = 2^-13, fails at 2^-12 and
+        # 2^-13, then at 1 .. 2^-9, and passes at 2^-10
+        f = MultiPoly(("c0",), {(5,): 1, (0,): -1})
+        T, u = np.eye(1), np.array([0.5])
+        z = np.random.default_rng(11373).standard_normal((2, 2))
+        z = z[0] + 1j * z[1]
+        path = []
+        w, lam, _, _ = newton(PointSystem(f), T, u, 1e-10, z[:1], z[1], path)
+        assert [t for t, _ in path[2:4]] == [0.5**13, 0.5**10]
+        np.testing.assert_allclose([w[0], lam], [1, 0.1], atol=1e-12)
+        system = _CompiledSystem(f)
+        hessian, iterates = system.hessian, []
+
+        def logged(W):
+            iterates.append(W[0, 0])
+            return hessian(W)
+
+        system.hessian = logged
+        Z, _, _, status = _newton(system, T, u, 1e-10, z[None])
+        assert status[0] == _CONVERGED
+        # one Hessian per step, at the iterate the step starts from
+        assert len(iterates) == len(path)
+        np.testing.assert_allclose(iterates[1:], [p[0] for _, p in path[:-1]], rtol=1e-12)
+        np.testing.assert_allclose(Z[0], [w[0], lam], rtol=1e-12)
+
 
 class TestEvaluationCounts:
     """Residual and Hessian evaluations per Newton step, counted, not timed."""
@@ -455,6 +498,10 @@ class TestEvaluationCounts:
         # chunk of starts: two calls, one that sets lambda and one for the
         # initial residual
         assert system.count("values") <= 1.5 * steps + 2
+        # a row starts its trials at twice its last accepted step, so damped
+        # rows skip the larger trials they would fail: about 3 trials per
+        # solved row here
+        assert system.rows("values") <= 3.5 * system.rows("hessian")
         assert [name for name, _ in system.calls[:3]] == ["values", "values", "hessian"]
         # some step halved, so the bound is not met by full steps alone
         assert system.count("values") > steps + 2
