@@ -11,7 +11,8 @@ once per process.
 
 Exit codes: 0 success, 1 a verification-style run found failures or fell
 short of the predicted count, 2 usage error (bad arguments, or an
-architecture the subcommand cannot handle).  Any other exception is a bug
+architecture the subcommand cannot handle), 141 (128 + SIGPIPE) the reader
+of stdout closed it early, as ``head`` does.  Any other exception is a bug
 and propagates.  All randomness is seeded
 (defaults: ``--seed 42``, ``--data-seed 7``), so identical invocations print
 identical bytes.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 from typing import Sequence
@@ -93,12 +95,12 @@ def cmd_ideal(args) -> int:
             payload["raw_counts"] = [[lbl, n] for lbl, n in gens.raw_counts]
         print(json.dumps(payload, indent=2))
     else:
-        for g, prov in zip(gens.generators, gens.provenance):
-            line = g.text()
-            if args.provenance:
-                line += f"\t# {prov}"
-            print(line)
-        if not gens.generators:
+        lines = [g.text() for g in gens.generators]
+        if args.provenance:
+            lines = [f"{line}\t# {prov}" for line, prov in zip(lines, gens.provenance)]
+        if lines:
+            print(*lines, sep="\n")
+        else:
             print("# zero ideal (the reduced architecture has one layer)", file=sys.stderr)
     return 0
 
@@ -310,6 +312,10 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout's reader left (``lcn ideal ... | head``): flush into the void
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -145,13 +145,6 @@ _MAX_NEWTON_STEPS = 100
 # at once.
 _CHUNK = 256
 
-# Rows a ``_MonomialMap`` evaluates at once.  Its temporaries grow with the
-# rows, and under glibc's malloc each new peak size is memory to fault in
-# again: on (4,2)/(2,1) with 500 starts the line-search calls reach 768 rows
-# (three trials for each of 256 starts), and evaluating them whole cost
-# 1,590 minor page faults per solve, against 1,180 in blocks of 512.
-_MAP_ROWS = 512
-
 # Why a start adds no point: Newton's three ways to give up, a converged
 # point on the singular locus, and a point already found.
 FAILURE_KINDS = ("singular_jacobian", "line_search", "step_limit", "singular_locus", "duplicate")
@@ -163,8 +156,7 @@ class _MonomialMap:
 
     Each monomial of their joint support is evaluated once per point, from
     one table of variable powers; every polynomial is then a column of a
-    coefficient matrix applied to that monomial vector.  Rows are evaluated
-    in blocks of ``_MAP_ROWS``.
+    coefficient matrix applied to that monomial vector.
     """
 
     def __init__(self, polys: list, k: int):
@@ -182,18 +174,14 @@ class _MonomialMap:
     def __call__(self, W: np.ndarray) -> np.ndarray:
         """One column per polynomial, at the rows of ``W``."""
         import numpy as np
-        out = np.empty((len(W), self.coef.shape[1]), dtype=complex)
-        for i in range(0, len(W), _MAP_ROWS):
-            w = W[i : i + _MAP_ROWS]
-            powers = np.empty(w.shape + (self.top_power + 1,), dtype=complex)
-            powers[..., 0] = 1.0
-            if self.top_power:
-                # the Hessian of a quadric is constant: no power above 0
-                powers[..., 1] = w
-            for d in range(2, powers.shape[-1]):
-                powers[..., d] = powers[..., d - 1] * w
-            out[i : i + _MAP_ROWS] = powers[:, self.variables, self.exps].prod(axis=2) @ self.coef
-        return out
+        powers = np.empty(W.shape + (self.top_power + 1,), dtype=complex)
+        powers[..., 0] = 1.0
+        if self.top_power:
+            # the Hessian of a quadric is constant: no power above 0
+            powers[..., 1] = W
+        for d in range(2, powers.shape[-1]):
+            powers[..., d] = powers[..., d - 1] * W
+        return powers[:, self.variables, self.exps].prod(axis=2) @ self.coef
 
 
 class _CompiledSystem:

@@ -19,8 +19,8 @@ module reads the key layout.
 
 Variable lists of the form ``c0, c1, ...`` with at most 26 entries print as
 the letters ``A, B, ...`` so that small generators stay readable.  The
-string of each monomial is memoised for the most recent ring and made from
-that of its prefix, the monomial without its last variable.
+string of each monomial is memoised for the most recent ring and joined
+from memoised strings of its blocks of 8 variables.
 
 :func:`evaluate_many` evaluates exactly through a monomial program kept for
 the most recent ring: each packed key gets a slot the first time it is
@@ -37,8 +37,8 @@ Its minors come from one memoised Laplace expansion that shares sub-minors
 on ``(rows, columns)`` and visits only the nonzero entries of each row,
 taking each one's sign from the number of columns of the minor before it.
 Each minor is built in one term dictionary: entry terms times cofactor
-terms are added into it directly (a fused multiply-accumulate), and the
-coefficients that cancel are dropped once at the end.
+terms are added into it directly (a fused multiply-accumulate), and it is
+copied without zeros only if some coefficient cancelled.
 """
 
 from __future__ import annotations
@@ -58,6 +58,8 @@ _ZERO = Fraction(0)
 # Bits per exponent field of a packed key, and the largest exponent.
 _BITS = 8
 _MAX_EXPONENT = (1 << _BITS) - 1
+# Variables per memoised block of a monomial string.
+_BLOCK = 8
 
 
 def _exponents(key: int, n: int) -> bytes:
@@ -338,33 +340,36 @@ class _MonomialTexts(dict):
     """``packed key -> monomial string`` for one ring, e.g. ``A*D^2``; the
     empty string for the constant monomial.
 
-    A key's string is made the first time it is looked up, from the string
-    of its head, the key without the last variable that occurs in it, and
-    that variable's power: ``head*D^2``.  So a new monomial whose head is
-    known costs one concatenation, whatever the number of variables.
+    A key's string is made the first time it is looked up, by joining with
+    ``*`` the strings of its nonzero blocks: slices of at most 64 bits, the
+    fields of 8 consecutive variables.  Each block's string is memoised on
+    its slice, so a new monomial whose blocks are known costs one join.
     """
 
     def __init__(self, vars_: tuple):
         super().__init__({0: ""})
         n = len(vars_)
         letters = n <= 26 and all(v == f"c{i}" for i, v in enumerate(vars_))
-        # field f holds the exponent of variable n - 1 - f
-        self.names = (_LETTERS[:n] if letters else vars_)[::-1]
-        self.shift = _BITS * n  # of the total degree
+        names = _LETTERS[:n] if letters else vars_
+        self.blocks = []  # (shift, mask, names, {slice: string}), first variables first
+        for start in range(0, n, _BLOCK):
+            part = names[start : start + _BLOCK]
+            self.blocks.append((_BITS * (n - start - len(part)), (1 << _BITS * len(part)) - 1, part, {}))
 
     def __missing__(self, key: int) -> str:
-        # walk down to a key that has a string, then build the chain up
-        chain = []
-        while key not in self:
-            field = ((key & -key).bit_length() - 1) // _BITS
-            e = key >> _BITS * field & _MAX_EXPONENT
-            name = self.names[field]
-            chain.append((key, name if e == 1 else f"{name}^{e}"))
-            key -= e << self.shift | e << _BITS * field
-        head = self[key]
-        for key, power in reversed(chain):
-            head = self[key] = f"{head}*{power}" if head else power
-        return head
+        parts = []
+        for shift, mask, names, memo in self.blocks:
+            block = key >> shift & mask
+            if block:
+                text = memo.get(block)
+                if text is None:
+                    exps = block.to_bytes(len(names), "big")
+                    text = memo[block] = "*".join(
+                        name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e
+                    )
+                parts.append(text)
+        text = self[key] = "*".join(parts)
+        return text
 
 
 @lru_cache(maxsize=1)
@@ -578,8 +583,8 @@ def _cofactor_expansion(rows: Sequence[Sequence[MultiPoly]]):
     Each minor is accumulated in one ``{key: coefficient}`` dict: every term
     ``c1 x^k1`` of a nonzero entry times every term ``c2 x^k2`` of its
     cofactor adds ``+-c1*c2`` at the key ``k1 + k2``, with no intermediate
-    product, negation or sum polynomials.  Coefficients that cancel to zero
-    are dropped once, when the minor is finished.
+    product, negation or sum polynomials.  The finished dict is the minor's
+    unless a coefficient cancelled to zero: only then is it copied without.
 
     Raises ``ValueError`` unless the rows have one length and the entries
     one ring.  A minor takes one entry from each of at most
@@ -628,7 +633,7 @@ def _cofactor_expansion(rows: Sequence[Sequence[MultiPoly]]):
                 for k2, c2 in cofactor:
                     key = k1 + k2
                     acc[key] = get(key, 0) + c1 * c2
-        return _packed(vars_, {key: c for key, c in acc.items() if c})
+        return _packed(vars_, {key: c for key, c in acc.items() if c} if 0 in acc.values() else acc)
 
     return det
 
@@ -654,6 +659,7 @@ def minor_expansion(rows: Sequence[Sequence[MultiPoly]], size: int) -> Iterator:
         raise ValueError("minor size must be at least 1")
     cols = len(rows[0]) if rows else 0
     det = _cofactor_expansion(rows)
+    col_sets = [(ci, sum(1 << j for j in ci)) for ci in combinations(range(cols), size)]
     for ri in combinations(range(len(rows)), size):
-        for ci in combinations(range(cols), size):
-            yield ri, ci, det(ri, sum(1 << j for j in ci))
+        for ci, mask in col_sets:
+            yield ri, ci, det(ri, mask)

@@ -99,19 +99,17 @@ def two_layer_ideal(k1: int, k2: int, s1: int) -> IdealGenerators:
     """Generators whose zero locus is the two-layer filter variety.
 
     The minors of :func:`two_layer_resultants` at generic symbols
-    ``c0..c{k-1}``; the returned list is sign-normalized and deduplicated,
-    while ``raw_counts`` keeps the pre-pruning minor counts.
+    ``c0..c{k-1}``; the returned list is sign-normalized and deduplicated
+    on ``(matrix, rows, columns)`` tags, which become provenance labels only
+    once kept, while ``raw_counts`` keeps the pre-pruning minor counts.
     """
     syms = coefficient_symbols(k1 + s1 * (k2 - 1))
     label = f"two_layer({k1},{k2};{s1})"
-    candidates = []
-    raw = []
+    candidates, raw = [], []
     for name, _, size, rows in two_layer_resultants(k1, k2, s1, syms):
-        dets = [
-            (f"{label}:{name}[r={ri};c={ci}]", det)
-            for ri, ci, det in minor_expansion(rows, size)
-        ]
-        candidates += dets
-        raw.append((f"{label}:{name}", len(dets)))
-    provs, gens = dedup_generators(candidates)
+        before = len(candidates)
+        candidates += (((name, ri, ci), det) for ri, ci, det in minor_expansion(rows, size))
+        raw.append((f"{label}:{name}", len(candidates) - before))
+    tags, gens = dedup_generators(candidates)
+    provs = tuple(f"{label}:{name}[r={ri};c={ci}]" for name, ri, ci in tags)
     return IdealGenerators(syms[0].vars, gens, provs, tuple(raw))

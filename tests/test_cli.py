@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -182,6 +186,22 @@ class TestIdeal:
     )
     def test_size_one_layer_at_a_stride(self, capsys, sizes, strides, expected):
         assert run(capsys, "ideal", "-k", sizes, "-s", strides) == (0, expected, "")
+
+    def test_closed_pipe_exits_141_without_traceback(self):
+        # the reader closes stdout after 100 bytes, as `| head -c 100` does;
+        # the 1.2 MB of generators cannot all wait in the pipe's buffer
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lcn.cli", "ideal", "-k", "3,3,3,3", "-s", "2,2,2,1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
 
     def test_missing_strides(self, capsys):
         code, out, err = run(capsys, "ideal", "-k", "2,2")

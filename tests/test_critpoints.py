@@ -4,7 +4,6 @@ import pytest
 from lcn.arch import Architecture
 from lcn.critpoints import (
     _CONVERGED,
-    _MAP_ROWS,
     FAILURE_KINDS,
     WeightedDistanceProblem,
     _CompiledSystem,
@@ -391,11 +390,11 @@ class CountingSystem(_CompiledSystem):
 
 
 class TestMonomialMap:
-    def test_blocks_match_pointwise_oracle(self):
-        # more rows than two blocks: every block's values land on its own rows
+    def test_whole_call_matches_pointwise_oracle(self):
+        # one call on 1,027 rows: each row's values land on its own row
         f = vanishing_generators(Architecture((3, 2), (2, 1))).generators[0]
         system, oracle = _CompiledSystem(f), PointSystem(f)
-        z = np.random.default_rng(4).standard_normal((2, 2 * _MAP_ROWS + 3, 5))
+        z = np.random.default_rng(4).standard_normal((2, 1027, 5))
         W = z[0] + 1j * z[1]
         expected = [oracle(w) for w in W]
         values = np.array([np.concatenate([[fv], grad]) for fv, grad, _ in expected])

@@ -679,6 +679,21 @@ def _all_u(rows, cols):
     return [[u] * cols for _ in range(rows)]
 
 
+def _cancelling_by_hand():
+    """``(matrix, minor size)`` pairs whose minors cancel wholly or partly."""
+    u, v, w = symbols(VARS3)
+    z = 0 * u
+    twice = [[u, v, w], [v, w, u], [u, v, w]]
+    return [
+        # a duplicated row: the determinant and each 2x2 minor on rows 0 and 2
+        # cancel wholly
+        (twice, 2),
+        (twice, 3),
+        # u^2*w - u*v^2 - u^2*w: one pair of terms cancels, one is left
+        ([[u, u, z], [u, u, v], [z, v, w]], 3),
+    ]
+
+
 class TestFusedExpansion:
     """The one-dict expansion against product-then-add, term for term."""
 
@@ -695,6 +710,13 @@ class TestFusedExpansion:
             det = determinant(m)
             assert det == product_then_add_minors(m, len(m))[0][2]
             assert 0 not in det.terms.values()
+
+    @pytest.mark.parametrize("m,size", _cancelling_by_hand())
+    def test_cancelled_coefficients_are_dropped(self, m, size):
+        triples = list(minor_expansion(m, size))
+        assert triples == product_then_add_minors(m, size)
+        for _, _, det in triples:
+            assert 0 not in det._terms.values()
 
     @given(banded_matrices())
     @example((_odd_band(), 2))
@@ -867,6 +889,27 @@ class TestSerialization:
             assert p.text() == zip_text(p)
             assert q.text() == zip_text(q)
             assert p.text() == zip_text(p)
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 16, 17, 26, 27, 40])
+    def test_text_at_block_edges_matches_zip_renderer(self, n):
+        # a monomial string joins one string per block of 8 variables: the
+        # first and last variable of each block alone, with every exponent
+        # width, and neighbouring edges together; blocks counted from either end
+        edges = sorted({j for i in range(0, n, 8) for j in (i, i + 7, n - 8 - i, n - 1 - i) if 0 <= j < n})
+        monomials = [(0,) * n]
+        for i in edges:
+            for e in (1, 2, 9, 10, 255):
+                monomials.append(tuple(e if j == i else 0 for j in range(n)))
+        for i, j in zip(edges, edges[1:]):
+            monomials.append(tuple(10 if v == i else 1 if v == j else 0 for v in range(n)))
+        monomials.append(tuple(255 if v in edges else 0 for v in range(n)))
+        coeffs = (1, -1, 2, -10, 255)
+        p = MultiPoly(coefficient_symbols(n)[0].vars, {e: coeffs[i % 5] for i, e in enumerate(monomials)})
+        assert p.text() == zip_text(p)
+        assert (-p).text() == zip_text(-p)
+        for e in monomials:
+            q = MultiPoly(p.vars, {e: 1})
+            assert q.text() == zip_text(q)
 
     def test_json_round_trip(self):
         A, B, C, D = coefficient_symbols(4)
