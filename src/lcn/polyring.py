@@ -29,8 +29,11 @@ So the values of all monomials at a point fill a table with one
 multiplication each, and each polynomial is a sum of coefficients times
 table entries.  Each call fills its own table and keeps nothing of the
 point, so a generator set at one point takes one :func:`evaluate_many` call.
-:func:`nonzero_compositions` runs a program of its own on polynomial values,
-to decide which polynomials vanish identically under a substitution.
+:func:`nonzero_compositions` decides which polynomials vanish identically
+when each variable is replaced by a polynomial.  It composes a polynomial by
+one Horner step on the same parent rule, ``g = c + sum_j x_j * Q_j``, so its
+own program of polynomial values (bare term dicts) holds only the parents of
+the monomials, and each ``Q_j`` costs one product with the value of ``x_j``.
 
 A matrix is a sequence of equally long rows of polynomials from one ring.
 Its minors come from one memoised Laplace expansion that shares sub-minors
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from math import gcd, lcm
 from numbers import Integral
 from operator import add, mul
@@ -79,6 +82,33 @@ def _check_fields(bounds):
     """Raise unless every per-variable exponent bound fits in a field."""
     if max(bounds, default=0) > _MAX_EXPONENT:
         raise ValueError(f"exponent above {_MAX_EXPONENT}")
+
+
+def _add_product(acc: dict, a: dict, b: dict, n: int) -> dict:
+    """Add the product of the term dicts ``a`` and ``b`` (``n`` variables, no
+    zero coefficients) into ``acc`` and return it; zero sums are left in.
+
+    Raises ``ValueError`` if an exponent of the product would carry into
+    the next field.  A field can only overflow when the total degrees sum
+    past it, so only then are the fields checked."""
+    if a and b and (max(a) >> _BITS * n) + (max(b) >> _BITS * n) > _MAX_EXPONENT:
+        _check_fields(map(add, _max_exponents(a, n), _max_exponents(b, n)))
+    get = acc.get
+    for k2, c2 in b.items():
+        if c2 == 1:
+            for k1, c1 in a.items():
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1
+        else:
+            for k1, c1 in a.items():
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+    return acc
+
+
+def _nonzero(terms: dict) -> dict:
+    """``terms`` without its zero coefficients; itself when it has none."""
+    return {k: c for k, c in terms.items() if c} if 0 in terms.values() else terms
 
 
 def _coefficient(value):
@@ -228,21 +258,7 @@ class MultiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._terms, other._terms
-        n = len(self.vars)
-        # a field can only overflow when the total degrees sum past it
-        if a and b and (max(a) >> _BITS * n) + (max(b) >> _BITS * n) > _MAX_EXPONENT:
-            _check_fields(map(add, _max_exponents(a, n), _max_exponents(b, n)))
-        out = {}
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                k = k1 + k2
-                total = out.get(k, 0) + c1 * c2
-                if total:
-                    out[k] = total
-                elif k in out:
-                    del out[k]
-        return _packed(self.vars, out)
+        return _packed(self.vars, _nonzero(_add_product({}, self._terms, other._terms, len(self.vars))))
 
     __rmul__ = __mul__
 
@@ -379,6 +395,11 @@ def _monomial_texts(vars_: tuple) -> _MonomialTexts:
     return _MonomialTexts(vars_)
 
 
+# The type of the slot table of :func:`nonzero_compositions`, a name of its
+# own so that a test can watch the slots come and go.
+_Slots = dict
+
+
 class _MonomialProgram(dict):
     """``packed key -> slot`` for the monomials of one ring; see
     :func:`evaluate_many`.
@@ -480,15 +501,20 @@ def nonzero_compositions(polys: Sequence[MultiPoly], values: Sequence[MultiPoly]
     variable is replaced by its polynomial in ``values`` (ring order, all
     ``values`` in one ring of their own).
 
-    The monomials are composed through a monomial program of their own,
-    loaded with the ``polys`` in leading-monomial order, as in
-    :func:`evaluate_many` but with polynomial values: slot ``s`` is slot
-    ``parents[s]`` times ``values[factors[s]]``, filled in slot order as far
-    as the polynomials taken so far need.  Each composition is accumulated
-    term by term into one ``{key: coefficient}`` dict, so no polynomial is
-    built per term.  Every slot is read, as a term of a polynomial or as
-    the parent of another slot, and is dropped at its last read, so only
-    the slots still ahead stay alive.
+    Each polynomial is composed by one Horner step: split by the last
+    variable of each monomial (the parent rule of :class:`_MonomialProgram`)
+    as ``g = c + sum_j x_j * Q_j``, it composes to
+    ``c + sum_j values[j] * Q_j(values)``.  So only the parents of the
+    monomials need composed values, and each ``Q_j`` costs one product with
+    ``values[j]``.  The parents are composed through a monomial program of
+    their own, loaded with the ``polys`` in leading-monomial order: slot
+    ``s`` is the ``{key: coefficient}`` dict of slot ``parents[s]`` times
+    ``values[factors[s]]``, filled in slot order as far as the polynomials
+    taken so far need.  Every slot is read, in some ``Q_j`` or as the
+    parent of another slot, and is dropped at its last read, so only the
+    slots still ahead stay alive.  Every product is an :func:`_add_product`,
+    as in ``MultiPoly.__mul__``, so an exponent above 255 raises
+    ``ValueError``.
     """
     polys = tuple(polys)
     if not polys:
@@ -498,33 +524,60 @@ def nonzero_compositions(polys: Sequence[MultiPoly], values: Sequence[MultiPoly]
         raise ValueError("polynomials from different rings")
     if len(values) != len(ring):
         raise ValueError(f"{len(values)} values in a ring with {len(ring)} variables")
+    n = len(ring)
+    m = len(values[0].vars) if values else 0
+    phi = [v._terms for v in values]
     # by leading monomial, so that polynomials sharing monomials are composed
     # close together and the slots they read die sooner
     order = sorted(range(len(polys)), key=lambda i: max(polys[i]._terms, default=0))
-    program = _MonomialProgram(len(ring))
-    slots = [list(map(program.__getitem__, polys[i]._terms)) for i in order]
+    program = _MonomialProgram(n)
+    degree = 1 << _BITS * n
+    splits = []  # per polynomial: constant term, {j: [(coefficient, parent slot)]}
+    for i in order:
+        const = 0
+        groups = {}
+        for key, c in polys[i]._terms.items():
+            if not key:
+                const = c
+                continue
+            field = ((key & -key).bit_length() - 1) // _BITS
+            parent = program[key - (degree | 1 << _BITS * field)]
+            groups.setdefault(n - 1 - field, []).append((c, parent))
+        splits.append((const, groups))
     parents, factors = program.parents, program.factors
-    # reads[s]: one per term occurrence of slot s and one per child
+    # reads[s]: one per monomial whose parent is slot s and one per child
     reads = [0] * len(parents)
-    for s in chain(parents[1:], *slots):
+    for s in parents[1:]:
         reads[s] += 1
-    table = {0: MultiPoly.constant(values[0].vars if values else (), 1)}
+    for _, groups in splits:
+        for pairs in groups.values():
+            for _, s in pairs:
+                reads[s] += 1
+    table = _Slots({0: {0: 1}})
 
-    def read(s: int) -> MultiPoly:
+    def read(s: int) -> dict:
         reads[s] -= 1
         return table[s] if reads[s] else table.pop(s)
 
     filled = 0
     flagged = []
-    for i, row in zip(order, slots):
-        for s in range(filled + 1, max(row, default=0) + 1):
-            table[s] = read(parents[s]) * values[factors[s]]
+    for i, (const, groups) in zip(order, splits):
+        top = max((s for pairs in groups.values() for _, s in pairs), default=0)
+        for s in range(filled + 1, top + 1):
+            table[s] = _nonzero(_add_product({}, read(parents[s]), phi[factors[s]], m))
             filled = s
-        acc = {}
-        get = acc.get
-        for c1, s in zip(polys[i]._terms.values(), row):
-            for k, c2 in read(s)._terms.items():
-                acc[k] = get(k, 0) + c1 * c2
+        acc = {0: const} if const else {}
+        for j, pairs in groups.items():
+            q = {}
+            get = q.get
+            for c, s in pairs:
+                if c == 1:
+                    for k, v in read(s).items():
+                        q[k] = get(k, 0) + v
+                else:
+                    for k, v in read(s).items():
+                        q[k] = get(k, 0) + c * v
+            _add_product(acc, _nonzero(q), phi[j], m)
         if any(acc.values()):
             flagged.append(i)
     return tuple(sorted(flagged))
@@ -633,7 +686,7 @@ def _cofactor_expansion(rows: Sequence[Sequence[MultiPoly]]):
                 for k2, c2 in cofactor:
                     key = k1 + k2
                     acc[key] = get(key, 0) + c1 * c2
-        return _packed(vars_, {key: c for key, c in acc.items() if c} if 0 in acc.values() else acc)
+        return _packed(vars_, _nonzero(acc))
 
     return det
 

@@ -4,23 +4,25 @@ That the generators vanish on the whole neuromanifold is proved, not
 sampled: every layer entry becomes a fresh symbol, the composed filter
 ``phi(theta)`` is a vector of polynomials in them, and each generator
 composed with ``phi`` must be the zero polynomial
-(:func:`lcn.polyring.nonzero_compositions`).  This proves image ⊆ V(gens),
-and so closure ⊆ V(gens).
+(:func:`lcn.polyring.nonzero_compositions`, one Horner step per generator,
+so only the parents of its monomials are composed with ``phi``).  This
+proves image ⊆ V(gens), and so closure ⊆ V(gens).
 
 The image must have the dimension ``sum k_i - (L - 1)`` of the reduced
 architecture's variety, which the generators cut out.  The dimension is
 proved by the exact rank of the parametrization Jacobian at one rational
-sample.  The parametrization is unchanged by rescaling between layers, so
-no point has a larger rank, and the rank at any one point bounds the
-generic rank from below.  For a multilinear map the Jacobian is assembled
-column by column from unit-vector substitutions.
+sample, by fraction-free elimination in integers (:func:`exact_rank`).  The
+parametrization is unchanged by rescaling between layers, so no point has a
+larger rank, and the rank at any one point bounds the generic rank from
+below.  For a multilinear map the Jacobian is assembled column by column
+from unit-vector substitutions.
 
 The reverse inclusion, V(gens) ⊆ closure, is certified only by the test
 suite, by Gröbner bases on a fixed list of small architectures
 (``tests/test_closure_groebner.py``).  Here it is still sampled: random
-ambient points must each violate a generator, a smoke test that evaluates
-the whole generator set at a point with one call of
-:func:`lcn.polyring.evaluate_many` and stops at the first nonzero value.
+ambient points (:func:`ambient_points`) must each violate a generator, a
+smoke test that evaluates the whole generator set at a point with one call
+of :func:`lcn.polyring.evaluate_many` and stops at the first nonzero value.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Sequence
+from math import lcm
+from typing import Iterator, Sequence
 
 from .arch import Architecture, compose_filters, expected_dimension, reduce_arch, sample_neuromanifold
 from .idealgen import vanishing_generators
@@ -84,19 +87,32 @@ def parametrization_jacobian(arch: Architecture, layer_filters: Sequence) -> tup
 
 
 def exact_rank(rows: Sequence[Sequence]) -> int:
-    """Rank over the rationals, by elimination on ``Fraction`` entries."""
-    pending = [[Fraction(v) for v in row] for row in rows]
+    """Rank over the rationals, by fraction-free elimination in integers.
+
+    Each row is scaled by the lcm of its denominators, and each step is a
+    Bareiss step: ``row := (pivot * row - row[col] * top) / previous pivot``,
+    a division that is exact because every entry is then a minor of the
+    cleared matrix.  So no entry grows past the size of a minor and no gcd
+    is taken.
+    """
+    pending = []
+    for row in rows:
+        row = [Fraction(v) for v in row]
+        scale = lcm(*[v.denominator for v in row])
+        pending.append([v.numerator * (scale // v.denominator) for v in row])
     rank = 0
+    previous = 1
     while pending:
         top = pending.pop()
         col = next((j for j, v in enumerate(top) if v), None)
         if col is None:
             continue
         rank += 1
+        pivot = top[col]
         for row in pending:
-            if row[col]:
-                factor = row[col] / top[col]
-                row[:] = [v - factor * t for v, t in zip(row, top)]
+            factor = row[col]
+            row[:] = [(pivot * v - factor * t) // previous for v, t in zip(row, top)]
+        previous = pivot
     return rank
 
 
@@ -138,10 +154,17 @@ def smoke_nonmembership(gens: IdealGenerators, n_trials: int, seed: int = 0) -> 
     """
     if not gens.generators:
         raise ValueError("the architecture has no generators to violate")
-    k = len(gens.variables)
-    rng = random.Random(seed)
-    points = (
-        [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9999), rng.randint(1, 99)) for _ in range(k)]
-        for _ in range(n_trials)
-    )
+    points = ambient_points(len(gens.variables), n_trials, seed)
     return sum(any(evaluate_many(gens.generators, pt)) for pt in points)
+
+
+def ambient_points(k: int, n_trials: int, seed: int = 0) -> Iterator[list]:
+    """``n_trials`` random points of ``k`` nonzero rationals each, lazily:
+    a sign, a numerator in ``1..9999`` and a denominator in ``1..99`` per
+    coordinate, drawn from ``random.Random(seed)`` by direct ``randrange``
+    calls (the draws of ``choice((-1, 1))`` and ``randint``, without their
+    extra call layers)."""
+    rng = random.Random(seed)
+    draw = rng.randrange
+    for _ in range(n_trials):
+        yield [Fraction((2 * draw(2) - 1) * draw(1, 10000), draw(1, 100)) for _ in range(k)]

@@ -273,26 +273,32 @@ class TestVerify:
         assert len(built) == 1
 
 
-    # The benchmark's verify command lines at seed 1: generator count and the
-    # SHA-256 of the whole stdout.
+    # The benchmark's verify command lines at seed 1, with the generator
+    # count and Jacobian rank of their whole stdout (the benchmark itself
+    # checks only the generator count and the last line).
     BENCHMARK_LINES = {
-        ("5,3,2", "2,2,1", 30): (464, "f77a96feac4f105ddb5db817461bda01b103f85aac3171529d12775cb2c89de1"),
-        ("3,3,3", "2,2,1", 60): (163, "79e81375ab06e52ddec0d797037e1e0524bef8043775207d223a48eba55bbbe1"),
-        ("5,5", "2,1", 60): (56, "34b7c8b003a0d959a483ecbfd28350e25a83abfa2a534152487236a1cca9ad66"),
-        ("4,3", "3,1", 100): (40, "1977f26c4207d348f9302f7b85ec49f5962e0cee4fa070d9b8558b9f207f6867"),
-        ("3,2,2", "2,2,1", 100): (42, "df9fd5d89332e7edff82ef9649f26df842130524a8e360f2328e061c5b27b12a"),
+        ("5,3,2", "2,2,1", 30): (464, 8),
+        ("3,3,3", "2,2,1", 60): (163, 7),
+        ("5,5", "2,1", 60): (56, 9),
+        ("4,3", "3,1", 100): (40, 6),
+        ("3,2,2", "2,2,1", 100): (42, 5),
     }
 
     @pytest.mark.parametrize("line", BENCHMARK_LINES)
     def test_benchmark_lines_pinned(self, capsys, line):
         k, s, n = line
-        gens, sha = self.BENCHMARK_LINES[line]
+        gens, rank = self.BENCHMARK_LINES[line]
         code, out, _ = run(capsys, "verify", "-k", k, "-s", s, "--samples", str(n), "--seed", "1")
         assert code == 0
-        assert f"generators     : {gens}\n" in out
-        assert f"nonmembership  : {n}/{n} random points violate a generator\n" in out
-        assert out.splitlines()[-1] == "ok"
-        assert hashlib.sha256(out.encode()).hexdigest() == sha
+        assert out == (
+            f"architecture k={k} s={s}\n"
+            f"samples        : {n}\n"
+            f"generators     : {gens}\n"
+            "failures       : 0\n"
+            f"jacobian rank  : {rank} (expected {rank})\n"
+            f"nonmembership  : {n}/{n} random points violate a generator\n"
+            "ok\n"
+        )
 
     def test_negative_samples_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "-k", "2,2", "-s", "2,1", "--samples", "-1")

@@ -14,6 +14,7 @@ from expansion_oracle import product_then_add_minors
 from hypothesis import example, given, strategies as st
 from text_oracle import zip_text
 
+import lcn.polyring
 from lcn.arch import Architecture, sample_neuromanifold
 from lcn.idealgen import vanishing_generators
 from lcn.polyring import (
@@ -246,18 +247,50 @@ def loaded_program(polys):
     return program
 
 
+def parents_program(polys):
+    """A fresh monomial program given, in order, the parent of each
+    nonconstant monomial of ``polys``: the monomial with one less of its
+    last variable."""
+    n = len(polys[0].vars)
+    program = _MonomialProgram(n)
+    for p in polys:
+        for key in p._terms:
+            if key:
+                field = ((key & -key).bit_length() - 1) // 8
+                program[key - (1 << 8 * n | 1 << 8 * field)]
+    return program
+
+
 @st.composite
 def xy_polys(draw):
-    terms = draw(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3), max_size=3))
+    """Values over XY: constant terms, mixed degrees, int and Fraction
+    coefficients, and the zero polynomial."""
+    coeffs = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), coeffs, max_size=3))
     return MultiPoly(XY, terms)
+
+
+ZERO_XY = MultiPoly(XY, {})
 
 
 class TestNonzeroCompositions:
     @given(st.lists(rational_polys(), max_size=6), st.tuples(xy_polys(), xy_polys(), xy_polys()))
     @example([poly3({(1, 1, 0): 1, (0, 0, 1): -1}), poly3({(0, 2, 0): 1})], (symbols(XY)[0], symbols(XY)[1], symbols(XY)[0] * symbols(XY)[1]))
+    @example([poly3({(1, 1, 0): 1, (0, 0, 0): 2}), poly3({(0, 0, 2): Fraction(1, 3)})], (ZERO_XY,) * 3)
+    @example([poly3({(2, 0, 1): 1, (0, 1, 0): -1, (0, 0, 0): Fraction(-2, 3)})], (MultiPoly(XY, {(0, 0): 1, (1, 0): Fraction(1, 2)}), ZERO_XY, MultiPoly(XY, {(0, 0): -1})))
     def test_matches_ring_arithmetic(self, ps, values):
         expected = tuple(i for i, p in enumerate(ps) if composed(p, values))
         assert nonzero_compositions(ps, values) == expected
+
+    @pytest.mark.parametrize("power", [200, 128])
+    def test_exponent_overflow_raises(self, power):
+        # u -> x^2 carries past 255 in a slot (u^128 = x^256 from u^127) or,
+        # for u^128 itself, in the one product of its Horner step
+        u, _, _ = symbols(VARS3)
+        x, y = symbols(XY)
+        with pytest.raises(ValueError, match="exponent above 255"):
+            nonzero_compositions((u**power,), (x**2, y, x))
+        assert nonzero_compositions((u**127,), (x**2, y, x)) == (0,)
 
     def test_cancellation(self):
         u, v, w = symbols(VARS3)
@@ -297,23 +330,29 @@ class TestNonzeroCompositions:
         gens = vanishing_generators(Architecture((3, 3, 3), (2, 2, 1))).generators
         xs = symbols(f"x{i}" for i in range(len(gens[0].vars)))
         values = tuple(x + 1 for x in xs)
-        made = []
+        tables = []
         live = []
-        mul = MultiPoly.__mul__
 
-        def tracking(a, b):
-            # a product is live while anything but ``made`` holds it
-            live.append(sum(sys.getrefcount(q) > 3 for q in made))
-            made.append(mul(a, b))
-            return made[-1]
+        class Watched(dict):
+            # the live slot count each time a slot is filled
+            def __setitem__(self, slot, terms):
+                super().__setitem__(slot, terms)
+                live.append(len(self))
 
-        monkeypatch.setattr(MultiPoly, "__mul__", tracking)
-        _monomial_program.cache_clear()
+        def watched(initial):
+            tables.append(Watched(initial))
+            return tables[-1]
+
+        monkeypatch.setattr(lcn.polyring, "_Slots", watched)
         assert nonzero_compositions(gens, values) == tuple(range(len(gens)))
+        # slots only for the parents of the monomials (and their own
+        # parents), loaded in leading-monomial order
         by_leading_monomial = sorted(gens, key=lambda g: max(g._terms))
-        assert len(made) == len(loaded_program(by_leading_monomial).parents) - 1
-        assert max(live) < len(made) / 2
-        assert sum(sys.getrefcount(q) > 3 for q in made) == 0
+        made = len(parents_program(by_leading_monomial).parents) - 1
+        assert len(live) == made == 294
+        assert made < (len(loaded_program(by_leading_monomial).parents) - 1) / 2
+        assert max(live) < made / 2
+        assert tables[0] == {}
 
 
 def ladder3():

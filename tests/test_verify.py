@@ -10,6 +10,7 @@ from lcn.arch import Architecture, reduce_arch, sample_neuromanifold
 from lcn.idealgen import vanishing_generators
 from lcn.polyring import MultiPoly, _monomial_program, coefficient_symbols, nonzero_compositions
 from lcn.verify import (
+    ambient_points,
     exact_rank,
     parametrization_jacobian,
     smoke_nonmembership,
@@ -21,6 +22,17 @@ from test_acceptance import cached_generators, reduced_family
 from test_idealgen import radical_generators_3_2_2, radical_generators_5_2
 from test_polyring import loaded_program
 import variety_oracle
+
+
+def small_architectures() -> list:
+    """Depth 2-3, sizes and strides 1-3, last stride 1: size-1 layers at
+    every position and stride."""
+    return [
+        Architecture(ks, ss + (1,))
+        for depth in (2, 3)
+        for ks in product((1, 2, 3), repeat=depth)
+        for ss in product((1, 2, 3), repeat=depth - 1)
+    ]
 
 
 class TestExactRank:
@@ -120,6 +132,23 @@ class TestProof:
         assert gens.generators == vanishing_generators(reduce_arch(raw)).generators
         assert self.flagged(gens.generators, raw) == ()
 
+    def test_one_perturbed_generator_is_flagged_at_its_index(self):
+        # g + c0^deg(g) composes to c0(phi)^deg(g), a nonzero monomial, so
+        # exactly the perturbed generator is flagged, on every architecture
+        # of test_every_small_architecture_verifies that has generators
+        rng = random.Random(0)
+        checked = 0
+        for arch in small_architectures():
+            gens = list(vanishing_generators(arch).generators)
+            if not gens:
+                continue
+            i = rng.randrange(len(gens))
+            c0 = coefficient_symbols(len(gens[i].vars))[0]
+            gens[i] = gens[i] + c0 ** gens[i].total_degree()
+            assert self.flagged(gens, arch) == (i,), (arch, i)
+            checked += 1
+        assert checked == 192
+
     def test_a_larger_image_flags_every_generator(self):
         # all filters of size 8 are the image of one layer of size 8
         gens = cached_generators(Architecture((5, 2), (3, 1))).generators
@@ -183,14 +212,7 @@ class TestVerifyIdeal:
         assert report.ok == (rank == expected)
 
     def test_every_small_architecture_verifies(self):
-        # depth 2-3, sizes and strides 1-3, last stride 1: size-1 layers at
-        # every position and stride
-        archs = [
-            Architecture(ks, ss + (1,))
-            for depth in (2, 3)
-            for ks in product((1, 2, 3), repeat=depth)
-            for ss in product((1, 2, 3), repeat=depth - 1)
-        ]
+        archs = small_architectures()
         assert len(archs) == 270
         assert [a.describe() for a in archs if not verify_ideal(a, 10).ok] == []
 
@@ -231,6 +253,17 @@ class TestSmoke:
     def test_three_layer(self):
         gens = vanishing_generators(Architecture((3, 2, 2), (2, 2, 1)))
         assert smoke_nonmembership(gens, 20, seed=0) == 20
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_points_are_the_choice_randint_draws(self, seed):
+        # randrange(2), randrange(1, 10000), randrange(1, 100) draw what
+        # choice((-1, 1)), randint(1, 9999), randint(1, 99) draw
+        rng = random.Random(seed)
+        old = [
+            [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9999), rng.randint(1, 99)) for _ in range(7)]
+            for _ in range(40)
+        ]
+        assert list(ambient_points(7, 40, seed)) == old
 
     def test_single_layer_has_nothing_to_violate(self):
         with pytest.raises(ValueError):
