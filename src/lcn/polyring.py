@@ -95,14 +95,9 @@ def _add_product(acc: dict, a: dict, b: dict, n: int) -> dict:
         _check_fields(map(add, _max_exponents(a, n), _max_exponents(b, n)))
     get = acc.get
     for k2, c2 in b.items():
-        if c2 == 1:
-            for k1, c1 in a.items():
-                k = k1 + k2
-                acc[k] = get(k, 0) + c1
-        else:
-            for k1, c1 in a.items():
-                k = k1 + k2
-                acc[k] = get(k, 0) + c1 * c2
+        for k1, c1 in a.items():
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
     return acc
 
 
@@ -421,16 +416,21 @@ class _MonomialProgram(dict):
         # one ring never see a slot without its step
         self.lock = Lock()
 
+    def parent(self, key: int) -> tuple:
+        """``(parent key, variable index)`` of a nonconstant key: the key
+        one lower in its lowest nonzero field, the field of that variable."""
+        field = ((key & -key).bit_length() - 1) // _BITS
+        return key - (1 << _BITS * self.n | 1 << _BITS * field), self.n - 1 - field
+
     def __missing__(self, key: int) -> int:
         # walk down to a key that has a slot, then give the chain slots
         # from the top, parents first; a loop, as chains reach 255 * n keys
         with self.lock:
             chain = []
-            degree = 1 << _BITS * self.n
             while key not in self:
-                field = ((key & -key).bit_length() - 1) // _BITS
-                chain.append((key, self.n - 1 - field))
-                key -= degree | 1 << _BITS * field
+                parent, var = self.parent(key)
+                chain.append((key, var))
+                key = parent
             slot = self[key]
             for key, var in reversed(chain):
                 self.parents.append(slot)
@@ -514,7 +514,7 @@ def nonzero_compositions(polys: Sequence[MultiPoly], values: Sequence[MultiPoly]
     parent of another slot, and is dropped at its last read, so only the
     slots still ahead stay alive.  Every product is an :func:`_add_product`,
     as in ``MultiPoly.__mul__``, so an exponent above 255 raises
-    ``ValueError``.
+    ``ValueError``; so do ``polys`` or ``values`` from more than one ring.
     """
     polys = tuple(polys)
     if not polys:
@@ -524,6 +524,8 @@ def nonzero_compositions(polys: Sequence[MultiPoly], values: Sequence[MultiPoly]
         raise ValueError("polynomials from different rings")
     if len(values) != len(ring):
         raise ValueError(f"{len(values)} values in a ring with {len(ring)} variables")
+    if any(v.vars != values[0].vars for v in values):
+        raise ValueError("values from different rings")
     n = len(ring)
     m = len(values[0].vars) if values else 0
     phi = [v._terms for v in values]
@@ -531,7 +533,6 @@ def nonzero_compositions(polys: Sequence[MultiPoly], values: Sequence[MultiPoly]
     # close together and the slots they read die sooner
     order = sorted(range(len(polys)), key=lambda i: max(polys[i]._terms, default=0))
     program = _MonomialProgram(n)
-    degree = 1 << _BITS * n
     splits = []  # per polynomial: constant term, {j: [(coefficient, parent slot)]}
     for i in order:
         const = 0
@@ -540,9 +541,8 @@ def nonzero_compositions(polys: Sequence[MultiPoly], values: Sequence[MultiPoly]
             if not key:
                 const = c
                 continue
-            field = ((key & -key).bit_length() - 1) // _BITS
-            parent = program[key - (degree | 1 << _BITS * field)]
-            groups.setdefault(n - 1 - field, []).append((c, parent))
+            parent, j = program.parent(key)
+            groups.setdefault(j, []).append((c, program[parent]))
         splits.append((const, groups))
     parents, factors = program.parents, program.factors
     # reads[s]: one per monomial whose parent is slot s and one per child
@@ -571,12 +571,8 @@ def nonzero_compositions(polys: Sequence[MultiPoly], values: Sequence[MultiPoly]
             q = {}
             get = q.get
             for c, s in pairs:
-                if c == 1:
-                    for k, v in read(s).items():
-                        q[k] = get(k, 0) + v
-                else:
-                    for k, v in read(s).items():
-                        q[k] = get(k, 0) + c * v
+                for k, v in read(s).items():
+                    q[k] = get(k, 0) + c * v
             _add_product(acc, _nonzero(q), phi[j], m)
         if any(acc.values()):
             flagged.append(i)

@@ -20,9 +20,9 @@ from unit-vector substitutions.
 The reverse inclusion, V(gens) ⊆ closure, is certified only by the test
 suite, by Gröbner bases on a fixed list of small architectures
 (``tests/test_closure_groebner.py``).  Here it is still sampled: random
-ambient points (:func:`ambient_points`) must each violate a generator, a
-smoke test that evaluates the whole generator set at a point with one call
-of :func:`lcn.polyring.evaluate_many` and stops at the first nonzero value.
+ambient points must each violate a generator, a smoke test that evaluates
+the whole generator set at a point with one call of
+:func:`lcn.polyring.evaluate_many` and stops at the first nonzero value.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .arch import Architecture, compose_filters, expected_dimension, reduce_arch, sample_neuromanifold
 from .idealgen import vanishing_generators
@@ -154,17 +154,10 @@ def smoke_nonmembership(gens: IdealGenerators, n_trials: int, seed: int = 0) -> 
     """
     if not gens.generators:
         raise ValueError("the architecture has no generators to violate")
-    points = ambient_points(len(gens.variables), n_trials, seed)
-    return sum(any(evaluate_many(gens.generators, pt)) for pt in points)
-
-
-def ambient_points(k: int, n_trials: int, seed: int = 0) -> Iterator[list]:
-    """``n_trials`` random points of ``k`` nonzero rationals each, lazily:
-    a sign, a numerator in ``1..9999`` and a denominator in ``1..99`` per
-    coordinate, drawn from ``random.Random(seed)`` by direct ``randrange``
-    calls (the draws of ``choice((-1, 1))`` and ``randint``, without their
-    extra call layers)."""
+    k = len(gens.variables)
     rng = random.Random(seed)
-    draw = rng.randrange
-    for _ in range(n_trials):
-        yield [Fraction((2 * draw(2) - 1) * draw(1, 10000), draw(1, 100)) for _ in range(k)]
+    points = (
+        [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9999), rng.randint(1, 99)) for _ in range(k)]
+        for _ in range(n_trials)
+    )
+    return sum(any(evaluate_many(gens.generators, pt)) for pt in points)

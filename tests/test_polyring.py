@@ -251,13 +251,11 @@ def parents_program(polys):
     """A fresh monomial program given, in order, the parent of each
     nonconstant monomial of ``polys``: the monomial with one less of its
     last variable."""
-    n = len(polys[0].vars)
-    program = _MonomialProgram(n)
+    program = _MonomialProgram(len(polys[0].vars))
     for p in polys:
         for key in p._terms:
             if key:
-                field = ((key & -key).bit_length() - 1) // 8
-                program[key - (1 << 8 * n | 1 << 8 * field)]
+                program[program.parent(key)[0]]
     return program
 
 
@@ -309,9 +307,12 @@ class TestNonzeroCompositions:
 
     def test_mixed_rings_rejected(self):
         u, _, _ = symbols(VARS3)
-        x, _ = symbols(XY)
-        with pytest.raises(ValueError, match="different rings"):
+        x, y = symbols(XY)
+        with pytest.raises(ValueError, match="polynomials from different rings"):
             nonzero_compositions((u, x), symbols(XY) + (x,))
+        z = symbols(("x", "y", "z"))[2]
+        with pytest.raises(ValueError, match="values from different rings"):
+            nonzero_compositions(symbols(VARS3), (x, y, z))
 
     def test_value_count_checked(self):
         with pytest.raises(ValueError, match="2 values in a ring with 3 variables"):

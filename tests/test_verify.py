@@ -10,7 +10,6 @@ from lcn.arch import Architecture, reduce_arch, sample_neuromanifold
 from lcn.idealgen import vanishing_generators
 from lcn.polyring import MultiPoly, _monomial_program, coefficient_symbols, nonzero_compositions
 from lcn.verify import (
-    ambient_points,
     exact_rank,
     parametrization_jacobian,
     smoke_nonmembership,
@@ -253,17 +252,6 @@ class TestSmoke:
     def test_three_layer(self):
         gens = vanishing_generators(Architecture((3, 2, 2), (2, 2, 1)))
         assert smoke_nonmembership(gens, 20, seed=0) == 20
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_points_are_the_choice_randint_draws(self, seed):
-        # randrange(2), randrange(1, 10000), randrange(1, 100) draw what
-        # choice((-1, 1)), randint(1, 9999), randint(1, 99) draw
-        rng = random.Random(seed)
-        old = [
-            [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9999), rng.randint(1, 99)) for _ in range(7)]
-            for _ in range(40)
-        ]
-        assert list(ambient_points(7, 40, seed)) == old
 
     def test_single_layer_has_nothing_to_violate(self):
         with pytest.raises(ValueError):
