@@ -12,23 +12,21 @@ critical points solve the square Lagrange system
 
     f(w) = 0,      T (w - u) = lambda * grad f(w)
 
-in ``(w, lambda)``.  We count its isolated complex solutions by damped
-Newton iteration from every one of many random complex starts and
-deduplicate converged points; comparing the count with the predicted one
-is the caller's job.  Points on the singular locus (vanishing gradient) are
+in ``(w, lambda)``.  We count its isolated complex solutions by Newton
+iteration from every one of many random complex starts and deduplicate
+converged points by ``w``; comparing the count with the predicted one is
+the caller's job.  Points on the singular locus (vanishing gradient) are
 discarded: the distance function is only defined on the smooth part.
 Starts are solved in batches, one numpy array per chunk of starts, with the
-same random draws and the same per-start Newton path as solving them one at
-a time.
+same random draws as solving them one at a time.
 
-A Newton step builds the Jacobian from the Hessian of ``f``, evaluated once
-per step on the rows about to be solved; the line search needs only ``f``
-and its gradient.  Each row tries the step sizes ``1, 1/2, ..., 2^-13``
-starting at twice the size it accepted last: that size and its halvings,
-then the larger sizes it skipped.  It takes the first that passes, as
-trying them one at a time in that order would.  The first three trials of
-all rows share one residual evaluation, which usually settles the whole
-Newton step.
+Every Newton step is the full step, with the Jacobian built from the
+Hessian of ``f``: per step, the Hessian and the residuals are each
+evaluated once, on the rows being solved.  A batched step computes the
+iterate that a one-start solve computes from the same point, up to
+rounding.  A path that wanders for tens of steps can amplify that rounding
+until the two solves end at different points, so the counts of a batched
+and a one-start-at-a-time solve can differ.
 
 numpy is imported inside the functions that use it, so the exact commands,
 which import this module through ``lcn.cli``, never load it.
@@ -139,15 +137,15 @@ def seeded_problem(arch: Architecture, data_seed: int, d_out: int):
 
 # Newton steps allowed per start before the start is given up.
 _MAX_NEWTON_STEPS = 100
-# Starts solved together as one set of arrays; which points are found does
-# not depend on it.  On a 2-core Xeon, 2,000 starts on (4,2)/(2,1) took
-# 1.04-1.16 s and 40.5 MB peak RSS in chunks of 256, 1.00-1.06 s and 48.6 MB
-# at once.
+# Starts solved together as one set of arrays; which points are found
+# depends on it only through rounding.  On a 2-core Xeon, 2,000 starts on
+# (4,2)/(2,1) took 0.52-0.78 s and 39.0 MB peak RSS in chunks of 256,
+# 0.48-0.57 s and 49.0 MB at once.
 _CHUNK = 256
 
-# Why a start adds no point: Newton's three ways to give up, a converged
+# Why a start adds no point: Newton's two ways to give up, a converged
 # point on the singular locus, and a point already found.
-FAILURE_KINDS = ("singular_jacobian", "line_search", "step_limit", "singular_locus", "duplicate")
+FAILURE_KINDS = ("singular_jacobian", "step_limit", "singular_locus", "duplicate")
 _CONVERGED = -1
 
 
@@ -187,11 +185,11 @@ class _MonomialMap:
 class _CompiledSystem:
     """f with its gradient, and the Hessian of f, as two batched evaluators.
 
-    ``values`` gives the rows ``(f, grad f)`` and serves every line-search
-    trial; ``hessian`` gives the flattened Hessian and is called only where
-    a Jacobian is built.  For homogeneous ``f`` of degree ``d`` the Hessian's
-    monomials have degree ``d - 2`` and share none with ``f`` or its
-    gradient, so the trials skip them entirely.
+    ``values`` gives the rows ``(f, grad f)`` and serves the residuals;
+    ``hessian`` gives the flattened Hessian and is called only where a
+    Jacobian is built.  A Newton step needs the Hessian at the iterate it
+    starts from and ``(f, grad f)`` at the one it reaches, so the two share
+    no evaluation point.
     """
 
     def __init__(self, f: MultiPoly):
@@ -267,43 +265,21 @@ def _solve_rows(J, b):
         return x, ok
 
 
-# Trial step sizes of the line search: the full step, then the halvings
-# down to the last one above the 1e-4 floor (``2^-13``).  ``_ORDER[s]`` is
-# the order of their indices for a row that starts at ``_STEPS[s]``: the
-# halvings from there down to ``2^-13``, then the larger steps it skipped,
-# from the full step down.  A row starts at twice the step it accepted last
-# (``s`` one below that step's index, and at least 0), and at the full step
-# on its first step.  Plain tuples, so that importing this module does not
-# load numpy; ``_newton`` makes them arrays.
-_STEPS = tuple(0.5**e for e in range(14))
-_ORDER = tuple(tuple(range(s, len(_STEPS))) + tuple(range(s)) for s in range(len(_STEPS)))
-# Trials in a row's first block; each further block is twice its last.
-_FIRST_BLOCK = 3
-
-
 def _newton(system, T, u, tol, Z):
-    """Damped Newton on the Lagrange system from every row ``(w, lambda)`` of ``Z``.
+    """Newton on the Lagrange system from every row ``(w, lambda)`` of ``Z``.
 
-    Each row takes the first step size ``t`` that drops the residual norm
-    by the Armijo factor ``1 - t/4``, trying ``_STEPS`` in the order
-    ``_ORDER`` from twice the size it accepted last (the full step at the
-    start).  It stops at residual below ``tol``, or fails on a singular
-    Jacobian, on no passing step size or on the step limit.  Per step, the
-    Hessian is evaluated once, on the rows being solved.  Each row then
-    tries its steps in blocks, all pending rows' blocks in one residual
-    call: a first block of ``_FIRST_BLOCK`` trials, which usually settles
-    every row, and for a row with no passing trial a block twice the size
-    of its last.  Returns the final ``Z``, grad f, residual norm and status
+    Every row takes full Newton steps until its residual norm is below
+    ``tol``, and fails on a singular Jacobian or on the step limit.  Per
+    step, the Hessian and the residuals are each evaluated once, on the rows
+    being solved.  Returns the final ``Z``, grad f, residual norm and status
     per row; ``status`` is ``_CONVERGED`` or an index into ``FAILURE_KINDS``.
     """
     import numpy as np
     k = Z.shape[1] - 1
-    steps, order = np.array(_STEPS), np.array(_ORDER)
     Z = Z.copy()
     F, V = _residuals(system, T, u, Z)
     nF = np.linalg.norm(F, axis=1)
     status = np.full(len(Z), _CONVERGED)
-    start = np.zeros(len(Z), dtype=int)
     for _ in range(_MAX_NEWTON_STEPS):
         act = np.flatnonzero((status == _CONVERGED) & ~(nF < tol))
         if act.size == 0:
@@ -315,38 +291,10 @@ def _newton(system, T, u, tol, Z):
         J[:, 1:, k] = -G
         step, ok = _solve_rows(J, -F[act])
         status[act[~ok]] = FAILURE_KINDS.index("singular_jacobian")
-        act, step = act[ok], step[ok]
-        # each pending row's block is the trials first[i] .. first[i] + size[i] - 1
-        # of its order
-        first = np.zeros(act.size, dtype=int)
-        size = np.full(act.size, _FIRST_BLOCK)
-        while act.size:
-            ends = np.cumsum(size)
-            heads = ends - size
-            owner = np.repeat(np.arange(act.size), size)
-            trial = np.arange(ends[-1]) - np.repeat(heads - first, size)
-            rows = act[owner]
-            index = order[start[rows], trial]
-            t = steps[index]
-            Z_new = Z[rows] + t[:, None] * step[owner]
-            F_new, V_new = _residuals(system, T, u, Z_new)
-            nF_new = np.linalg.norm(F_new, axis=1)
-            good = nF_new < (1 - 0.25 * t) * nF[rows]
-            # each row's first passing trial, or ends[-1] if none passes
-            pick = np.minimum.reduceat(np.where(good, np.arange(ends[-1]), ends[-1]), heads)
-            hit = pick < ends[-1]
-            acc, pick = act[hit], pick[hit]
-            Z[acc], F[acc], V[acc], nF[acc] = Z_new[pick], F_new[pick], V_new[pick], nF_new[pick]
-            start[acc] = np.maximum(index[pick] - 1, 0)
-            if hit.all():
-                break
-            miss = ~hit
-            act, step = act[miss], step[miss]
-            first, size = first[miss] + size[miss], 2 * size[miss]
-            spent = first == steps.size
-            status[act[spent]] = FAILURE_KINDS.index("line_search")
-            act, step, first = act[~spent], step[~spent], first[~spent]
-            size = np.minimum(size[~spent], steps.size - first)
+        act = act[ok]
+        Z[act] += step[ok]
+        F[act], V[act] = _residuals(system, T, u, Z[act])
+        nF[act] = np.linalg.norm(F[act], axis=1)
     status[(status == _CONVERGED) & ~(nF < tol)] = FAILURE_KINDS.index("step_limit")
     return Z, V[:, 1:], nF, status
 
@@ -354,15 +302,16 @@ def _newton(system, T, u, tol, Z):
 def solve_critical_points(
     problem: WeightedDistanceProblem, starts: int = 500, seed: int = 0
 ) -> CriticalPointReport:
-    """Count distinct complex critical points by multi-start damped Newton.
+    """Count distinct complex critical points by multi-start Newton.
 
     Starts are complex Gaussians scaled to |u|; each is refined to residual
     below 1e-12 relative to the problem scale or discarded.  Starts are
-    drawn and refined in chunks, as arrays, but every start follows its own
-    Newton path and the draws are those of one start at a time.  Every start
-    is solved; converged points are deduplicated at relative distance 1e-8
-    in (w, lambda), in start order.  Comparing the count with a prediction
-    is left to the caller.
+    drawn and refined in chunks, as arrays, with the draws of one start at
+    a time.  Every start is solved; converged points are deduplicated in
+    start order, two points being one when their ``w`` agree to a relative
+    1e-8.  On the smooth locus ``lambda`` is fixed by ``w``, but near the
+    singular locus it is ill-conditioned, so it takes no part in the test.
+    Comparing the count with a prediction is left to the caller.
     """
     import numpy as np
     (starts,) = _integers([starts], "starts")
@@ -391,7 +340,6 @@ def solve_critical_points(
     amp = max(1.0, float(np.linalg.norm(u)))
 
     found = []
-    found_vecs = []
     failures = dict.fromkeys(FAILURE_KINDS, 0)
     for first in range(0, starts, _CHUNK):
         z = rng.standard_normal((min(_CHUNK, starts - first), 2, k))
@@ -409,14 +357,12 @@ def solve_critical_points(
             elif not np.linalg.norm(grad) >= 1e-8 * max(1.0, np.linalg.norm(w)):
                 failures["singular_locus"] += 1
             elif any(
-                np.linalg.norm(vec - other)
-                < 1e-8 * max(1.0, np.linalg.norm(vec), np.linalg.norm(other))
-                for other in found_vecs
+                np.linalg.norm(w - p.w) < 1e-8 * max(1.0, np.linalg.norm(w), np.linalg.norm(p.w))
+                for p in found
             ):
                 # gradient nonzero, so on the smooth locus, but already found
                 failures["duplicate"] += 1
             else:
-                found_vecs.append(vec)
                 is_real = float(np.max(np.abs(vec.imag))) < 1e-8 * max(
                     1.0, float(np.linalg.norm(vec))
                 )

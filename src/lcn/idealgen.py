@@ -17,8 +17,8 @@ is checked by sampling.
 per merge: level ``j`` is the base of the depth-(L-j) architecture, labelled
 ``"merge(1,2)->" * j + "base(...)"``, or ``"...two_layer(...)"`` once two
 layers remain; one layer has none.  :func:`vanishing_generators` keeps the
-first of each minor over all levels, deepest first; each level comes
-normalized and deduplicated, so only deeper levels are checked against.
+first of each minor over all levels, deepest first, by one
+:func:`~lcn.polyring.dedup_generators` pass over every level's generators.
 Every merge preserves the end-to-end filter size, so every level lives in
 the same ambient variables ``c0 .. c{k-1}``, and a filter lies on the
 variety exactly when it lies on every level's two-layer variety.
@@ -27,7 +27,7 @@ variety exactly when it lies on every level's two-layer variety.
 from __future__ import annotations
 
 from .arch import Architecture, reduce_arch
-from .polyring import coefficient_symbols
+from .polyring import coefficient_symbols, dedup_generators
 from .resultant import IdealGenerators, two_layer_ideal
 
 
@@ -62,13 +62,10 @@ def vanishing_generators(arch: Architecture) -> IdealGenerators:
     # deepest level first: its generators win the dedup
     parts = [(head, two_layer_ideal(*sizes)) for head, *sizes in reversed(merge_levels(arch))]
     cut = len("two_layer")
-    provs, gens, deeper = [], [], set()  # deeper: primitive parts of kept generators
-    for head, part in parts:
-        keys = [g.primitive_part() for g in part.generators]
-        for prov, g, key in zip(part.provenance, part.generators, keys):
-            if key not in deeper:
-                provs.append(head + prov[cut:])
-                gens.append(g)
-        deeper.update(keys)
+    provs, gens = dedup_generators(
+        (head + prov[cut:], g)
+        for head, part in parts
+        for prov, g in zip(part.provenance, part.generators)
+    )
     raw = tuple((head + lbl[cut:], n) for head, part in parts for lbl, n in part.raw_counts)
-    return IdealGenerators(coefficient_symbols(arch.out_size)[0].vars, tuple(gens), tuple(provs), raw)
+    return IdealGenerators(coefficient_symbols(arch.out_size)[0].vars, gens, provs, raw)

@@ -1,14 +1,14 @@
 """Reference code for the critical-point tests.
 
-``sequential_solve`` is the one-start-at-a-time damped Newton that
+``sequential_solve`` is the one-start-at-a-time Newton that
 ``lcn.critpoints.solve_critical_points`` batches: same draws, tolerances,
-line search, singular-locus test and deduplication, with each start
-evaluated through ``w ** exps`` and solved by its own ``np.linalg.solve``.
-The only addition is the tally of lost starts, so the batched failure
-counts are checked against it too.  ``newton`` is its Newton iteration for
-one start, whose line search tries one step size at a time: twice the size
-it accepted last, halved while ``t > MIN_STEP``, then the larger sizes it
-skipped.
+full Newton steps, singular-locus test and deduplication by ``w``, with
+each start evaluated through ``w ** exps`` and solved by its own
+``np.linalg.solve``.  The only addition is the tally of lost starts, so the
+batched failure counts are checked against it too.  ``newton`` is its
+Newton iteration for one start.  Each step matches the batched one up to
+rounding, which a long path can amplify, so whole reports agree only where
+paths are short.
 
 ``training_loss`` evaluates the convolution's quadratic loss directly,
 against which the training reduction is checked.
@@ -27,8 +27,6 @@ from lcn.critpoints import (
 from lcn.polyring import MultiPoly
 
 _MAX_NEWTON_STEPS = 100
-# The line search tries the step sizes 1, 1/2, 1/4, ... above this.
-MIN_STEP = 1e-4
 
 
 def training_loss(w: Sequence, X: np.ndarray, Y: np.ndarray, stride: int) -> float:
@@ -80,24 +78,16 @@ def residual_vec(system, T, u, w, lam):
     return F, grad, H
 
 
-def newton(system, T, u, tol, w, lam, path=None):
-    """Damped Newton from one start ``(w, lam)``.
+def newton(system, T, u, tol, w, lam):
+    """Full Newton steps from one start ``(w, lam)``.
 
-    Each step tries the step sizes ``t = 1, 1/2, 1/4, ...`` above
-    ``MIN_STEP`` one at a time: from ``min(1, 2 t_last)`` down, then the
-    larger ones from 1 down, where ``t_last`` is the size accepted at the
-    step before (1 before the first step).  If a list ``path`` is given,
-    each accepted step appends its size and the new ``w`` to it.  Returns
-    the name of the failure (``FAILURE_KINDS``), or
-    ``(w, lam, grad f, residual norm)`` once the residual is below ``tol``.
+    Returns ``(failure, w, lam, grad f, residual norm)`` at the last
+    iterate, where ``failure`` names the way the start was lost
+    (``FAILURE_KINDS``), or is None once the residual is below ``tol``.
     """
     k = len(w)
-    grid = [1.0]
-    while grid[-1] / 2 > MIN_STEP:
-        grid.append(grid[-1] / 2)
     F, grad, H = residual_vec(system, T, u, w, lam)
     nF = np.linalg.norm(F)
-    t_last = 1.0
     for _ in range(_MAX_NEWTON_STEPS):
         if nF < tol:
             break
@@ -109,24 +99,11 @@ def newton(system, T, u, tol, w, lam, path=None):
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
-            return "singular_jacobian"
-        first = min(1.0, 2 * t_last)
-        for t in [s for s in grid if s <= first] + [s for s in grid if s > first]:
-            w_new = w + t * step[:k]
-            lam_new = lam + t * step[k]
-            F_new, grad_new, H_new = residual_vec(system, T, u, w_new, lam_new)
-            nF_new = np.linalg.norm(F_new)
-            if nF_new < (1 - 0.25 * t) * nF:
-                break
-        else:
-            return "line_search"
-        t_last = t
-        if path is not None:
-            path.append((t, w_new))
-        w, lam, F, grad, H, nF = w_new, lam_new, F_new, grad_new, H_new, nF_new
-    if nF >= tol:
-        return "step_limit"
-    return w, lam, grad, float(nF)
+            return "singular_jacobian", w, lam, grad, float(nF)
+        w, lam = w + step[:k], lam + step[k]
+        F, grad, H = residual_vec(system, T, u, w, lam)
+        nF = np.linalg.norm(F)
+    return (None if nF < tol else "step_limit"), w, lam, grad, float(nF)
 
 
 def sequential_solve(
@@ -150,34 +127,25 @@ def sequential_solve(
     rng = np.random.default_rng(seed)
     amp = max(1.0, float(np.linalg.norm(u)))
     found = []
-    found_vecs = []
     failures = dict.fromkeys(FAILURE_KINDS, 0)
     for _ in range(starts):
         w0 = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * amp / np.sqrt(2)
         _, grad0, _ = system(w0)
         denom = np.vdot(grad0, grad0)
         lam0 = np.vdot(grad0, T @ (w0 - u)) / denom if abs(denom) > 1e-30 else 0.0 + 0.0j
-        result = newton(system, T, u, tol, w0, lam0)
-        if isinstance(result, str):
-            failures[result] += 1
+        failure, w, lam, grad, res = newton(system, T, u, tol, w0, lam0)
+        if failure is not None:
+            failures[failure] += 1
+        elif not np.linalg.norm(grad) >= 1e-8 * max(1.0, np.linalg.norm(w)):
+            # gradient zero: the point lies on the singular locus
+            failures["singular_locus"] += 1
+        elif any(
+            np.linalg.norm(w - p.w) < 1e-8 * max(1.0, np.linalg.norm(w), np.linalg.norm(p.w))
+            for p in found
+        ):
+            failures["duplicate"] += 1
         else:
-            w, lam, grad, res = result
-            if np.linalg.norm(grad) >= 1e-8 * max(1.0, np.linalg.norm(w)):
-                # gradient nonzero: the point lies on the smooth locus
-                vec = np.concatenate([w, [lam]])
-                is_dup = any(
-                    np.linalg.norm(vec - other)
-                    < 1e-8 * max(1.0, np.linalg.norm(vec), np.linalg.norm(other))
-                    for other in found_vecs
-                )
-                if not is_dup:
-                    found_vecs.append(vec)
-                    is_real = float(np.max(np.abs(vec.imag))) < 1e-8 * max(
-                        1.0, float(np.linalg.norm(vec))
-                    )
-                    found.append(CriticalPoint(w, complex(lam), res / scale, is_real))
-                else:
-                    failures["duplicate"] += 1
-            else:
-                failures["singular_locus"] += 1
+            vec = np.concatenate([w, [lam]])
+            is_real = float(np.max(np.abs(vec.imag))) < 1e-8 * max(1.0, float(np.linalg.norm(vec)))
+            found.append(CriticalPoint(w, complex(lam), res / scale, is_real))
     return CriticalPointReport(found, failures)

@@ -464,9 +464,9 @@ class TestCritpoints:
             (1360519128, 854298711, (6, 2)),
             (1297078773, 1460426806, (6, 2)),
             (1486213216, 1982260984, (6, 2)),
-            (2107584400, 1304393579, (5, 1)),
+            (2107584400, 1304393579, (6, 2)),
             (305538746, 776982476, (6, 2)),
-            (517455722, 1048435624, (5, 1)),
+            (517455722, 1048435624, (6, 2)),
             (608914157, 439391812, (6, 2)),
             (669840859, 636460010, (6, 2)),
         ],
