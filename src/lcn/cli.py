@@ -130,6 +130,8 @@ def cmd_eddeg(args) -> int:
 
 
 def cmd_critpoints(args) -> int:
+    # numpy's OpenBLAS workers spin beside the small solves; read only at numpy's first import
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     reduced = reduce_arch(_arch(args))
     k = reduced.out_size
     try:

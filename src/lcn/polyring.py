@@ -22,13 +22,13 @@ the letters ``A, B, ...`` so that small generators stay readable.  The
 string of each monomial is memoised for the most recent ring and joined
 from memoised strings of its blocks of 8 variables.
 
-:func:`evaluate_many` evaluates exactly through a monomial program kept for
-the most recent ring: each packed key gets a slot the first time it is
-evaluated, after its parent, the key one lower in its lowest nonzero field.
-So the values of all monomials at a point fill a table with one
-multiplication each, and each polynomial is a sum of coefficients times
-table entries.  Each call fills its own table and keeps nothing of the
-point, so a generator set at one point takes one :func:`evaluate_many` call.
+:func:`evaluate_many` evaluates one polynomial set exactly at many points
+through one monomial program built for the call: each packed key gets a
+slot the first time a polynomial needing it is evaluated, after its parent,
+the key one lower in its lowest nonzero field.  So the values of all
+monomials at a point fill that point's table with one multiplication each,
+and each polynomial is a sum of coefficients times table entries.  No
+program outlives its call.
 :func:`nonzero_compositions` decides which polynomials vanish identically
 when each variable is replaced by a polynomial.  It composes a polynomial by
 one Horner step on the same parent rule, ``g = c + sum_j x_j * Q_j``, so its
@@ -52,7 +52,6 @@ from itertools import combinations
 from math import gcd, lcm
 from numbers import Integral
 from operator import add, mul
-from threading import Lock
 from typing import Iterable, Iterator, Sequence
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -274,10 +273,10 @@ class MultiPoly:
 
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at ``point``, one rational per variable in ring order:
-        :func:`evaluate_many` of this one polynomial, which fills a table of
-        monomial values for this call alone; evaluate a generator set at one
-        point with one :func:`evaluate_many` call instead."""
-        return next(evaluate_many((self,), point))
+        :func:`evaluate_many` of this one polynomial at this one point, with
+        a monomial program for this call alone; evaluate a set at many
+        points with one :func:`evaluate_many` call instead."""
+        return next(next(evaluate_many((self,), (point,))))
 
     def differentiate(self, name: str) -> "MultiPoly":
         n = len(self.vars)
@@ -302,7 +301,10 @@ class MultiPoly:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.vars, frozenset(self._terms.items())))
+            terms = self._terms
+            # a constant hashes as its value, to which it is equal
+            key = terms.get(0, 0) if terms.keys() <= {0} else (self.vars, frozenset(terms.items()))
+            self._hash = hash(key)
         return self._hash
 
     # -- rendering -----------------------------------------------------------
@@ -404,7 +406,7 @@ class _MonomialProgram(dict):
     lowest nonzero field and in the total degree.  So ``parents[s] < s``,
     and slot ``s`` holds its parent's value times the scaled variable
     ``factors[s]``: a straight-line program of one multiplication per slot.
-    The program holds no point: each call fills its own value table.
+    The program holds no point: each point fills its own value table.
     """
 
     def __init__(self, n: int):
@@ -412,9 +414,6 @@ class _MonomialProgram(dict):
         self.n = n
         self.parents = [0]
         self.factors = [0]
-        # around every growth of the program, so that threads evaluating in
-        # one ring never see a slot without its step
-        self.lock = Lock()
 
     def parent(self, key: int) -> tuple:
         """``(parent key, variable index)`` of a nonconstant key: the key
@@ -425,75 +424,73 @@ class _MonomialProgram(dict):
     def __missing__(self, key: int) -> int:
         # walk down to a key that has a slot, then give the chain slots
         # from the top, parents first; a loop, as chains reach 255 * n keys
-        with self.lock:
-            chain = []
-            while key not in self:
-                parent, var = self.parent(key)
-                chain.append((key, var))
-                key = parent
-            slot = self[key]
-            for key, var in reversed(chain):
-                self.parents.append(slot)
-                self.factors.append(var)
-                slot = self[key] = len(self.parents) - 1
-            return slot
+        chain = []
+        while key not in self:
+            parent, var = self.parent(key)
+            chain.append((key, var))
+            key = parent
+        slot = self[key]
+        for key, var in reversed(chain):
+            self.parents.append(slot)
+            self.factors.append(var)
+            slot = self[key] = len(self.parents) - 1
+        return slot
 
-    def extend(self, table: list, nums: list, top: int):
-        """Fill ``table`` at ``nums`` up to slot ``top``."""
-        start = len(table)
-        for parent, var in zip(self.parents[start : top + 1], self.factors[start : top + 1]):
-            table.append(table[parent] * nums[var])
+    def values(self, polys: tuple, point: Sequence) -> Iterator[Fraction]:
+        """Lazy exact values of ``polys`` (this program's ring) at ``point``,
+        from a value table of the point's own; see :func:`evaluate_many`."""
+        if polys and len(point) != self.n:
+            raise ValueError(f"point of length {len(point)} in a ring with {self.n} variables")
+        xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in point]
+        L = lcm(*[x.denominator for x in xs])
+        nums = [x.numerator * (L // x.denominator) for x in xs]
+        table = [1]
+        shift = _BITS * self.n
+
+        def value(p: MultiPoly) -> Fraction:
+            terms = p._terms
+            if not terms:
+                return _ZERO
+            slots = list(map(self.__getitem__, terms))
+            # the point's table catches up with the program, to the top slot
+            steps = slice(len(table), max(slots) + 1)
+            for parent, var in zip(self.parents[steps], self.factors[steps]):
+                table.append(table[parent] * nums[var])
+            values = map(mul, terms.values(), map(table.__getitem__, slots))
+            D = max(terms) >> shift
+            if min(terms) >> shift < D:
+                values = (v * L ** (D - (k >> shift)) for v, k in zip(values, terms))
+            total = sum(values)
+            return Fraction(total, L**D) if total else _ZERO
+
+        return map(value, polys)
 
 
-@lru_cache(maxsize=1)
-def _monomial_program(vars_: tuple) -> _MonomialProgram:
-    """The monomial program of the most recent ring only, so it holds the
-    monomials of the polynomials evaluated in one ring."""
-    return _MonomialProgram(len(vars_))
+def evaluate_many(polys: Iterable[MultiPoly], points: Iterable[Sequence]) -> Iterator[Iterator[Fraction]]:
+    """Exact values of ``polys`` at each of ``points``: one lazy iterator of
+    ``Fraction`` values per point, in order, so
+    ``map(any, evaluate_many(...))`` stops each point at its first nonzero.
 
-
-def evaluate_many(polys: Iterable[MultiPoly], point: Sequence) -> Iterator[Fraction]:
-    """Exact values of ``polys`` at ``point``, one ``Fraction`` each, lazily
-    and in order, so ``any(evaluate_many(...))`` stops at the first nonzero.
-
-    The polynomials share one ring and ``point`` holds one rational per
-    variable, in ring order.  Its denominators are cleared once: with ``L``
-    their lcm, a polynomial of total degree ``D`` sums
+    The polynomials are read once, up front, and must share one ring; each
+    point holds one rational per variable, in ring order, and is checked and
+    converted when it is reached, as the points are pulled lazily too.  A
+    point's denominators are cleared once: with ``L`` their lcm, a
+    polynomial of total degree ``D`` sums
     ``c * L^(D - deg) * prod (x_i L)^e_i`` over its terms in integers (no
     powers of ``L`` when it is homogeneous) and divides by ``L^D``.  The
-    monomial values ``prod (x_i L)^e_i`` come from the ring's monomial
-    program: a table of one multiplication per distinct monomial, filled
-    only as far as the polynomials pulled so far need.  The table belongs
-    to this call, so evaluate a generator set at one point in one call.
+    monomial values ``prod (x_i L)^e_i`` come from one monomial program for
+    the call, which holds only the monomials of the polynomials pulled so
+    far: each point fills a table of one multiplication per distinct
+    monomial, only as far as its own pulls need.  The iterators of one call
+    share its program, so they belong to one thread, as any generator does;
+    separate calls share nothing.
     """
-    ring = None
+    polys = tuple(polys)
     for p in polys:
-        if p.vars != ring:
-            if ring is not None:
-                raise ValueError(f"mixed variable lists: {ring} vs {p.vars}")
-            if len(point) != len(p.vars):
-                raise ValueError(f"point of length {len(point)} in a ring with {len(p.vars)} variables")
-            ring = p.vars
-            shift = _BITS * len(ring)
-            program = _monomial_program(ring)
-            xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in point]
-            L = lcm(*[x.denominator for x in xs])
-            nums = [x.numerator * (L // x.denominator) for x in xs]
-            table = [1]
-        terms = p._terms
-        if not terms:
-            yield _ZERO
-            continue
-        slots = list(map(program.__getitem__, terms))
-        top = max(slots)
-        if top >= len(table):
-            program.extend(table, nums, top)
-        values = map(mul, terms.values(), map(table.__getitem__, slots))
-        D = max(terms) >> shift
-        if min(terms) >> shift < D:
-            values = (v * L ** (D - (k >> shift)) for v, k in zip(values, terms))
-        total = sum(values)
-        yield Fraction(total, L**D) if total else _ZERO
+        if p.vars != polys[0].vars:
+            raise ValueError(f"mixed variable lists: {polys[0].vars} vs {p.vars}")
+    program = _MonomialProgram(len(polys[0].vars) if polys else 0)
+    return (program.values(polys, point) for point in points)
 
 
 def nonzero_compositions(polys: Sequence[MultiPoly], values: Sequence[MultiPoly]) -> tuple:

@@ -21,8 +21,8 @@ The reverse inclusion, V(gens) ⊆ closure, is certified only by the test
 suite, by Gröbner bases on a fixed list of small architectures
 (``tests/test_closure_groebner.py``).  Here it is still sampled: random
 ambient points must each violate a generator, a smoke test that evaluates
-the whole generator set at a point with one call of
-:func:`lcn.polyring.evaluate_many` and stops at the first nonzero value.
+the generator set at all its points with one call of
+:func:`lcn.polyring.evaluate_many`, each point up to its first nonzero value.
 """
 
 from __future__ import annotations
@@ -160,4 +160,4 @@ def smoke_nonmembership(gens: IdealGenerators, n_trials: int, seed: int = 0) -> 
         [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9999), rng.randint(1, 99)) for _ in range(k)]
         for _ in range(n_trials)
     )
-    return sum(any(evaluate_many(gens.generators, pt)) for pt in points)
+    return sum(map(any, evaluate_many(gens.generators, points)))

@@ -143,10 +143,10 @@ def test_criterion_4_sampling_soundness():
         for arch in family:
             gens = cached_generators(arch)
             extra = radical.get(arch, [])
-            for _ in range(100):
-                _, w = sample_neuromanifold(arch, rng.randrange(2**62))
-                for polys in (gens.generators, extra):
-                    for g, value in zip(polys, evaluate_many(polys, w)):
+            samples = [sample_neuromanifold(arch, rng.randrange(2**62))[1] for _ in range(100)]
+            for polys in (gens.generators, extra):
+                for values in evaluate_many(polys, samples):
+                    for g, value in zip(polys, values):
                         assert value == 0, (arch, g.text())
 
     check(4, "100 exact samples vanish on every family architecture", body, budget=120.0)

@@ -193,14 +193,14 @@ class TestIdeal:
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "lcn.cli", "ideal", "-k", "3,3,3,3", "-s", "2,2,2,1"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        )
-        assert len(proc.stdout.read(100)) == 100
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=120) == 141
+        ) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 141
         assert err == b""
 
     def test_missing_strides(self, capsys):

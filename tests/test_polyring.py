@@ -20,7 +20,6 @@ from lcn.idealgen import vanishing_generators
 from lcn.polyring import (
     MultiPoly,
     _MonomialProgram,
-    _monomial_program,
     coefficient_symbols,
     dedup_generators,
     determinant,
@@ -190,37 +189,79 @@ class TestEval:
 
 
 class TestEvaluateMany:
-    @given(st.lists(rational_polys(), max_size=6), rational_points3)
-    @example([poly3({}), MultiPoly.constant(VARS3, Fraction(-2, 7)), poly3({(4, 0, 1): 3})], (0, Fraction(1, 6), 5))
-    def test_matches_fraction_loop(self, ps, pt):
-        values = list(evaluate_many(ps, pt))
-        assert all(isinstance(v, Fraction) for v in values)
-        assert values == [fraction_loop_evaluate(p, pt) for p in ps]
+    @given(st.lists(rational_polys(), max_size=6), st.lists(rational_points3, max_size=3))
+    @example([poly3({}), MultiPoly.constant(VARS3, Fraction(-2, 7)), poly3({(4, 0, 1): 3})], [(0, Fraction(1, 6), 5)])
+    def test_matches_fraction_loop(self, ps, pts):
+        values = [list(vs) for vs in evaluate_many(ps, pts)]
+        assert all(isinstance(v, Fraction) for vs in values for v in vs)
+        assert values == [[fraction_loop_evaluate(p, pt) for p in ps] for pt in pts]
 
     def test_empty_set_yields_nothing(self):
-        assert list(evaluate_many([], (1, 2, 3))) == []
+        assert [list(vs) for vs in evaluate_many([], [(1, 2, 3), ()])] == [[], []]
 
     def test_mixed_rings_rejected(self):
+        # up front, before any point
         u, _, _ = symbols(VARS3)
         x, _, _ = symbols(("x", "y", "z"))
         with pytest.raises(ValueError, match="mixed variable lists"):
-            list(evaluate_many([u, x], (1, 2, 3)))
+            evaluate_many([u, x], [])
 
     def test_point_length_checked(self):
         with pytest.raises(ValueError, match="point of length 2"):
-            list(evaluate_many(symbols(VARS3), (1, 2)))
+            next(evaluate_many(symbols(VARS3), [(1, 2)]))
 
-    def test_stops_at_first_nonzero(self):
+    def test_points_pulled_lazily(self):
+        pulled = []
+
+        def points():
+            for pt in ((1, 2, 3), (4, 5, 6), (1, 2)):
+                pulled.append(pt)
+                yield pt
+
+        values = evaluate_many(symbols(VARS3), points())
+        assert pulled == []
+        assert list(next(values)) == [1, 2, 3]
+        assert pulled == [(1, 2, 3)]
+        assert list(next(values)) == [4, 5, 6]
+        # the short point raises only once it is reached
+        with pytest.raises(ValueError, match="point of length 2"):
+            next(values)
+        assert len(pulled) == 3
+
+    def test_stops_at_first_nonzero(self, monkeypatch):
         u, v, w = symbols(VARS3)
+        ps = (u * v - w, u**2 - v, v**3, w**4)
         pulled = []
 
         def counting():
-            for p in (u * v - w, u, v, w):
+            for p in ps:
                 pulled.append(p)
                 yield p
 
-        assert any(evaluate_many(counting(), (1, 2, 3)))
-        assert pulled == [u * v - w]
+        programs = recorded_programs(monkeypatch)
+        # u*v - w is nonzero at the first point, zero at the second, where
+        # u^2 - v is not
+        flags = map(any, evaluate_many(counting(), [(1, 2, 3), (2, 3, 6)]))
+        assert pulled == list(ps)  # read up front
+        (program,) = programs
+        assert next(flags)
+        assert program.parents == loaded_program(ps[:1]).parents
+        assert next(flags)
+        assert program.parents == loaded_program(ps[:2]).parents
+        assert next(flags, None) is None
+
+
+def recorded_programs(monkeypatch) -> list:
+    """Every monomial program made from now on, in order of construction."""
+    made = []
+
+    class Recorded(_MonomialProgram):
+        def __init__(self, n):
+            super().__init__(n)
+            made.append(self)
+
+    monkeypatch.setattr(lcn.polyring, "_MonomialProgram", Recorded)
+    return made
 
 
 def composed(p, values):
@@ -318,15 +359,6 @@ class TestNonzeroCompositions:
         with pytest.raises(ValueError, match="2 values in a ring with 3 variables"):
             nonzero_compositions(symbols(VARS3), symbols(XY))
 
-    def test_ring_program_is_left_alone(self):
-        u, v, w = symbols(VARS3)
-        x, y = symbols(XY)
-        program = _monomial_program(VARS3)
-        steps = len(program.parents)
-        assert nonzero_compositions((u**3 * v - w, u * v * w**2), (x + y, x, y)) == (0, 1)
-        assert _monomial_program(VARS3) is program
-        assert len(program.parents) == steps
-
     def test_slots_are_released_after_their_last_use(self, monkeypatch):
         gens = vanishing_generators(Architecture((3, 3, 3), (2, 2, 1))).generators
         xs = symbols(f"x{i}" for i in range(len(gens[0].vars)))
@@ -365,8 +397,9 @@ def ladder3():
 
 
 class TestMonomialProgram:
-    """The per-ring program and the kept point table give the values of
-    the term-by-term oracle, whatever the order and type of the calls."""
+    """The program of one call and the value tables of its points give the
+    values of the term-by-term oracle, whatever the order in which the
+    points' iterators are read and the types of the points."""
 
     P = (Fraction(-2, 3), 5, Fraction(7, 4))
     Q = (3, Fraction(1, 6), -2)
@@ -379,12 +412,11 @@ class TestMonomialProgram:
             p = p * x
         p = p**255 + 1
         pt = (Fraction(1, 2),) * 5
-        _monomial_program.cache_clear()
         assert p.evaluate(pt) == fraction_loop_evaluate(p, pt)
 
     def test_interleaved_iterators_on_one_ring(self):
         ps = ladder3()
-        pairs = list(zip(evaluate_many(ps, self.P), evaluate_many(ps, self.Q)))
+        pairs = list(zip(*evaluate_many(ps, [self.P, self.Q])))
         assert pairs == [(fraction_loop_evaluate(p, self.P), fraction_loop_evaluate(p, self.Q)) for p in ps]
 
     def test_interleaved_iterators_on_two_rings(self):
@@ -392,7 +424,7 @@ class TestMonomialProgram:
         x, y = symbols(("x", "y"))
         qs = [x**d - Fraction(1, d) * y**d + x * y for d in range(1, 8)]
         pt = (Fraction(5, 7), -3)
-        pairs = list(zip(evaluate_many(ps, self.P), evaluate_many(qs, pt)))
+        pairs = list(zip(next(evaluate_many(ps, [self.P])), next(evaluate_many(qs, [pt]))))
         assert pairs == [
             (fraction_loop_evaluate(p, self.P), fraction_loop_evaluate(q, pt)) for p, q in zip(ps, qs)
         ]
@@ -400,9 +432,10 @@ class TestMonomialProgram:
     def test_list_point_mutated_between_calls(self):
         ps = ladder3()
         pt = list(self.P)
-        assert list(evaluate_many(ps, pt)) == [fraction_loop_evaluate(p, self.P) for p in ps]
+        values = evaluate_many(ps, [pt, pt])
+        assert list(next(values)) == [fraction_loop_evaluate(p, self.P) for p in ps]
         pt[1] = Fraction(-1, 9)
-        assert list(evaluate_many(ps, pt)) == [fraction_loop_evaluate(p, pt) for p in ps]
+        assert list(next(values)) == [fraction_loop_evaluate(p, pt) for p in ps]
 
     def test_equal_points_of_different_types(self):
         ps = ladder3()
@@ -414,11 +447,12 @@ class TestMonomialProgram:
 
     def test_failed_conversion_leaves_the_table_intact(self):
         ps = ladder3()
-        assert list(evaluate_many(ps, self.P)) == [fraction_loop_evaluate(p, self.P) for p in ps]
+        values = evaluate_many(ps, [self.P, (self.P[0], self.P[1], None)])
+        first = next(values)
+        head = [next(first) for _ in range(3)]
         with pytest.raises(TypeError):
-            list(evaluate_many(ps, (self.P[0], self.P[1], None)))
-        assert list(evaluate_many(ps, self.P)) == [fraction_loop_evaluate(p, self.P) for p in ps]
-        assert list(evaluate_many(ps, self.Q)) == [fraction_loop_evaluate(p, self.Q) for p in ps]
+            next(values)
+        assert head + list(first) == [fraction_loop_evaluate(p, self.P) for p in ps]
 
     def test_homogeneous_and_inhomogeneous_in_one_set(self):
         u, v, w = symbols(VARS3)
@@ -431,8 +465,9 @@ class TestMonomialProgram:
             u**3 * v - 4 * w**4,
             w - Fraction(2, 5),
         ]
-        for pt in (self.P, self.Q, (0, Fraction(1, 4), 0)):
-            assert list(evaluate_many(ps, pt)) == [fraction_loop_evaluate(p, pt) for p in ps]
+        pts = (self.P, self.Q, (0, Fraction(1, 4), 0))
+        for pt, values in zip(pts, evaluate_many(ps, pts)):
+            assert list(values) == [fraction_loop_evaluate(p, pt) for p in ps]
 
 
 class TestEvaluateAtScale:
@@ -457,22 +492,19 @@ class TestEvaluateAtScale:
 
     def test_matches_fraction_loop(self, gens):
         samples, ambient = self.points()
-        for pt in samples + ambient:
-            assert list(evaluate_many(gens, pt)) == [fraction_loop_evaluate(g, pt) for g in gens]
-        for pt in samples:
-            assert not any(evaluate_many(gens, pt))
-        for pt in ambient:
-            assert any(evaluate_many(gens, pt))
+        for pt, values in zip(samples + ambient, evaluate_many(gens, samples + ambient)):
+            assert list(values) == [fraction_loop_evaluate(g, pt) for g in gens]
+        assert list(map(any, evaluate_many(gens, samples + ambient))) == [False, False, True, True]
 
-    def test_equal_point_reuses_program(self, gens):
+    def test_equal_point_reuses_program(self, gens, monkeypatch):
         _, (pt, _) = self.points()
-        _monomial_program.cache_clear()
-        values = list(evaluate_many(gens, pt))
-        program = _monomial_program(gens[0].vars)
+        programs = recorded_programs(monkeypatch)
+        values = evaluate_many(gens, [pt, tuple(Fraction(x.numerator, x.denominator) for x in pt)])
+        first = list(next(values))
+        (program,) = programs
         steps = len(program.parents)
-        assert steps == len(program)
-        again = list(evaluate_many(gens, tuple(Fraction(x.numerator, x.denominator) for x in pt)))
-        assert again == values
+        assert steps == len(program) == len(loaded_program(gens).parents)
+        assert list(next(values)) == first
         assert len(program.parents) == steps
 
     def test_point_does_not_outlive_the_call(self, gens):
@@ -482,13 +514,13 @@ class TestEvaluateAtScale:
         _, (pt, _) = self.points()
         pt = [Coordinate(x) for x in pt]
         ref = weakref.ref(pt[0])
-        _monomial_program.cache_clear()
-        assert list(evaluate_many(gens, pt)) == [fraction_loop_evaluate(g, pt) for g in gens]
+        assert list(next(evaluate_many(gens, [pt]))) == [fraction_loop_evaluate(g, pt) for g in gens]
         del pt
         gc.collect()
         assert ref() is None
 
     def test_threads_growing_one_program(self, gens):
+        # concurrent calls, each growing a program of its own
         samples, ambient = self.points()
         points = samples + ambient + samples[:1]
         expected = [[fraction_loop_evaluate(g, pt) for g in gens] for pt in points]
@@ -499,15 +531,13 @@ class TestEvaluateAtScale:
             if i % 2:
                 results[i] = [g.evaluate(points[i]) for g in gens]
             else:
-                results[i] = list(evaluate_many(gens, points[i]))
+                results[i] = list(next(evaluate_many(gens, [points[i]])))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(10):
                 results.clear()
-                _monomial_program.cache_clear()
-                _monomial_program(gens[0].vars)  # one fresh program for all threads
                 barrier = threading.Barrier(len(points))
                 threads = [threading.Thread(target=work, args=(i, barrier)) for i in range(len(points))]
                 for t in threads:
@@ -1010,6 +1040,13 @@ class TestPackedTerms:
         q = MultiPoly(p.vars, p.terms)
         assert q == p
         assert hash(q) == hash(p)
+
+    @pytest.mark.parametrize("value", [0, 3, -7, Fraction(5, 2), Fraction(4, 2)])
+    def test_constant_hashes_as_its_value(self, value):
+        c = MultiPoly.constant(("x",), value)
+        assert c == value and hash(c) == hash(value)
+        assert len({c, value}) == 1
+        assert len({c, MultiPoly.constant(("x", "y"), value)}) == 2
 
     @given(st.one_of(wide_polys(), small_polys()), st.sampled_from(VARS3))
     def test_differentiate_matches_tuple_rule(self, p, name):

@@ -136,7 +136,7 @@ class TestPlan:
         numeric = two_layer_resultants(5, 2, 3, w)
         assert [m[:3] for m in numeric] == [m[:3] for m in symbolic]
         for (_, _, _, num), (_, _, _, sym) in zip(numeric, symbolic):
-            assert num == [list(evaluate_many(row, w)) for row in sym]
+            assert num == [list(next(evaluate_many(row, [w]))) for row in sym]
 
 
 class TestTwoLayerIdeal:
@@ -236,9 +236,8 @@ class TestRankCriterion:
         for k1, k2, s1 in [(2, 2, 2), (3, 2, 2), (5, 2, 3), (3, 3, 2)]:
             gens = two_layer_ideal(k1, k2, s1)
             k = k1 + s1 * (k2 - 1)
-            for _ in range(20):
-                pt = [Fraction(rng.randint(1, 30), rng.randint(1, 7)) for _ in range(k)]
-                assert all(evaluate_many(gens.generators, pt))
+            points = [[Fraction(rng.randint(1, 30), rng.randint(1, 7)) for _ in range(k)] for _ in range(20)]
+            assert all(map(all, evaluate_many(gens.generators, points)))
 
 
 class TestSoundnessOnSamples:
@@ -246,6 +245,5 @@ class TestSoundnessOnSamples:
     def test_samples_vanish(self, k1, k2, s1):
         gens = two_layer_ideal(k1, k2, s1)
         arch = Architecture((k1, k2), (s1, 1))
-        for seed in range(100):
-            _, w = sample_neuromanifold(arch, seed)
-            assert not any(evaluate_many(gens.generators, w))
+        samples = [sample_neuromanifold(arch, seed)[1] for seed in range(100)]
+        assert not any(map(any, evaluate_many(gens.generators, samples)))

@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # Runs each command line of argv[1] (JSON) in order, then prints, per step,
@@ -97,6 +99,27 @@ def test_exact_commands_never_load_numpy_and_critpoints_does():
     # 20 starts may fall short of the count: exit 1, not an error
     name, rc, loaded = steps[-1]
     assert (name, loaded) == ("critpoints", True) and rc in (0, 1)
+
+
+# Runs ``lcn critpoints`` in-process and prints OPENBLAS_NUM_THREADS after it.
+OPENBLAS = """
+import contextlib, io, json, os, sys
+
+import lcn.cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    lcn.cli.main(json.loads(sys.argv[1]))
+print(json.dumps(os.environ.get("OPENBLAS_NUM_THREADS")))
+"""
+
+
+@pytest.mark.parametrize("given,kept", [(None, "1"), ("3", "3")])
+def test_critpoints_defaults_openblas_to_one_thread(monkeypatch, given, kept):
+    if given is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", given)
+    assert fresh(CRITPOINTS, OPENBLAS) == kept
 
 
 def test_two_threads_can_make_the_first_numpy_use_at_once():

@@ -8,7 +8,7 @@ import pytest
 import lcn.verify
 from lcn.arch import Architecture, reduce_arch, sample_neuromanifold
 from lcn.idealgen import vanishing_generators
-from lcn.polyring import MultiPoly, _monomial_program, coefficient_symbols, nonzero_compositions
+from lcn.polyring import MultiPoly, coefficient_symbols, nonzero_compositions
 from lcn.verify import (
     exact_rank,
     parametrization_jacobian,
@@ -19,7 +19,7 @@ from lcn.verify import (
 
 from test_acceptance import cached_generators, reduced_family
 from test_idealgen import radical_generators_3_2_2, radical_generators_5_2
-from test_polyring import loaded_program
+from test_polyring import loaded_program, recorded_programs
 import variety_oracle
 
 
@@ -215,14 +215,16 @@ class TestVerifyIdeal:
         assert len(archs) == 270
         assert [a.describe() for a in archs if not verify_ideal(a, 10).ok] == []
 
-    def test_ring_program_holds_only_the_evaluated_generator(self):
-        # each random point violates the first generator, so the smoke test
-        # evaluates no other; the proof adds nothing to the ring's program
+    def test_ring_program_holds_only_the_evaluated_generator(self, monkeypatch):
+        # each random point violates the first generator, so the smoke
+        # test's one program holds the monomials of no other; the proof
+        # composes through a program of its own
         arch = Architecture((5, 3, 2), (2, 2, 1))
-        _monomial_program.cache_clear()
+        programs = recorded_programs(monkeypatch)
         assert verify_ideal(arch, 30, 1).ok
         first = cached_generators(arch).generators[:1]
-        assert _monomial_program(first[0].vars).parents == loaded_program(first).parents
+        assert len(programs) == 2
+        assert programs[-1].parents == loaded_program(first).parents
 
     def test_failures_name_the_generator(self, monkeypatch):
         # a nonzero constant inserted as generator 1 does not vanish on the image
