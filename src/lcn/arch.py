@@ -30,9 +30,9 @@ def _integers(values: Sequence, what: str) -> tuple:
     (Python's or numpy's, which would read as 0 and 1) do not.
     """
     values = tuple(values)
-    # a numpy bool can only be among the values once numpy is loaded
-    numpy = sys.modules.get("numpy")
-    bools = {bool} if numpy is None else {bool, numpy.bool_}
+    # a numpy bool can only be among the values once numpy is loaded; while
+    # another thread's first import of numpy runs, it may have no bool_ yet
+    bools = {bool, getattr(sys.modules.get("numpy"), "bool_", bool)}
     try:
         ints = tuple(map(int, values))
     except (OverflowError, ValueError):
@@ -40,6 +40,14 @@ def _integers(values: Sequence, what: str) -> tuple:
     if ints != values or not bools.isdisjoint(map(type, values)):
         raise ValueError(f"{what} must be integers, got {values}")
     return ints
+
+
+def _count(value, what: str) -> int:
+    """``value`` as an int of at least 1; else ValueError naming ``what``."""
+    (value,) = _integers([value], what)
+    if value < 1:
+        raise ValueError(f"{what} must be at least 1, got {value}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -316,7 +316,11 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         return 2
     except BrokenPipeError:
         # stdout's reader left (``lcn ideal ... | head``): flush into the void
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         return 141
 
 

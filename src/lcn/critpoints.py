@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .arch import Architecture, _integers, expected_dimension, reduce_arch
+from .arch import Architecture, _count, expected_dimension, reduce_arch
 from .idealgen import vanishing_generators
 from .polyring import MultiPoly
 
@@ -314,9 +314,7 @@ def solve_critical_points(
     Comparing the count with a prediction is left to the caller.
     """
     import numpy as np
-    (starts,) = _integers([starts], "starts")
-    if starts < 1:
-        raise ValueError(f"starts must be at least 1, got {starts}")
+    starts = _count(starts, "starts")
     f = problem.f
     k = len(f.vars)
     T = np.asarray(problem.T, dtype=float)

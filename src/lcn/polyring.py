@@ -32,8 +32,9 @@ program outlives its call.
 :func:`nonzero_compositions` decides which polynomials vanish identically
 when each variable is replaced by a polynomial.  It composes a polynomial by
 one Horner step on the same parent rule, ``g = c + sum_j x_j * Q_j``, so its
-own program of polynomial values (bare term dicts) holds only the parents of
-the monomials, and each ``Q_j`` costs one product with the value of ``x_j``.
+own program of polynomial values (bare term dicts, each filled once) holds
+only the parents of the monomials, and each ``Q_j`` costs one product with
+the value of ``x_j``.
 
 A matrix is a sequence of equally long rows of polynomials from one ring.
 Its minors come from one memoised Laplace expansion that shares sub-minors
@@ -145,12 +146,7 @@ class MultiPoly:
                 raise ValueError(f"exponent above {_MAX_EXPONENT} in {exps}")
             coeff = _coefficient(coeff)
             if coeff:
-                key = sum(exps) << shift | int.from_bytes(bytes(exps), "big")
-                total = acc.get(key, 0) + coeff
-                if total:
-                    acc[key] = total
-                elif key in acc:
-                    del acc[key]
+                acc[sum(exps) << shift | int.from_bytes(bytes(exps), "big")] = coeff
         self.vars = vars_
         self._terms = acc
         self._hash = None
@@ -392,11 +388,6 @@ def _monomial_texts(vars_: tuple) -> _MonomialTexts:
     return _MonomialTexts(vars_)
 
 
-# The type of the slot table of :func:`nonzero_compositions`, a name of its
-# own so that a test can watch the slots come and go.
-_Slots = dict
-
-
 class _MonomialProgram(dict):
     """``packed key -> slot`` for the monomials of one ring; see
     :func:`evaluate_many`.
@@ -504,14 +495,13 @@ def nonzero_compositions(polys: Sequence[MultiPoly], values: Sequence[MultiPoly]
     ``c + sum_j values[j] * Q_j(values)``.  So only the parents of the
     monomials need composed values, and each ``Q_j`` costs one product with
     ``values[j]``.  The parents are composed through a monomial program of
-    their own, loaded with the ``polys`` in leading-monomial order: slot
-    ``s`` is the ``{key: coefficient}`` dict of slot ``parents[s]`` times
-    ``values[factors[s]]``, filled in slot order as far as the polynomials
-    taken so far need.  Every slot is read, in some ``Q_j`` or as the
-    parent of another slot, and is dropped at its last read, so only the
-    slots still ahead stay alive.  Every product is an :func:`_add_product`,
-    as in ``MultiPoly.__mul__``, so an exponent above 255 raises
-    ``ValueError``; so do ``polys`` or ``values`` from more than one ring.
+    their own, loaded with the ``polys`` in their given order: slot ``s`` is
+    the ``{key: coefficient}`` dict of slot ``parents[s]`` times
+    ``values[factors[s]]``, and every slot is filled once, in slot order,
+    before the polynomials are composed in that order.  Every product is an
+    :func:`_add_product`, as in ``MultiPoly.__mul__``, so an exponent above
+    255 raises ``ValueError``; so do ``polys`` or ``values`` from more than
+    one ring.
     """
     polys = tuple(polys)
     if not polys:
@@ -526,54 +516,34 @@ def nonzero_compositions(polys: Sequence[MultiPoly], values: Sequence[MultiPoly]
     n = len(ring)
     m = len(values[0].vars) if values else 0
     phi = [v._terms for v in values]
-    # by leading monomial, so that polynomials sharing monomials are composed
-    # close together and the slots they read die sooner
-    order = sorted(range(len(polys)), key=lambda i: max(polys[i]._terms, default=0))
     program = _MonomialProgram(n)
     splits = []  # per polynomial: constant term, {j: [(coefficient, parent slot)]}
-    for i in order:
+    for p in polys:
         const = 0
         groups = {}
-        for key, c in polys[i]._terms.items():
+        for key, c in p._terms.items():
             if not key:
                 const = c
                 continue
             parent, j = program.parent(key)
             groups.setdefault(j, []).append((c, program[parent]))
         splits.append((const, groups))
-    parents, factors = program.parents, program.factors
-    # reads[s]: one per monomial whose parent is slot s and one per child
-    reads = [0] * len(parents)
-    for s in parents[1:]:
-        reads[s] += 1
-    for _, groups in splits:
-        for pairs in groups.values():
-            for _, s in pairs:
-                reads[s] += 1
-    table = _Slots({0: {0: 1}})
-
-    def read(s: int) -> dict:
-        reads[s] -= 1
-        return table[s] if reads[s] else table.pop(s)
-
-    filled = 0
+    table = [{0: 1}]
+    for s, j in zip(program.parents[1:], program.factors[1:]):
+        table.append(_nonzero(_add_product({}, table[s], phi[j], m)))
     flagged = []
-    for i, (const, groups) in zip(order, splits):
-        top = max((s for pairs in groups.values() for _, s in pairs), default=0)
-        for s in range(filled + 1, top + 1):
-            table[s] = _nonzero(_add_product({}, read(parents[s]), phi[factors[s]], m))
-            filled = s
+    for i, (const, groups) in enumerate(splits):
         acc = {0: const} if const else {}
         for j, pairs in groups.items():
             q = {}
             get = q.get
             for c, s in pairs:
-                for k, v in read(s).items():
+                for k, v in table[s].items():
                     q[k] = get(k, 0) + c * v
             _add_product(acc, _nonzero(q), phi[j], m)
         if any(acc.values()):
             flagged.append(i)
-    return tuple(sorted(flagged))
+    return tuple(flagged)
 
 
 def symbols(names: Iterable[str]) -> tuple:

@@ -34,7 +34,7 @@ from itertools import accumulate
 from math import lcm
 from typing import Sequence
 
-from .arch import Architecture, compose_filters, expected_dimension, reduce_arch, sample_neuromanifold
+from .arch import Architecture, _count, compose_filters, expected_dimension, reduce_arch, sample_neuromanifold
 from .idealgen import vanishing_generators
 from .polyring import MultiPoly, evaluate_many, nonzero_compositions, symbols
 from .resultant import IdealGenerators
@@ -125,8 +125,10 @@ def verify_ideal(arch: Architecture, n_samples: int = 100, seed: int = 0) -> Ver
     the generators whose composition with ``phi`` is not zero.  The Jacobian
     is taken at a random sample; a sample of rank below the expected
     dimension is retried once at a fresh one and the better rank is
-    reported.
+    reported.  Raises ``ValueError`` unless ``n_samples`` is an integer of
+    at least 1.
     """
+    n_samples = _count(n_samples, "samples")
     gens = vanishing_generators(arch)
     failures = nonzero_compositions(gens.generators, symbolic_filter(arch))
     expected = expected_dimension(reduce_arch(arch))
@@ -151,7 +153,9 @@ def smoke_nonmembership(gens: IdealGenerators, n_trials: int, seed: int = 0) -> 
     value is ``n_trials``.  Coordinates are nonzero rationals drawn from a
     large space, keeping accidental exact hits of the variety negligible
     (small denominators with many zero entries do land on it occasionally).
+    Raises ``ValueError`` unless ``n_trials`` is an integer of at least 1.
     """
+    n_trials = _count(n_trials, "trials")
     if not gens.generators:
         raise ValueError("the architecture has no generators to violate")
     k = len(gens.variables)

@@ -203,6 +203,23 @@ class TestIdeal:
             assert proc.wait(timeout=120) == 141
         assert err == b""
 
+    def test_closed_pipe_leaks_no_descriptor(self, monkeypatch):
+        # 9.6 kB of generators overflow stdout's buffer into a pipe with no
+        # reader; main points the pipe's fd at /dev/null and must close the
+        # descriptor it opened for that
+        def open_fds():
+            return len(os.listdir("/proc/self/fd"))
+
+        before = open_fds()
+        for _ in range(3):
+            read, write = os.pipe()
+            os.close(read)
+            with open(write, "w") as stdout:
+                monkeypatch.setattr(sys, "stdout", stdout)
+                assert main(["ideal", "-k", "3,3,3", "-s", "2,2,1"]) == 141
+            monkeypatch.undo()
+        assert open_fds() == before
+
     def test_missing_strides(self, capsys):
         code, out, err = run(capsys, "ideal", "-k", "2,2")
         assert code == 2

@@ -359,33 +359,19 @@ class TestNonzeroCompositions:
         with pytest.raises(ValueError, match="2 values in a ring with 3 variables"):
             nonzero_compositions(symbols(VARS3), symbols(XY))
 
-    def test_slots_are_released_after_their_last_use(self, monkeypatch):
+    def test_only_parents_get_slots(self, monkeypatch):
         gens = vanishing_generators(Architecture((3, 3, 3), (2, 2, 1))).generators
         xs = symbols(f"x{i}" for i in range(len(gens[0].vars)))
         values = tuple(x + 1 for x in xs)
-        tables = []
-        live = []
-
-        class Watched(dict):
-            # the live slot count each time a slot is filled
-            def __setitem__(self, slot, terms):
-                super().__setitem__(slot, terms)
-                live.append(len(self))
-
-        def watched(initial):
-            tables.append(Watched(initial))
-            return tables[-1]
-
-        monkeypatch.setattr(lcn.polyring, "_Slots", watched)
+        programs = recorded_programs(monkeypatch)
         assert nonzero_compositions(gens, values) == tuple(range(len(gens)))
         # slots only for the parents of the monomials (and their own
-        # parents), loaded in leading-monomial order
-        by_leading_monomial = sorted(gens, key=lambda g: max(g._terms))
-        made = len(parents_program(by_leading_monomial).parents) - 1
-        assert len(live) == made == 294
-        assert made < (len(loaded_program(by_leading_monomial).parents) - 1) / 2
-        assert max(live) < made / 2
-        assert tables[0] == {}
+        # parents), loaded in the generators' order
+        (program,) = programs
+        assert program.parents == parents_program(gens).parents
+        made = len(program.parents) - 1
+        assert made == 294
+        assert made < (len(loaded_program(gens).parents) - 1) / 2
 
 
 def ladder3():

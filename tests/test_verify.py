@@ -245,6 +245,20 @@ class TestVerifyIdeal:
         assert report.nonmember_violations == 6
         assert not report.ok
 
+    @pytest.mark.parametrize(
+        "n, match",
+        [(-3, "samples must be at least 1, got -3"), (0, "at least 1"),
+         (True, "samples must be integers"), (2.5, "samples must be integers")],
+    )
+    def test_sample_count_checked(self, n, match):
+        with pytest.raises(ValueError, match=match):
+            verify_ideal(Architecture((3, 2), (2, 1)), n_samples=n)
+
+    def test_integral_sample_count_is_an_int(self):
+        report = verify_ideal(Architecture((3, 2), (2, 1)), n_samples=3.0)
+        assert type(report.samples_tested) is int
+        assert report.nonmember_violations == report.samples_tested == 3
+
 
 class TestSmoke:
     def test_two_layer(self):
@@ -258,3 +272,13 @@ class TestSmoke:
     def test_single_layer_has_nothing_to_violate(self):
         with pytest.raises(ValueError):
             smoke_nonmembership(vanishing_generators(Architecture((4,), (1,))), 5, seed=0)
+
+    @pytest.mark.parametrize(
+        "n, match",
+        [(True, "trials must be integers"), (1.5, "trials must be integers"),
+         (0, "trials must be at least 1, got 0"), (-2, "at least 1")],
+    )
+    def test_trial_count_checked(self, n, match):
+        gens = vanishing_generators(Architecture((2, 2), (2, 1)))
+        with pytest.raises(ValueError, match=match):
+            smoke_nonmembership(gens, n)
