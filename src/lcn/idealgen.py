@@ -10,8 +10,8 @@ the intersection of the two:
 so the union of the generator sets has the filter variety as its common
 zero locus (over the complex numbers).  No radicals are taken: the contract
 is set-theoretic.  :mod:`lcn.verify` proves that the generators vanish on
-the neuromanifold by one symbolic substitution; only the reverse inclusion
-is checked by sampling.
+the neuromanifold by one exact factorization per level matrix; only the
+reverse inclusion is checked by sampling.
 
 :func:`merge_levels` unrolls the recurrence into one two-layer architecture
 per merge: level ``j`` is the base of the depth-(L-j) architecture, labelled

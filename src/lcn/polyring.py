@@ -27,14 +27,8 @@ through one monomial program built for the call: each packed key gets a
 slot the first time a polynomial needing it is evaluated, after its parent,
 the key one lower in its lowest nonzero field.  So the values of all
 monomials at a point fill that point's table with one multiplication each,
-and each polynomial is a sum of coefficients times table entries.  No
-program outlives its call.
-:func:`nonzero_compositions` decides which polynomials vanish identically
-when each variable is replaced by a polynomial.  It composes a polynomial by
-one Horner step on the same parent rule, ``g = c + sum_j x_j * Q_j``, so its
-own program of polynomial values (bare term dicts, each filled once) holds
-only the parents of the monomials, and each ``Q_j`` costs one product with
-the value of ``x_j``.
+and each polynomial is a sum of coefficients times table entries, at slots
+looked up once per call.  No program outlives its call.
 
 A matrix is a sequence of equally long rows of polynomials from one ring.
 Its minors come from one memoised Laplace expansion that shares sub-minors
@@ -406,20 +400,14 @@ class _MonomialProgram(dict):
         self.parents = [0]
         self.factors = [0]
 
-    def parent(self, key: int) -> tuple:
-        """``(parent key, variable index)`` of a nonconstant key: the key
-        one lower in its lowest nonzero field, the field of that variable."""
-        field = ((key & -key).bit_length() - 1) // _BITS
-        return key - (1 << _BITS * self.n | 1 << _BITS * field), self.n - 1 - field
-
     def __missing__(self, key: int) -> int:
         # walk down to a key that has a slot, then give the chain slots
         # from the top, parents first; a loop, as chains reach 255 * n keys
         chain = []
         while key not in self:
-            parent, var = self.parent(key)
-            chain.append((key, var))
-            key = parent
+            field = ((key & -key).bit_length() - 1) // _BITS
+            chain.append((key, self.n - 1 - field))
+            key -= 1 << _BITS * self.n | 1 << _BITS * field
         slot = self[key]
         for key, var in reversed(chain):
             self.parents.append(slot)
@@ -427,9 +415,11 @@ class _MonomialProgram(dict):
             slot = self[key] = len(self.parents) - 1
         return slot
 
-    def values(self, polys: tuple, point: Sequence) -> Iterator[Fraction]:
+    def values(self, polys: tuple, slot_lists: list, point: Sequence) -> Iterator[Fraction]:
         """Lazy exact values of ``polys`` (this program's ring) at ``point``,
-        from a value table of the point's own; see :func:`evaluate_many`."""
+        from a value table of the point's own; see :func:`evaluate_many`.
+        ``slot_lists[i]`` holds the slots of the terms of ``polys[i]``, made
+        by the first point to pull it."""
         if polys and len(point) != self.n:
             raise ValueError(f"point of length {len(point)} in a ring with {self.n} variables")
         xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in point]
@@ -438,11 +428,13 @@ class _MonomialProgram(dict):
         table = [1]
         shift = _BITS * self.n
 
-        def value(p: MultiPoly) -> Fraction:
+        def value(i: int, p: MultiPoly) -> Fraction:
             terms = p._terms
-            if not terms:
+            if i == len(slot_lists):
+                slot_lists.append(list(map(self.__getitem__, terms)))
+            slots = slot_lists[i]
+            if not slots:
                 return _ZERO
-            slots = list(map(self.__getitem__, terms))
             # the point's table catches up with the program, to the top slot
             steps = slice(len(table), max(slots) + 1)
             for parent, var in zip(self.parents[steps], self.factors[steps]):
@@ -454,7 +446,7 @@ class _MonomialProgram(dict):
             total = sum(values)
             return Fraction(total, L**D) if total else _ZERO
 
-        return map(value, polys)
+        return map(value, range(len(polys)), polys)
 
 
 def evaluate_many(polys: Iterable[MultiPoly], points: Iterable[Sequence]) -> Iterator[Iterator[Fraction]]:
@@ -471,79 +463,19 @@ def evaluate_many(polys: Iterable[MultiPoly], points: Iterable[Sequence]) -> Ite
     powers of ``L`` when it is homogeneous) and divides by ``L^D``.  The
     monomial values ``prod (x_i L)^e_i`` come from one monomial program for
     the call, which holds only the monomials of the polynomials pulled so
-    far: each point fills a table of one multiplication per distinct
-    monomial, only as far as its own pulls need.  The iterators of one call
-    share its program, so they belong to one thread, as any generator does;
-    separate calls share nothing.
+    far, and the slots of each polynomial's terms, looked up by the first
+    point to pull it: each point fills a table of one multiplication per
+    distinct monomial, only as far as its own pulls need.  The iterators of
+    one call share its program, so they belong to one thread, as any
+    generator does; separate calls share nothing.
     """
     polys = tuple(polys)
     for p in polys:
         if p.vars != polys[0].vars:
             raise ValueError(f"mixed variable lists: {polys[0].vars} vs {p.vars}")
     program = _MonomialProgram(len(polys[0].vars) if polys else 0)
-    return (program.values(polys, point) for point in points)
-
-
-def nonzero_compositions(polys: Sequence[MultiPoly], values: Sequence[MultiPoly]) -> tuple:
-    """Indices of the ``polys`` that are not identically zero once each ring
-    variable is replaced by its polynomial in ``values`` (ring order, all
-    ``values`` in one ring of their own).
-
-    Each polynomial is composed by one Horner step: split by the last
-    variable of each monomial (the parent rule of :class:`_MonomialProgram`)
-    as ``g = c + sum_j x_j * Q_j``, it composes to
-    ``c + sum_j values[j] * Q_j(values)``.  So only the parents of the
-    monomials need composed values, and each ``Q_j`` costs one product with
-    ``values[j]``.  The parents are composed through a monomial program of
-    their own, loaded with the ``polys`` in their given order: slot ``s`` is
-    the ``{key: coefficient}`` dict of slot ``parents[s]`` times
-    ``values[factors[s]]``, and every slot is filled once, in slot order,
-    before the polynomials are composed in that order.  Every product is an
-    :func:`_add_product`, as in ``MultiPoly.__mul__``, so an exponent above
-    255 raises ``ValueError``; so do ``polys`` or ``values`` from more than
-    one ring.
-    """
-    polys = tuple(polys)
-    if not polys:
-        return ()
-    ring = polys[0].vars
-    if any(p.vars != ring for p in polys):
-        raise ValueError("polynomials from different rings")
-    if len(values) != len(ring):
-        raise ValueError(f"{len(values)} values in a ring with {len(ring)} variables")
-    if any(v.vars != values[0].vars for v in values):
-        raise ValueError("values from different rings")
-    n = len(ring)
-    m = len(values[0].vars) if values else 0
-    phi = [v._terms for v in values]
-    program = _MonomialProgram(n)
-    splits = []  # per polynomial: constant term, {j: [(coefficient, parent slot)]}
-    for p in polys:
-        const = 0
-        groups = {}
-        for key, c in p._terms.items():
-            if not key:
-                const = c
-                continue
-            parent, j = program.parent(key)
-            groups.setdefault(j, []).append((c, program[parent]))
-        splits.append((const, groups))
-    table = [{0: 1}]
-    for s, j in zip(program.parents[1:], program.factors[1:]):
-        table.append(_nonzero(_add_product({}, table[s], phi[j], m)))
-    flagged = []
-    for i, (const, groups) in enumerate(splits):
-        acc = {0: const} if const else {}
-        for j, pairs in groups.items():
-            q = {}
-            get = q.get
-            for c, s in pairs:
-                for k, v in table[s].items():
-                    q[k] = get(k, 0) + c * v
-            _add_product(acc, _nonzero(q), phi[j], m)
-        if any(acc.values()):
-            flagged.append(i)
-    return tuple(flagged)
+    slot_lists = []
+    return (program.values(polys, slot_lists, point) for point in points)
 
 
 def symbols(names: Iterable[str]) -> tuple:

@@ -15,7 +15,8 @@ ones alone, which handles the points where the lower-degree slots vanish.
 :func:`two_layer_resultants` is the one rule for which matrices to build;
 it takes symbolic or numeric filter entries alike, so the same rows give
 the symbolic minors of :func:`two_layer_ideal` and, at a numeric filter,
-a membership test by rank.
+a membership test by rank; :func:`two_layer_factors` shows why the minors
+vanish on the variety.
 """
 
 from __future__ import annotations
@@ -37,14 +38,36 @@ def resultant_rows(polys: Sequence[Sequence], l: int) -> list:
         raise ValueError("shift cap l must be nonnegative")
     if any(len(q) == 0 for q in polys):
         raise ValueError("every polynomial needs at least one coefficient")
+    return [row for q in polys for row in _shifts(q, l, 0 * q[0])]
+
+
+def _shifts(q: Sequence, l: int, zero) -> list:
+    """The rows ``x^shift * q`` of ``l + 1`` columns padded with ``zero``, one
+    per shift that fits; ``l + 2`` zero rows for an empty ``q`` (degree -1)."""
     rows = []
-    for q in polys:
-        n, zero = len(q) - 1, 0 * q[0]
-        for shift in range(l - n + 1):
-            row = [zero] * (l + 1)
-            row[shift : shift + n + 1] = list(q)
-            rows.append(row)
+    for shift in range(l - len(q) + 2):
+        row = [zero] * (l + 1)
+        row[shift : shift + len(q)] = q
+        rows.append(row)
     return rows
+
+
+def _layout(k1: int, k2: int, s1: int) -> list:
+    """``(name, shift cap, minor size, slot count)`` of each matrix of
+    :func:`two_layer_resultants`, which holds the rows of the first slots."""
+    if k1 < 1 or k2 < 2 or s1 < 2:
+        raise ValueError(
+            f"({k1},{k2}) with stride {s1} is not a two-layer architecture "
+            "that reduce_arch returns: it needs k2 >= 2 and a stride >= 2"
+        )
+    prof = profile(k1 + s1 * (k2 - 1), s1)
+    m = k2 - 1
+    l1 = prof.n_min + prof.n_max - m
+    out = [("I1", l1, l1 - m + 2, s1)]
+    if 1 < prof.r < s1:
+        l2 = 2 * prof.n_max - m
+        out.append(("I2", l2, l2 - m + 2, prof.r))
+    return out
 
 
 def two_layer_resultants(k1: int, k2: int, s1: int, coeffs: Sequence) -> list:
@@ -60,23 +83,32 @@ def two_layer_resultants(k1: int, k2: int, s1: int, coeffs: Sequence) -> list:
     minors of size 1: the entries ``c_j`` with ``j`` off the multiples of
     ``s1``.
     """
-    if k1 < 1 or k2 < 2 or s1 < 2:
-        raise ValueError(
-            f"({k1},{k2}) with stride {s1} is not a two-layer architecture "
-            "that reduce_arch returns: it needs k2 >= 2 and a stride >= 2"
-        )
+    layout = _layout(k1, k2, s1)
     k = k1 + s1 * (k2 - 1)
     if len(coeffs) != k:
         raise ValueError(f"{len(coeffs)} filter entries for a filter of size {k}")
-    prof = profile(k, s1)
     slots = s_decompose(coeffs, s1)
+    return [(name, l, size, resultant_rows(slots[:n], l)) for name, l, size, n in layout]
+
+
+def two_layer_factors(k1: int, k2: int, s1: int, a: Sequence, b: Sequence) -> list:
+    """``(M, H)`` per matrix of :func:`two_layer_resultants` at the filter
+    ``w(x) = a(x) * b(x^s1)`` (``k1`` entries in ``a``, ``k2`` in ``b``),
+    whose rows are then ``M H``.
+
+    Slot ``r`` of ``w`` is slot ``r`` of ``a`` (its ``a_i`` with
+    ``i = k1 - 1 - r`` mod ``s1``; empty, and giving zero rows, when
+    ``k1 < s1``) times ``b``.  So each row of ``R_l`` is the row of that
+    shift of the slot of ``a`` in ``M`` times ``H = resultant_rows([b], l)``,
+    whose ``l - k2 + 2`` rows are one fewer than the minor size: every
+    minor of ``R_l`` vanishes, by Cauchy–Binet."""
     m = k2 - 1
-    l1 = prof.n_min + prof.n_max - m
-    out = [("I1", l1, l1 - m + 2, resultant_rows(slots, l1))]
-    if 1 < prof.r < s1:
-        l2 = 2 * prof.n_max - m
-        out.append(("I2", l2, l2 - m + 2, resultant_rows(slots[: prof.r], l2)))
-    return out
+    zero = 0 * b[0]
+    slots = [a[(k1 - 1 - r) % s1 : k1 - r : s1] for r in range(s1)]
+    return [
+        ([row for q in slots[:n] for row in _shifts(q, l - m, zero)], resultant_rows([b], l))
+        for _, l, _, n in _layout(k1, k2, s1)
+    ]
 
 
 @dataclass(frozen=True)

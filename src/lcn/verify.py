@@ -1,12 +1,15 @@
 """Cross-cutting checks: exact membership proof, dimension, nonmembership.
 
 That the generators vanish on the whole neuromanifold is proved, not
-sampled: every layer entry becomes a fresh symbol, the composed filter
-``phi(theta)`` is a vector of polynomials in them, and each generator
-composed with ``phi`` must be the zero polynomial
-(:func:`lcn.polyring.nonzero_compositions`, one Horner step per generator,
-so only the parents of its monomials are composed with ``phi``).  This
-proves image ⊆ V(gens), and so closure ⊆ V(gens).
+sampled, once per resultant matrix: every layer entry becomes a fresh
+symbol, and at each merge level the reduced architecture's composed filter
+``phi(theta)`` factors as ``A(x) * B(x^s1)``.  So each level matrix at
+``phi`` must equal, as exact polynomials, the product ``M H`` of
+:func:`lcn.resultant.two_layer_factors` (:func:`nonfactoring_matrices`),
+and then all its minors of the generators' size vanish identically.  This
+proves image ⊆ V(gens), and so closure ⊆ V(gens), also for the typed
+architecture, whose image lies in its reduction's.  The tests keep the
+per-generator composition with ``phi`` as an oracle.
 
 The image must have the dimension ``sum k_i - (L - 1)`` of the reduced
 architecture's variety, which the generators cut out.  The dimension is
@@ -32,12 +35,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .arch import Architecture, _count, compose_filters, expected_dimension, reduce_arch, sample_neuromanifold
-from .idealgen import vanishing_generators
-from .polyring import MultiPoly, evaluate_many, nonzero_compositions, symbols
-from .resultant import IdealGenerators
+from .idealgen import merge_levels, vanishing_generators
+from .polyring import MultiPoly, evaluate_many, symbols
+from .resultant import IdealGenerators, two_layer_factors, two_layer_resultants
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,7 @@ class VerificationReport:
     architecture: Architecture
     samples_tested: int  # random ambient points of the nonmembership test
     generators_tested: int
-    failures: tuple  # indices of the generators that do not vanish on the image
+    failures: tuple  # labels of the level matrices that do not factor on the image
     jacobian_rank: int
     expected_dim: int
     nonmember_violations: "int | None"  # None when there are no generators
@@ -59,15 +63,43 @@ class VerificationReport:
         )
 
 
+def _symbolic_layers(arch: Architecture) -> list:
+    """One fresh symbol ``t0, t1, ...`` per layer entry, layer by layer."""
+    atoms = symbols(f"t{i}" for i in range(sum(arch.filter_sizes)))
+    ends = list(accumulate(arch.filter_sizes, initial=0))
+    return [atoms[a:b] for a, b in zip(ends, ends[1:])]
+
+
 def symbolic_filter(arch: Architecture) -> list:
     """The composed filter ``phi(theta)`` as polynomials in one fresh symbol
     ``t0, t1, ...`` per layer entry, layer by layer."""
-    atoms = symbols(f"t{i}" for i in range(sum(arch.filter_sizes)))
-    ends = list(accumulate(arch.filter_sizes, initial=0))
-    layers = [atoms[a:b] for a, b in zip(ends, ends[1:])]
-    zero = MultiPoly.constant(atoms[0].vars, 0)
+    layers = _symbolic_layers(arch)
+    zero = MultiPoly.constant(layers[0][0].vars, 0)
     # entries between the taps of a strided layer stay the int 0
     return [zero + c for c in compose_filters(arch, layers)]
+
+
+def nonfactoring_matrices(arch: Architecture, phi: Sequence) -> tuple:
+    """Labels (as in ``IdealGenerators.raw_counts``, deepest level first)
+    of the level matrices of the reduced ``arch`` whose rows at the filter
+    ``phi`` are not ``M H`` of :func:`lcn.resultant.two_layer_factors`.
+
+    At level ``j``, ``symbolic_filter(arch)`` is ``A(x) * B(x^s1)``, with
+    ``A`` the composition of layers ``1 .. j+1`` and ``B`` that of the
+    rest, so at that ``phi`` none is returned."""
+    ks, ss = arch.filter_sizes, arch.strides
+    layers = _symbolic_layers(arch)
+    zero = 0 * phi[0]
+    failures = []
+    for j, (head, k1, k2, s1) in reversed(list(enumerate(merge_levels(arch)))):
+        a = compose_filters(Architecture(ks[: j + 1], ss[: j + 1]), layers[: j + 1])
+        b = compose_filters(Architecture(ks[j + 1 :], ss[j + 1 :]), layers[j + 1 :])
+        matrices = two_layer_resultants(k1, k2, s1, phi)
+        for (name, l, _, rows), (M, H) in zip(matrices, two_layer_factors(k1, k2, s1, a, b)):
+            cols = [[h[c] for h in H] for c in range(l + 1)]
+            if rows != [[sum(map(mul, row, col), zero) for col in cols] for row in M]:
+                failures.append(f"{head}({k1},{k2};{s1}):{name}")
+    return tuple(failures)
 
 
 def parametrization_jacobian(arch: Architecture, layer_filters: Sequence) -> tuple:
@@ -121,8 +153,9 @@ def verify_ideal(arch: Architecture, n_samples: int = 100, seed: int = 0) -> Ver
     nonmembership of ``n_samples`` random ambient points, all on one
     generator set.
 
-    Failures are collected, not raised: ``failures`` holds the indices of
-    the generators whose composition with ``phi`` is not zero.  The Jacobian
+    Failures are collected, not raised: ``failures`` holds the labels of
+    the level matrices that do not factor (:func:`nonfactoring_matrices`),
+    as ``IdealGenerators.raw_counts`` names them.  The Jacobian
     is taken at a random sample; a sample of rank below the expected
     dimension is retried once at a fresh one and the better rank is
     reported.  Raises ``ValueError`` unless ``n_samples`` is an integer of
@@ -130,8 +163,9 @@ def verify_ideal(arch: Architecture, n_samples: int = 100, seed: int = 0) -> Ver
     """
     n_samples = _count(n_samples, "samples")
     gens = vanishing_generators(arch)
-    failures = nonzero_compositions(gens.generators, symbolic_filter(arch))
-    expected = expected_dimension(reduce_arch(arch))
+    reduced = reduce_arch(arch)
+    failures = nonfactoring_matrices(reduced, symbolic_filter(reduced))
+    expected = expected_dimension(reduced)
     rng = random.Random(seed)
     rank = -1
     for _ in range(2):

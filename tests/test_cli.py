@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -246,19 +245,19 @@ class TestVerify:
         assert payload["samples"] == 10
         assert payload["nonmember_violations"] == 10
 
-    def test_json_failures_are_generator_indices(self, capsys, monkeypatch):
-        original = lcn.verify.vanishing_generators
+    def test_json_failures_are_matrix_labels(self, capsys, monkeypatch):
+        # entry 0 of the filter is in both matrices of (5,2)/(3,1)
+        original = lcn.verify.symbolic_filter
 
-        def with_constant(arch):
-            gens = original(arch)
-            one = MultiPoly.constant(gens.variables, 1)
-            return replace(gens, generators=gens.generators[:2] + (one,) + gens.generators[2:])
+        def perturbed(arch):
+            phi = original(arch)
+            return [phi[0] + MultiPoly.variable(phi[0].vars, "t0") ** 2] + phi[1:]
 
-        monkeypatch.setattr(lcn.verify, "vanishing_generators", with_constant)
+        monkeypatch.setattr(lcn.verify, "symbolic_filter", perturbed)
         code, out, _ = run(capsys, "verify", "-k", "5,2", "-s", "3,1", "--samples", "3", "--format", "json")
         assert code == 1
         payload = json.loads(out)
-        assert payload["failures"] == [2]
+        assert payload["failures"] == ["two_layer(5,2;3):I1", "two_layer(5,2;3):I2"]
         assert payload["ok"] is False
 
     @pytest.mark.parametrize("fmt", ["text", "json"])

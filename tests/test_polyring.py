@@ -25,7 +25,6 @@ from lcn.polyring import (
     determinant,
     evaluate_many,
     minor_expansion,
-    nonzero_compositions,
     symbols,
 )
 from lcn.resultant import resultant_rows
@@ -266,7 +265,7 @@ def recorded_programs(monkeypatch) -> list:
 
 def composed(p, values):
     """``p`` with each variable replaced by its polynomial in ``values``,
-    by ring arithmetic (oracle for ``nonzero_compositions``)."""
+    by ring arithmetic (oracle for the membership proof of ``verify``)."""
     total = MultiPoly.constant(values[0].vars, 0)
     for exps, coeff in p.terms.items():
         term = MultiPoly.constant(values[0].vars, coeff)
@@ -276,9 +275,6 @@ def composed(p, values):
     return total
 
 
-XY = ("x", "y")
-
-
 def loaded_program(polys):
     """A fresh monomial program given the monomials of ``polys`` in order."""
     program = _MonomialProgram(len(polys[0].vars))
@@ -286,92 +282,6 @@ def loaded_program(polys):
         for key in p._terms:
             program[key]
     return program
-
-
-def parents_program(polys):
-    """A fresh monomial program given, in order, the parent of each
-    nonconstant monomial of ``polys``: the monomial with one less of its
-    last variable."""
-    program = _MonomialProgram(len(polys[0].vars))
-    for p in polys:
-        for key in p._terms:
-            if key:
-                program[program.parent(key)[0]]
-    return program
-
-
-@st.composite
-def xy_polys(draw):
-    """Values over XY: constant terms, mixed degrees, int and Fraction
-    coefficients, and the zero polynomial."""
-    coeffs = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
-    terms = draw(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), coeffs, max_size=3))
-    return MultiPoly(XY, terms)
-
-
-ZERO_XY = MultiPoly(XY, {})
-
-
-class TestNonzeroCompositions:
-    @given(st.lists(rational_polys(), max_size=6), st.tuples(xy_polys(), xy_polys(), xy_polys()))
-    @example([poly3({(1, 1, 0): 1, (0, 0, 1): -1}), poly3({(0, 2, 0): 1})], (symbols(XY)[0], symbols(XY)[1], symbols(XY)[0] * symbols(XY)[1]))
-    @example([poly3({(1, 1, 0): 1, (0, 0, 0): 2}), poly3({(0, 0, 2): Fraction(1, 3)})], (ZERO_XY,) * 3)
-    @example([poly3({(2, 0, 1): 1, (0, 1, 0): -1, (0, 0, 0): Fraction(-2, 3)})], (MultiPoly(XY, {(0, 0): 1, (1, 0): Fraction(1, 2)}), ZERO_XY, MultiPoly(XY, {(0, 0): -1})))
-    def test_matches_ring_arithmetic(self, ps, values):
-        expected = tuple(i for i, p in enumerate(ps) if composed(p, values))
-        assert nonzero_compositions(ps, values) == expected
-
-    @pytest.mark.parametrize("power", [200, 128])
-    def test_exponent_overflow_raises(self, power):
-        # u -> x^2 carries past 255 in a slot (u^128 = x^256 from u^127) or,
-        # for u^128 itself, in the one product of its Horner step
-        u, _, _ = symbols(VARS3)
-        x, y = symbols(XY)
-        with pytest.raises(ValueError, match="exponent above 255"):
-            nonzero_compositions((u**power,), (x**2, y, x))
-        assert nonzero_compositions((u**127,), (x**2, y, x)) == (0,)
-
-    def test_cancellation(self):
-        u, v, w = symbols(VARS3)
-        x, y = symbols(XY)
-        # (x + y)^2 - x^2 - 2xy - y^2 vanishes; u*v - w at (x, y, x*y) too
-        ps = (u**2 - v**2 - 2 * v * w - w**2, u * v - w, u * v + w, poly3({}), poly3({(0, 0, 0): 5}))
-        assert nonzero_compositions(ps, (x + y, x, y)) == (1, 2, 4)
-        assert nonzero_compositions(ps, (x, y, x * y)) == (0, 2, 4)
-
-    def test_empty_set(self):
-        assert nonzero_compositions((), symbols(XY)) == ()
-
-    def test_empty_ring(self):
-        ps = (MultiPoly.constant((), 3), MultiPoly.constant((), 0))
-        assert nonzero_compositions(ps, ()) == (0,)
-
-    def test_mixed_rings_rejected(self):
-        u, _, _ = symbols(VARS3)
-        x, y = symbols(XY)
-        with pytest.raises(ValueError, match="polynomials from different rings"):
-            nonzero_compositions((u, x), symbols(XY) + (x,))
-        z = symbols(("x", "y", "z"))[2]
-        with pytest.raises(ValueError, match="values from different rings"):
-            nonzero_compositions(symbols(VARS3), (x, y, z))
-
-    def test_value_count_checked(self):
-        with pytest.raises(ValueError, match="2 values in a ring with 3 variables"):
-            nonzero_compositions(symbols(VARS3), symbols(XY))
-
-    def test_only_parents_get_slots(self, monkeypatch):
-        gens = vanishing_generators(Architecture((3, 3, 3), (2, 2, 1))).generators
-        xs = symbols(f"x{i}" for i in range(len(gens[0].vars)))
-        values = tuple(x + 1 for x in xs)
-        programs = recorded_programs(monkeypatch)
-        assert nonzero_compositions(gens, values) == tuple(range(len(gens)))
-        # slots only for the parents of the monomials (and their own
-        # parents), loaded in the generators' order
-        (program,) = programs
-        assert program.parents == parents_program(gens).parents
-        made = len(program.parents) - 1
-        assert made == 294
-        assert made < (len(loaded_program(gens).parents) - 1) / 2
 
 
 def ladder3():

@@ -4,10 +4,10 @@ from itertools import product
 
 import pytest
 
-from lcn.arch import Architecture, reduce_arch, sample_neuromanifold, _convolve
+from lcn.arch import Architecture, reduce_arch, sample_neuromanifold, _convolve, _spaced
 from lcn.decomp import profile, s_decompose
 from lcn.polyring import coefficient_symbols, determinant, evaluate_many, minor_expansion
-from lcn.resultant import resultant_rows, two_layer_ideal, two_layer_resultants
+from lcn.resultant import resultant_rows, two_layer_factors, two_layer_ideal, two_layer_resultants
 
 from variety_oracle import exact_rank
 
@@ -137,6 +137,31 @@ class TestPlan:
         assert [m[:3] for m in numeric] == [m[:3] for m in symbolic]
         for (_, _, _, num), (_, _, _, sym) in zip(numeric, symbolic):
             assert num == [list(next(evaluate_many(row, [w]))) for row in sym]
+
+
+class TestFactors:
+    def test_rows_are_the_product_at_a_factored_filter(self):
+        # numeric a and b over k1 in 1..6 (empty slots of a when k1 < s1,
+        # M with no columns when k1 = 1), k2 and s1 in 2..5
+        rng = random.Random(7)
+        for k1, k2, s1 in product(range(1, 7), range(2, 6), range(2, 6)):
+            a = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(k1)]
+            b = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(k2)]
+            w = _convolve(a, _spaced(b, s1))
+            matrices = two_layer_resultants(k1, k2, s1, w)
+            factors = two_layer_factors(k1, k2, s1, a, b)
+            assert len(factors) == len(matrices)
+            for (_, l, size, rows), (M, H) in zip(matrices, factors):
+                assert len(H) == size - 1 and len(M) == len(rows), (k1, k2, s1)
+                assert all(len(row) == len(H) for row in M)
+                product_rows = [[sum(x * h[c] for x, h in zip(row, H)) for c in range(l + 1)] for row in M]
+                assert product_rows == rows, (k1, k2, s1)
+
+    def test_a_first_layer_of_size_one(self):
+        # (1,3) at stride 2: the one row of I1 is the zero lower slot of
+        # w = a0 * b(x^2), a zero row of M with no columns
+        ((M, H),) = two_layer_factors(1, 3, 2, (5,), (1, 2, 3))
+        assert M == [[]] and H == []
 
 
 class TestTwoLayerIdeal:

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -7,10 +6,12 @@ import pytest
 
 import lcn.verify
 from lcn.arch import Architecture, reduce_arch, sample_neuromanifold
-from lcn.idealgen import vanishing_generators
-from lcn.polyring import MultiPoly, coefficient_symbols, nonzero_compositions
+from lcn.idealgen import merge_levels, vanishing_generators
+from lcn.polyring import MultiPoly, coefficient_symbols
+from lcn.resultant import two_layer_resultants
 from lcn.verify import (
     exact_rank,
+    nonfactoring_matrices,
     parametrization_jacobian,
     smoke_nonmembership,
     symbolic_filter,
@@ -19,7 +20,7 @@ from lcn.verify import (
 
 from test_acceptance import cached_generators, reduced_family
 from test_idealgen import radical_generators_3_2_2, radical_generators_5_2
-from test_polyring import loaded_program, recorded_programs
+from test_polyring import composed, loaded_program, recorded_programs
 import variety_oracle
 
 
@@ -32,6 +33,39 @@ def small_architectures() -> list:
         for ks in product((1, 2, 3), repeat=depth)
         for ss in product((1, 2, 3), repeat=depth - 1)
     ]
+
+
+# The architectures of the benchmark's verify operations.
+BENCHMARK_ARCHITECTURES = [
+    Architecture((5, 3, 2), (2, 2, 1)),
+    Architecture((3, 3, 3), (2, 2, 1)),
+    Architecture((5, 5), (2, 1)),
+    Architecture((4, 3), (3, 1)),
+    Architecture((3, 2, 2), (2, 2, 1)),
+]
+
+
+def flagged(polys, arch) -> tuple:
+    """Indices of the ``polys`` whose composition with ``arch``'s symbolic
+    filter is not the zero polynomial: the per-generator membership proof,
+    kept as the oracle of the per-matrix one."""
+    phi = symbolic_filter(arch)
+    return tuple(i for i, p in enumerate(polys) if composed(p, phi))
+
+
+def proved(arch) -> bool:
+    """Every level matrix of ``arch``'s reduction factors at its filter."""
+    reduced = reduce_arch(arch)
+    return nonfactoring_matrices(reduced, symbolic_filter(reduced)) == ()
+
+
+def perturbed(phi: list, i: int) -> list:
+    """``phi`` with ``t0^deg`` added to entry ``i``, ``deg`` the degree of
+    every nonzero entry (the depth)."""
+    t0 = MultiPoly.variable(phi[0].vars, "t0")
+    out = list(phi)
+    out[i] = out[i] + t0 ** max(e.total_degree() for e in phi)
+    return out
 
 
 class TestExactRank:
@@ -106,35 +140,44 @@ class TestSymbolicFilter:
 class TestProof:
     ARCH = Architecture((5, 3, 2), (2, 2, 1))
 
-    def flagged(self, polys, arch=ARCH):
-        return nonzero_compositions(polys, symbolic_filter(arch))
-
     def test_negative_control(self):
         g = cached_generators(self.ARCH).generators
         c = coefficient_symbols(len(g[0].vars))
         one = MultiPoly.constant(g[0].vars, 1)
         polys = (g[0] + c[0] * c[3], one, g[5] * c[1], g[7] - g[8])
-        assert self.flagged(polys) == (0, 1)
+        assert flagged(polys, self.ARCH) == (0, 1)
+
+    def test_small_architectures_agree_with_the_oracle(self):
+        # the oracle composes on the typed parametrization, whose image lies
+        # inside that of the reduction the matrices come from
+        for arch in small_architectures():
+            assert proved(arch), arch
+            assert flagged(vanishing_generators(arch).generators, arch) == (), arch
+
+    @pytest.mark.parametrize("arch", BENCHMARK_ARCHITECTURES, ids=Architecture.describe)
+    def test_benchmark_architectures_agree_with_the_oracle(self, arch):
+        assert proved(arch)
+        assert flagged(cached_generators(arch).generators, arch) == ()
 
     def test_family_is_proved(self):
         for arch in reduced_family():
-            if arch.depth >= 2:
-                assert self.flagged(cached_generators(arch).generators, arch) == (), arch
+            assert proved(arch), arch
 
     def test_radical_generators_are_proved(self):
-        assert self.flagged(radical_generators_5_2(), Architecture((5, 2), (3, 1))) == ()
-        assert self.flagged(radical_generators_3_2_2(), Architecture((3, 2, 2), (2, 2, 1))) == ()
+        assert flagged(radical_generators_5_2(), Architecture((5, 2), (3, 1))) == ()
+        assert flagged(radical_generators_3_2_2(), Architecture((3, 2, 2), (2, 2, 1))) == ()
 
     def test_unreduced_on_its_own_parametrization(self):
         raw = Architecture((2, 2, 2), (1, 2, 1))
         gens = vanishing_generators(raw)
         assert gens.generators == vanishing_generators(reduce_arch(raw)).generators
-        assert self.flagged(gens.generators, raw) == ()
+        assert flagged(gens.generators, raw) == ()
+        assert proved(raw)
 
     def test_one_perturbed_generator_is_flagged_at_its_index(self):
-        # g + c0^deg(g) composes to c0(phi)^deg(g), a nonzero monomial, so
-        # exactly the perturbed generator is flagged, on every architecture
-        # of test_every_small_architecture_verifies that has generators
+        # the oracle's own control: g + c0^deg(g) composes to
+        # c0(phi)^deg(g), a nonzero monomial, so exactly the perturbed
+        # generator is flagged, on every small architecture with generators
         rng = random.Random(0)
         checked = 0
         for arch in small_architectures():
@@ -144,14 +187,48 @@ class TestProof:
             i = rng.randrange(len(gens))
             c0 = coefficient_symbols(len(gens[i].vars))[0]
             gens[i] = gens[i] + c0 ** gens[i].total_degree()
-            assert self.flagged(gens, arch) == (i,), (arch, i)
+            assert flagged(gens, arch) == (i,), (arch, i)
             checked += 1
         assert checked == 192
 
     def test_a_larger_image_flags_every_generator(self):
         # all filters of size 8 are the image of one layer of size 8
         gens = cached_generators(Architecture((5, 2), (3, 1))).generators
-        assert self.flagged(gens, Architecture((8,), (1,))) == tuple(range(len(gens)))
+        assert flagged(gens, Architecture((8,), (1,))) == tuple(range(len(gens)))
+
+    @pytest.mark.parametrize(
+        "arch", BENCHMARK_ARCHITECTURES + [Architecture((2, 2), (3, 1))], ids=Architecture.describe
+    )
+    def test_perturbed_filter_entry_breaks_the_matrices_holding_it(self, arch):
+        # a matrix built from the perturbed filter differs from M H exactly
+        # where its generic rows hold that entry; labels are raw_counts'
+        phi = symbolic_filter(arch)
+        c = coefficient_symbols(len(phi))
+        matrices = [
+            rows for _, k1, k2, s1 in reversed(merge_levels(arch))
+            for _, _, _, rows in two_layer_resultants(k1, k2, s1, c)
+        ]
+        labels = [label for label, _ in cached_generators(arch).raw_counts]
+        assert len(labels) == len(matrices)
+        for i in range(len(phi)):
+            holding = tuple(
+                label for label, rows in zip(labels, matrices) if any(c[i] in row for row in rows)
+            )
+            assert holding, i
+            assert nonfactoring_matrices(arch, perturbed(phi, i)) == holding, i
+
+    def test_blind_entries_are_in_no_generator(self):
+        # (1,3)/(3,1) has one matrix, with rows for the slots off the
+        # multiples of 3 only: entries 0, 3 and 6 are in no generator, so
+        # the generators still vanish once those entries are perturbed
+        arch = Architecture((1, 3), (3, 1))
+        phi = symbolic_filter(arch)
+        gens = cached_generators(arch).generators
+        for i in range(len(phi)):
+            in_a_generator = any(exps[i] for g in gens for exps in g.terms)
+            blind = i in (0, 3, 6)
+            assert in_a_generator != blind, i
+            assert nonfactoring_matrices(arch, perturbed(phi, i)) == (() if blind else ("two_layer(1,3;3):I1",)), i
 
 
 class TestVerifyIdeal:
@@ -218,26 +295,33 @@ class TestVerifyIdeal:
     def test_ring_program_holds_only_the_evaluated_generator(self, monkeypatch):
         # each random point violates the first generator, so the smoke
         # test's one program holds the monomials of no other; the proof
-        # composes through a program of its own
+        # makes no program
         arch = Architecture((5, 3, 2), (2, 2, 1))
         programs = recorded_programs(monkeypatch)
         assert verify_ideal(arch, 30, 1).ok
         first = cached_generators(arch).generators[:1]
-        assert len(programs) == 2
-        assert programs[-1].parents == loaded_program(first).parents
+        assert len(programs) == 1
+        assert programs[0].parents == loaded_program(first).parents
 
-    def test_failures_name_the_generator(self, monkeypatch):
-        # a nonzero constant inserted as generator 1 does not vanish on the image
-        def with_constant(arch):
-            gens = vanishing_generators(arch)
-            one = MultiPoly.constant(gens.variables, 1)
-            return replace(gens, generators=gens.generators[:1] + (one,) + gens.generators[1:])
-
-        monkeypatch.setattr(lcn.verify, "vanishing_generators", with_constant)
-        report = verify_ideal(Architecture((5, 2), (3, 1)), n_samples=4, seed=0)
-        assert report.failures == (1,)
-        assert report.generators_tested == 6
-        assert not report.ok
+    def test_failures_name_the_matrix(self, monkeypatch):
+        # a perturbed filter entry breaks the factorization of the matrices
+        # that hold it, named as in raw_counts
+        cases = [
+            # entry 2 is in the bottom slot, which only I1 uses
+            ((5, 2), (3, 1), 2, ("two_layer(5,2;3):I1",)),
+            ((5, 2), (3, 1), 0, ("two_layer(5,2;3):I1", "two_layer(5,2;3):I2")),
+            ((5, 3, 2), (2, 2, 1), 3, ("merge(1,2)->two_layer(9,2;4):I1", "base(5,5;2):I1")),
+        ]
+        original = lcn.verify.symbolic_filter
+        for sizes, strides, entry, labels in cases:
+            monkeypatch.setattr(lcn.verify, "symbolic_filter", lambda arch, entry=entry: perturbed(original(arch), entry))
+            arch = Architecture(sizes, strides)
+            gens = cached_generators(arch)
+            report = verify_ideal(arch, n_samples=4, seed=0)
+            assert report.failures == labels
+            assert set(labels) <= {label for label, _ in gens.raw_counts}
+            assert report.generators_tested == len(gens.generators)
+            assert not report.ok
 
     def test_nonmembership_shortfall_is_not_ok(self, monkeypatch):
         monkeypatch.setattr(lcn.verify, "smoke_nonmembership", lambda gens, n, seed: n - 1)
