@@ -7,7 +7,9 @@ that the generators vanish on the neuromanifold and that it has the expected
 dimension, and check that random ambient points violate a generator),
 ``resultant`` (show the two-layer resultant matrices) and ``compose``
 (sample layer filters and their composition).  The argument parser is built
-once per process.
+once per process.  ``ideal`` prints each generator as soon as it is kept,
+level by level, deduplicated on its printed line; ``--format json`` is one
+document, written once all levels are built.
 
 Exit codes: 0 success, 1 a verification-style run found failures or fell
 short of the predicted count, 2 usage error (bad arguments, or an
@@ -37,9 +39,9 @@ from .eddegree import (
     tree_lines,
     two_layer_table,
 )
-from .idealgen import vanishing_generators
-from .polyring import coefficient_symbols
-from .resultant import two_layer_resultants
+from .idealgen import deepest_first, vanishing_generators
+from .polyring import MultiPoly, coefficient_symbols, dedup_generators
+from .resultant import level_minors, provenance, two_layer_resultants
 from .verify import verify_ideal
 
 
@@ -82,8 +84,8 @@ def _fractions(values) -> list:
 
 def cmd_ideal(args) -> int:
     arch = _arch(args)
-    gens = vanishing_generators(arch)
     if args.format == "json":
+        gens = vanishing_generators(arch)
         payload = {
             "filter_sizes": list(arch.filter_sizes),
             "strides": list(arch.strides),
@@ -94,14 +96,13 @@ def cmd_ideal(args) -> int:
             payload["provenance"] = list(gens.provenance)
             payload["raw_counts"] = [[lbl, n] for lbl, n in gens.raw_counts]
         print(json.dumps(payload, indent=2))
-    else:
-        lines = [g.text() for g in gens.generators]
-        if args.provenance:
-            lines = [f"{line}\t# {prov}" for line, prov in zip(lines, gens.provenance)]
-        if lines:
-            print(*lines, sep="\n")
-        else:
-            print("# zero ideal (the reduced architecture has one layer)", file=sys.stderr)
+        return 0
+    write, g = sys.stdout.write, None
+    for tag, g in dedup_generators(level_minors(deepest_first(arch), []), MultiPoly.text):
+        write(g.text())
+        write(f"\t# {provenance(tag)}\n" if args.provenance else "\n")
+    if g is None:
+        print("# zero ideal (the reduced architecture has one layer)", file=sys.stderr)
     return 0
 
 

@@ -16,19 +16,20 @@ reverse inclusion is checked by sampling.
 :func:`merge_levels` unrolls the recurrence into one two-layer architecture
 per merge: level ``j`` is the base of the depth-(L-j) architecture, labelled
 ``"merge(1,2)->" * j + "base(...)"``, or ``"...two_layer(...)"`` once two
-layers remain; one layer has none.  :func:`vanishing_generators` keeps the
-first of each minor over all levels, deepest first, by one
-:func:`~lcn.polyring.dedup_generators` pass over every level's generators.
-Every merge preserves the end-to-end filter size, so every level lives in
-the same ambient variables ``c0 .. c{k-1}``, and a filter lies on the
-variety exactly when it lies on every level's two-layer variety.
+layers remain; one layer has none.  Every merge preserves the end-to-end
+filter size, so every level lives in the same ambient variables
+``c0 .. c{k-1}``, and a filter lies on the variety exactly when it lies on
+every level's two-layer variety.  The levels are built deepest first
+(:func:`deepest_first`), one at a time, and one lazy
+:func:`~lcn.polyring.dedup_generators` pass keeps the first of each minor:
+:func:`vanishing_generators` collects the survivors, and ``lcn ideal``
+prints each as it is kept.
 """
 
 from __future__ import annotations
 
 from .arch import Architecture, reduce_arch
-from .polyring import coefficient_symbols, dedup_generators
-from .resultant import IdealGenerators, two_layer_ideal
+from .resultant import IdealGenerators, level_ideal
 
 
 def merge_levels(arch: Architecture) -> list:
@@ -49,6 +50,11 @@ def merge_levels(arch: Architecture) -> list:
     return levels
 
 
+def deepest_first(arch: Architecture) -> list:
+    """The reduced architecture's merge levels, deepest first: the order of generation and dedup."""
+    return merge_levels(reduce_arch(arch))[::-1]
+
+
 def vanishing_generators(arch: Architecture) -> IdealGenerators:
     """Polynomials vanishing exactly on the architecture's filter variety.
 
@@ -58,14 +64,4 @@ def vanishing_generators(arch: Architecture) -> IdealGenerators:
     contribute the linear generators ``c_j`` with ``j`` off the multiples
     of that stride.
     """
-    arch = reduce_arch(arch)
-    # deepest level first: its generators win the dedup
-    parts = [(head, two_layer_ideal(*sizes)) for head, *sizes in reversed(merge_levels(arch))]
-    cut = len("two_layer")
-    provs, gens = dedup_generators(
-        (head + prov[cut:], g)
-        for head, part in parts
-        for prov, g in zip(part.provenance, part.generators)
-    )
-    raw = tuple((head + lbl[cut:], n) for head, part in parts for lbl, n in part.raw_counts)
-    return IdealGenerators(coefficient_symbols(arch.out_size)[0].vars, gens, provs, raw)
+    return level_ideal(arch.out_size, deepest_first(arch))

@@ -20,7 +20,8 @@ module reads the key layout.
 Variable lists of the form ``c0, c1, ...`` with at most 26 entries print as
 the letters ``A, B, ...`` so that small generators stay readable.  The
 string of each monomial is memoised for the most recent ring and joined
-from memoised strings of its blocks of 8 variables.
+from memoised strings of its blocks of 8 variables; a polynomial keeps its
+own text once made.
 
 :func:`evaluate_many` evaluates one polynomial set exactly at many points
 through one monomial program built for the call: each packed key gets a
@@ -112,14 +113,14 @@ def _packed(vars_: tuple, terms: dict) -> "MultiPoly":
     res = object.__new__(MultiPoly)
     res.vars = vars_
     res._terms = terms
-    res._hash = None
+    res._hash = res._text = None
     return res
 
 
 class MultiPoly:
     """Sparse exact polynomial over an ordered tuple of variable names."""
 
-    __slots__ = ("vars", "_terms", "_hash")
+    __slots__ = ("vars", "_terms", "_hash", "_text")
 
     def __init__(self, variables, terms: "dict | None" = None):
         vars_ = tuple(variables)
@@ -143,7 +144,7 @@ class MultiPoly:
                 acc[sum(exps) << shift | int.from_bytes(bytes(exps), "big")] = coeff
         self.vars = vars_
         self._terms = acc
-        self._hash = None
+        self._hash = self._text = None
 
     @property
     def terms(self) -> dict:
@@ -301,18 +302,18 @@ class MultiPoly:
 
     def text(self) -> str:
         """Human-readable form, e.g. ``A*D^2 + B^2*E - B*C*D``."""
-        if not self._terms:
-            return "0"
-        monomial = _monomial_texts(self.vars)
-        out = []
-        for k in sorted(self._terms, reverse=True):
-            coeff = self._terms[k]
-            mono = monomial[k]
-            out.append(" - " if coeff < 0 else " + ")
-            mag = abs(coeff)
-            out.append(f"{mag}*{mono}" if mag != 1 and mono else mono or str(mag))
-        out[0] = "-" if out[0] == " - " else ""
-        return "".join(out)
+        if self._text is None:
+            monomial = _monomial_texts(self.vars)
+            out = []
+            for k in sorted(self._terms, reverse=True):
+                coeff, mono = self._terms[k], monomial[k]
+                mag = abs(coeff)
+                out.append(" - " if coeff < 0 else " + ")
+                out.append(f"{mag}*{mono}" if mag != 1 and mono else mono or str(mag))
+            # the first term keeps only the "-" of its sign
+            out[:1] = ["-"] if out[:1] == [" - "] else []
+            self._text = "".join(out) or "0"
+        return self._text
 
     __str__ = text
 
@@ -489,29 +490,21 @@ def coefficient_symbols(k: int) -> tuple:
     return symbols(f"c{i}" for i in range(k))
 
 
-def dedup_generators(tagged: Iterable) -> tuple:
-    """Drop zeros, sign-normalize, keep the first of each polynomial up to
-    sign and integer content.
-
-    Two polynomials are the same generator when their sign-normalized
-    primitive parts are equal as :class:`MultiPoly` values.  ``tagged``
-    yields ``(tag, poly)`` pairs; the survivors come back as two aligned
-    tuples ``(tags, polys)`` in their original order.
-    """
-    tags = []
-    polys = []
+def dedup_generators(tagged: Iterable, identity=None) -> Iterator:
+    """Drop zeros, sign-normalize, and yield each ``(tag, poly)`` pair of
+    ``tagged`` with a new identity as soon as it is read: by default the
+    sign-normalized primitive part, else ``identity`` of it.  Only identities
+    are held.  :meth:`MultiPoly.text` serves within one ring, as it spells out
+    every term's coefficient and exponents."""
     seen = set()
     for tag, poly in tagged:
-        if not poly:
-            continue
-        poly = poly.sign_normalized()
-        key = poly.primitive_part()
-        if key in seen:
-            continue
-        seen.add(key)
-        tags.append(tag)
-        polys.append(poly)
-    return tuple(tags), tuple(polys)
+        if poly:
+            poly = poly.sign_normalized()
+            key = poly.primitive_part()
+            key = key if identity is None else identity(key)
+            if key not in seen:
+                seen.add(key)
+                yield tag, poly
 
 
 # -- polynomial matrices -------------------------------------------------------

@@ -14,15 +14,16 @@ all slots, and (when only some slots attain the top degree) one for the top
 ones alone, which handles the points where the lower-degree slots vanish.
 :func:`two_layer_resultants` is the one rule for which matrices to build;
 it takes symbolic or numeric filter entries alike, so the same rows give
-the symbolic minors of :func:`two_layer_ideal` and, at a numeric filter,
-a membership test by rank; :func:`two_layer_factors` shows why the minors
-vanish on the variety.
+the symbolic minors of :func:`level_minors`, one level at a time, and, at
+a numeric filter, a membership test by rank; :func:`two_layer_factors`
+shows why the minors vanish on the variety.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from math import comb
+from typing import Iterable, Iterator, Sequence
 
 from .decomp import profile, s_decompose
 from .polyring import coefficient_symbols, dedup_generators, minor_expansion
@@ -113,13 +114,9 @@ def two_layer_factors(k1: int, k2: int, s1: int, a: Sequence, b: Sequence) -> li
 
 @dataclass(frozen=True)
 class IdealGenerators:
-    """Deduplicated generator list with per-generator provenance.
-
-    ``raw_counts`` records, per construction step, how many minors were
-    enumerated before dropping zero determinants and duplicates; the
-    emitted ``generators`` are sign-normalized and pairwise distinct up to
-    sign and integer content.
-    """
+    """The generators that :func:`level_ideal` keeps, sign-normalized, with
+    a provenance label each, and per level matrix its count of minors before
+    zeros and duplicates were dropped (``raw_counts``)."""
 
     variables: tuple
     generators: tuple
@@ -127,21 +124,33 @@ class IdealGenerators:
     raw_counts: tuple
 
 
-def two_layer_ideal(k1: int, k2: int, s1: int) -> IdealGenerators:
-    """Generators whose zero locus is the two-layer filter variety.
+def level_minors(levels: Iterable, raw_counts: list) -> Iterator:
+    """``((label, matrix, rows, columns), minor)`` for every minor of
+    :func:`two_layer_resultants` at generic symbols, zeros and repeats
+    included, at each ``(label head, k1, k2, s1)`` of ``levels`` in turn,
+    labelled ``head(k1,k2;s1)``.  A level is built only when reached, and
+    ``raw_counts`` gets ``(f"{label}:{matrix}", minor count)`` per matrix."""
+    for head, k1, k2, s1 in levels:
+        label = f"{head}({k1},{k2};{s1})"
+        for name, l, size, rows in two_layer_resultants(k1, k2, s1, coefficient_symbols(k1 + s1 * (k2 - 1))):
+            raw_counts.append((f"{label}:{name}", comb(len(rows), size) * comb(l + 1, size)))
+            yield from (((label, name, ri, ci), det) for ri, ci, det in minor_expansion(rows, size))
 
-    The minors of :func:`two_layer_resultants` at generic symbols
-    ``c0..c{k-1}``; the returned list is sign-normalized and deduplicated
-    on ``(matrix, rows, columns)`` tags, which become provenance labels only
-    once kept, while ``raw_counts`` keeps the pre-pruning minor counts.
-    """
-    syms = coefficient_symbols(k1 + s1 * (k2 - 1))
-    label = f"two_layer({k1},{k2};{s1})"
-    candidates, raw = [], []
-    for name, _, size, rows in two_layer_resultants(k1, k2, s1, syms):
-        before = len(candidates)
-        candidates += (((name, ri, ci), det) for ri, ci, det in minor_expansion(rows, size))
-        raw.append((f"{label}:{name}", len(candidates) - before))
-    tags, gens = dedup_generators(candidates)
-    provs = tuple(f"{label}:{name}[r={ri};c={ci}]" for name, ri, ci in tags)
-    return IdealGenerators(syms[0].vars, gens, provs, tuple(raw))
+
+def provenance(tag: tuple) -> str:
+    """The label of a tag of :func:`level_minors`: ``label:matrix[r=rows;c=columns]``."""
+    return "{}:{}[r={};c={}]".format(*tag)
+
+
+def level_ideal(k: int, levels: Iterable) -> IdealGenerators:
+    """The minors of :func:`level_minors` (filter size ``k``) that one
+    :func:`~lcn.polyring.dedup_generators` pass keeps."""
+    raw = []
+    tags, gens = tuple(zip(*dedup_generators(level_minors(levels, raw)))) or ((), ())
+    return IdealGenerators(coefficient_symbols(k)[0].vars, gens, tuple(map(provenance, tags)), tuple(raw))
+
+
+def two_layer_ideal(k1: int, k2: int, s1: int) -> IdealGenerators:
+    """Generators whose zero locus is the two-layer filter variety, labelled
+    ``two_layer(k1,k2;s1)``."""
+    return level_ideal(k1 + s1 * (k2 - 1), [("two_layer", k1, k2, s1)])

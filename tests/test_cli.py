@@ -3,14 +3,17 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
 import pytest
 
+import lcn.resultant
 import lcn.verify
 from lcn.arch import Architecture
 from lcn.cli import _build_parser, main
+from lcn.idealgen import merge_levels
 from lcn.polyring import MultiPoly
 
 
@@ -218,6 +221,40 @@ class TestIdeal:
                 assert main(["ideal", "-k", "3,3,3", "-s", "2,2,1"]) == 141
             monkeypatch.undo()
         assert open_fds() == before
+
+    def test_closed_reader_stops_before_the_shallowest_level(self, monkeypatch):
+        # the deepest level's lines overflow stdout's buffer into a pipe with
+        # no reader, so the levels above it are never built
+        built = []
+        original = lcn.resultant.two_layer_resultants
+
+        def spy(k1, k2, s1, coeffs):
+            built.append((k1, k2, s1))
+            return original(k1, k2, s1, coeffs)
+
+        monkeypatch.setattr(lcn.resultant, "two_layer_resultants", spy)
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["ideal", "-k", "3,3,3,3", "-s", "2,2,2,1"]) == 141
+        monkeypatch.undo()
+        levels = [tuple(sizes) for _, *sizes in merge_levels(Architecture((3, 3, 3, 3), (2, 2, 2, 1)))]
+        assert built[0] == levels[-1]
+        assert levels[0] not in built
+
+    def test_streamed_peak_memory(self, monkeypatch):
+        # only the printed lines of the kept generators outlive their level
+        # (14.9 MiB when every level was held until the last was built)
+        with open(os.devnull, "w") as devnull:
+            monkeypatch.setattr(sys, "stdout", devnull)
+            tracemalloc.start()
+            try:
+                assert main(["ideal", "-k", "3,3,3,3", "-s", "2,2,2,1"]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_missing_strides(self, capsys):
         code, out, err = run(capsys, "ideal", "-k", "2,2")

@@ -7,6 +7,7 @@ import pytest
 import sympy
 
 from lcn.arch import Architecture, reduce_arch, sample_neuromanifold
+from lcn.cli import main
 from lcn.idealgen import vanishing_generators
 from lcn.polyring import coefficient_symbols, evaluate_many
 
@@ -250,3 +251,19 @@ def test_sweep_digest_is_pinned():
         digest.update(repr((gens.variables, gens.provenance, texts, gens.raw_counts)).encode())
     assert len(SWEEP) == 276
     assert digest.hexdigest() == "135ed5873f749612d7118fb591bfa22882b9078695a2091111c1250a68370075"
+
+
+@pytest.mark.parametrize("provenance", [False, True])
+def test_streamed_stdout_matches_collected_generators(capsys, provenance):
+    # lcn ideal deduplicates on each printed line, vanishing_generators on the
+    # polynomial: the two identities must keep the same generators
+    for arch in SWEEP:
+        gens = vanishing_generators(arch)
+        lines = [g.text() for g in gens.generators]
+        if provenance:
+            lines = [f"{line}\t# {prov}" for line, prov in zip(lines, gens.provenance)]
+        argv = ["ideal", "-k", ",".join(map(str, arch.filter_sizes)), "-s", ",".join(map(str, arch.strides))]
+        assert main(argv + ["--provenance"] * provenance) == 0
+        out, err = capsys.readouterr()
+        assert out == "".join(line + "\n" for line in lines), arch
+        assert (err == "") == bool(lines), arch

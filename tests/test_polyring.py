@@ -542,20 +542,48 @@ class TestMinors:
         zero = MultiPoly(A.vars)
         # rows (A, B), (-A, -B), (0, 0): all 1x1 minors are A, B up to sign
         m = [[A, B], [-A, -B], [zero, zero]]
-        _, polys = dedup_generators((ci, det) for _, ci, det in minor_expansion(m, 1))
-        assert polys == (A, B)
+        kept = dedup_generators((ci, det) for _, ci, det in minor_expansion(m, 1))
+        assert [poly for _, poly in kept] == [A, B]
 
     @given(small_polys(), st.integers(2, 5))
     def test_dedup_generators_keeps_first_tag(self, f, c):
         zero = MultiPoly(VARS3)
-        tags, polys = dedup_generators(
+        kept = dedup_generators(
             [("zero", zero), ("f", f), ("-f", -f), (f"{c}f", c * f), ("zero again", zero)]
         )
-        if f.terms:
-            assert tags == ("f",)
-            assert polys == (f.sign_normalized(),)
-        else:
-            assert tags == polys == ()
+        assert list(kept) == ([("f", f.sign_normalized())] if f.terms else [])
+
+    def test_text_identity_keeps_what_the_polynomial_identity_keeps(self):
+        """Within one ring the text is injective: it spells out every term
+        once, in one order, with its sign, the magnitude of its coefficient
+        (a fraction with its bar) and each variable of its monomial with the
+        exponent, so two polynomials of one ring with one text have the same
+        terms.  So the printed-line identity of ``lcn ideal`` drops what the
+        polynomial identity drops, here also on the content above 1,
+        fractional coefficients and zeros that no level minor has."""
+        u, v, w = symbols(VARS3)
+        g = u * v - 2 * w**2 + 3
+        h = Fraction(1, 2) * u - Fraction(2, 3) * v * w
+        zero = MultiPoly(VARS3)
+        stream = [
+            ("zero", zero), ("-3g", -3 * g), ("g", g), ("-g", -g), ("2g", 2 * g),
+            ("6g as fractions", g * Fraction(6)), ("h", h), ("-h", -h), ("2h", 2 * h), ("zero again", zero),
+        ]
+        by_poly = list(dedup_generators(stream))
+        by_text = list(dedup_generators(stream, MultiPoly.text))
+        # -3g is kept as 3g, and a fractional polynomial has content 1, so 2h is new
+        assert by_poly == by_text == [("-3g", 3 * g), ("h", -h), ("2h", -2 * h)]
+        assert [p.text() for _, p in by_text] == ["3*u*v - 6*w^2 + 9", "2/3*v*w - 1/2*u", "4/3*v*w - u"]
+
+    def test_dedup_is_lazy(self):
+        u, v, _ = symbols(VARS3)
+
+        def stream():
+            yield "u", u
+            yield "-u", -u
+            raise AssertionError("read past the first kept generator")
+
+        assert next(dedup_generators(stream())) == ("u", u)
 
     @given(
         st.lists(st.integers(-5, 5), min_size=20, max_size=20),
