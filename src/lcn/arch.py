@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 def _integers(values: Sequence, what: str) -> tuple:
@@ -50,16 +49,17 @@ def _count(value, what: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Architecture:
-    """Filter sizes and strides of a 1D linear convolutional network."""
+class Architecture(NamedTuple("Architecture", [("filter_sizes", tuple), ("strides", tuple)])):
+    """Filter sizes and strides of a 1D linear convolutional network.
 
-    filter_sizes: tuple
-    strides: tuple
+    An immutable record compared and hashed by value; the sizes and strides
+    are stored as tuples of ints, checked when the record is made."""
 
-    def __post_init__(self):
-        ks = _integers(self.filter_sizes, "filter sizes")
-        ss = _integers(self.strides, "strides")
+    __slots__ = ()
+
+    def __new__(cls, filter_sizes: Sequence, strides: Sequence):
+        ks = _integers(filter_sizes, "filter sizes")
+        ss = _integers(strides, "strides")
         if not ks:
             raise ValueError("architecture needs at least one layer")
         if len(ks) != len(ss):
@@ -68,8 +68,7 @@ class Architecture:
             )
         if any(v < 1 for v in ks) or any(v < 1 for v in ss):
             raise ValueError("filter sizes and strides must be positive")
-        object.__setattr__(self, "filter_sizes", ks)
-        object.__setattr__(self, "strides", ss)
+        return super().__new__(cls, ks, ss)
 
     @property
     def depth(self) -> int:

@@ -11,6 +11,12 @@ once per process.  ``ideal`` prints each generator as soon as it is kept,
 level by level, deduplicated on its printed line; ``--format json`` is one
 document, written once all levels are built.
 
+``import lcn.cli`` loads every ``lcn`` module, so a command's first call
+imports nothing of the package.  It loads neither numpy (only ``critpoints``
+and the training reduction do, on first use) nor ``dataclasses``: the
+records are ``typing.NamedTuple`` classes.  ``json`` is imported only when a
+``--format json`` document is printed.
+
 Exit codes: 0 success, 1 a verification-style run found failures or fell
 short of the predicted count, 2 usage error (bad arguments, or an
 architecture the subcommand cannot handle), 141 (128 + SIGPIPE) the reader
@@ -23,7 +29,6 @@ identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import lru_cache
@@ -78,6 +83,14 @@ def _arch(args) -> Architecture:
         raise UsageError(str(exc)) from exc
 
 
+def _print_json(payload: dict) -> None:
+    """Print ``payload`` as indented JSON; ``json`` is imported on first use,
+    so only ``--format json`` loads it."""
+    import json
+
+    print(json.dumps(payload, indent=2))
+
+
 def _fractions(values) -> list:
     return [str(v) for v in values]
 
@@ -95,7 +108,7 @@ def cmd_ideal(args) -> int:
         if args.provenance:
             payload["provenance"] = list(gens.provenance)
             payload["raw_counts"] = [[lbl, n] for lbl, n in gens.raw_counts]
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
         return 0
     write, g = sys.stdout.write, None
     for tag, g in dedup_generators(level_minors(deepest_first(arch), []), MultiPoly.text):
@@ -164,7 +177,7 @@ def cmd_critpoints(args) -> int:
                 for p in report.points
             ],
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(f"architecture {reduced.describe()}  (hypersurface in C^{k})")
         print(f"expected count : {expected}")
@@ -194,7 +207,7 @@ def cmd_verify(args) -> int:
             "nonmember_violations": nonmember,
             "ok": report.ok,
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(f"architecture {arch.describe()}")
         print(f"samples        : {report.samples_tested}")
@@ -241,7 +254,7 @@ def cmd_compose(args) -> int:
             "layers": [_fractions(layer) for layer in layers],
             "filter": _fractions(w),
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         print(f"architecture {arch.describe()}")
         for i, layer in enumerate(layers, start=1):

@@ -34,8 +34,7 @@ which import this module through ``lcn.cli``, never load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arch import Architecture, _count, expected_dimension, reduce_arch
 from .idealgen import vanishing_generators
@@ -60,8 +59,7 @@ def psi_map(M: np.ndarray, k: int, s: int, d_out: int) -> np.ndarray:
     return out
 
 
-@dataclass
-class WeightedDistanceProblem:
+class WeightedDistanceProblem(NamedTuple):
     """Weight matrix T, target u, hypersurface f and constant ``offset``: the
     loss is ``(w - u)^T T (w - u) + offset``.  The ambient dimension is the
     number of variables of f."""
@@ -199,16 +197,14 @@ class _CompiledSystem:
         self.hessian = _MonomialMap([g.differentiate(v) for g in grads for v in f.vars], k)
 
 
-@dataclass
-class CriticalPoint:
+class CriticalPoint(NamedTuple):
     w: np.ndarray
     multiplier: complex
     residual: float
     is_real: bool
 
 
-@dataclass
-class CriticalPointReport:
+class CriticalPointReport(NamedTuple):
     """Distinct points found, and the starts that found none, counted by
     cause (``FAILURE_KINDS``)."""
 

@@ -14,12 +14,10 @@ The public API is 0-based: ``slots[0]`` is slot 1 of the decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
-@dataclass(frozen=True)
-class DecompProfile:
+class DecompProfile(NamedTuple):
     """Degree bookkeeping of one decomposition.
 
     ``degrees[i]`` is the degree of slot ``i+1``; the degrees are

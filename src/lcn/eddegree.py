@@ -33,11 +33,10 @@ coefficient).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, perm, prod
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .arch import Architecture, _integers, reduce_arch
 
@@ -103,8 +102,7 @@ def arch_ed_degree(arch: Architecture) -> int:
     return generic_ed_degree(reduced.filter_sizes)
 
 
-@dataclass(frozen=True)
-class MergeNode:
+class MergeNode(NamedTuple):
     """One node of the layer-merge tree, with children for each merge."""
 
     filter_sizes: tuple

@@ -416,11 +416,13 @@ class _MonomialProgram(dict):
             slot = self[key] = len(self.parents) - 1
         return slot
 
-    def values(self, polys: tuple, slot_lists: list, point: Sequence) -> Iterator[Fraction]:
+    def values(self, polys: tuple, compiled: list, point: Sequence) -> Iterator[Fraction]:
         """Lazy exact values of ``polys`` (this program's ring) at ``point``,
         from a value table of the point's own; see :func:`evaluate_many`.
-        ``slot_lists[i]`` holds the slots of the terms of ``polys[i]``, made
-        by the first point to pull it."""
+        ``compiled[i]`` holds what ``polys[i]`` needs at every point, made by
+        the first point to pull it: its coefficients, the slots of its terms,
+        its top slot, its total degree ``D`` and, unless it is homogeneous,
+        each term's lift ``D - deg``."""
         if polys and len(point) != self.n:
             raise ValueError(f"point of length {len(point)} in a ring with {self.n} variables")
         xs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in point]
@@ -430,20 +432,22 @@ class _MonomialProgram(dict):
         shift = _BITS * self.n
 
         def value(i: int, p: MultiPoly) -> Fraction:
-            terms = p._terms
-            if i == len(slot_lists):
-                slot_lists.append(list(map(self.__getitem__, terms)))
-            slots = slot_lists[i]
+            if i == len(compiled):
+                slots = list(map(self.__getitem__, p._terms))
+                degrees = [k >> shift for k in p._terms]
+                D = max(degrees, default=0)
+                lifts = [D - d for d in degrees] if any(d < D for d in degrees) else None
+                compiled.append((list(p._terms.values()), slots, max(slots, default=0), D, lifts))
+            coeffs, slots, top, D, lifts = compiled[i]
             if not slots:
                 return _ZERO
             # the point's table catches up with the program, to the top slot
-            steps = slice(len(table), max(slots) + 1)
+            steps = slice(len(table), top + 1)
             for parent, var in zip(self.parents[steps], self.factors[steps]):
                 table.append(table[parent] * nums[var])
-            values = map(mul, terms.values(), map(table.__getitem__, slots))
-            D = max(terms) >> shift
-            if min(terms) >> shift < D:
-                values = (v * L ** (D - (k >> shift)) for v, k in zip(values, terms))
+            values = map(mul, coeffs, map(table.__getitem__, slots))
+            if lifts is not None:
+                values = map(mul, values, map(L.__pow__, lifts))
             total = sum(values)
             return Fraction(total, L**D) if total else _ZERO
 
@@ -464,19 +468,20 @@ def evaluate_many(polys: Iterable[MultiPoly], points: Iterable[Sequence]) -> Ite
     powers of ``L`` when it is homogeneous) and divides by ``L^D``.  The
     monomial values ``prod (x_i L)^e_i`` come from one monomial program for
     the call, which holds only the monomials of the polynomials pulled so
-    far, and the slots of each polynomial's terms, looked up by the first
-    point to pull it: each point fills a table of one multiplication per
-    distinct monomial, only as far as its own pulls need.  The iterators of
-    one call share its program, so they belong to one thread, as any
-    generator does; separate calls share nothing.
+    far, and each polynomial's term slots, top slot, total degree and lifts
+    ``D - deg``, worked out by the first point to pull it: each point fills a
+    table of one multiplication per distinct monomial, only as far as its
+    own pulls need.  The iterators of one call share its program, so they
+    belong to one thread, as any generator does; separate calls share
+    nothing.
     """
     polys = tuple(polys)
     for p in polys:
         if p.vars != polys[0].vars:
             raise ValueError(f"mixed variable lists: {polys[0].vars} vs {p.vars}")
     program = _MonomialProgram(len(polys[0].vars) if polys else 0)
-    slot_lists = []
-    return (program.values(polys, slot_lists, point) for point in points)
+    compiled = []
+    return (program.values(polys, compiled, point) for point in points)
 
 
 def symbols(names: Iterable[str]) -> tuple:

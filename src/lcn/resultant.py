@@ -21,9 +21,8 @@ shows why the minors vanish on the variety.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .decomp import profile, s_decompose
 from .polyring import coefficient_symbols, dedup_generators, minor_expansion
@@ -112,8 +111,7 @@ def two_layer_factors(k1: int, k2: int, s1: int, a: Sequence, b: Sequence) -> li
     ]
 
 
-@dataclass(frozen=True)
-class IdealGenerators:
+class IdealGenerators(NamedTuple):
     """The generators that :func:`level_ideal` keeps, sign-normalized, with
     a provenance label each, and per level matrix its count of minors before
     zeros and duplicates were dropped (``raw_counts``)."""

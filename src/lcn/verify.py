@@ -31,12 +31,11 @@ the generator set at all its points with one call of
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .arch import Architecture, _count, compose_filters, expected_dimension, reduce_arch, sample_neuromanifold
 from .idealgen import merge_levels, vanishing_generators
@@ -44,8 +43,7 @@ from .polyring import MultiPoly, evaluate_many, symbols
 from .resultant import IdealGenerators, two_layer_factors, two_layer_resultants
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     architecture: Architecture
     samples_tested: int  # random ambient points of the nonmembership test
     generators_tested: int

@@ -78,6 +78,29 @@ class TestArchitecture:
         assert a == Architecture((3, 2), (2, 1))
         assert all(type(v) is int for v in a.filter_sizes + a.strides)
 
+    def test_record_is_immutable(self):
+        a = Architecture((2, 2), (2, 1))
+        with pytest.raises(AttributeError):
+            a.filter_sizes = (3, 3)
+        with pytest.raises(AttributeError):
+            a.strides = (1, 1)
+        with pytest.raises(AttributeError):
+            a.extra = 1
+        assert a.filter_sizes == (2, 2) and a.strides == (2, 1)
+
+    def test_equal_records_compare_and_hash_equal(self):
+        a, b = Architecture((3, 2), (2, 1)), Architecture([3, 2], [2.0, 1])
+        assert a == b and hash(a) == hash(b)
+        assert a != Architecture((3, 2), (2, 2))
+        assert {a: "first", b: "second"} == {Architecture((3, 2), (2, 1)): "second"}
+        assert Architecture(filter_sizes=(3, 2), strides=(2, 1)) == a
+        assert repr(a) == "Architecture(filter_sizes=(3, 2), strides=(2, 1))"
+
+    def test_list_arguments_are_stored_as_tuples(self):
+        a = Architecture([3, 2], [2, 1])
+        assert type(a.filter_sizes) is tuple and type(a.strides) is tuple
+        assert a.filter_sizes == (3, 2) and a.strides == (2, 1)
+
     @given(arch_strategy)
     def test_out_size_formula(self, arch):
         dil = arch.dilations

@@ -1,10 +1,12 @@
-"""Start-up contract: the exact ``lcn`` commands never load numpy.
+"""Start-up contract: the exact ``lcn`` commands never load numpy, and
+``import lcn.cli`` loads none of ``dataclasses``, ``inspect`` or ``json``.
 
 ``lcn.critpoints`` imports numpy inside the functions that use it, so numpy
 enters ``sys.modules`` only when the solver or the training reduction first
 runs, and the import lock makes that first use safe from several threads.
-Each check runs in a fresh interpreter, since the test process itself has
-numpy loaded.
+The records are ``typing.NamedTuple`` classes, and ``json`` is imported when
+a ``--format json`` document is first printed.  Each check runs in a fresh
+interpreter, since the test process itself has numpy loaded.
 """
 
 import json
@@ -17,17 +19,25 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Runs each command line of argv[1] (JSON) in order, then prints, per step,
-# its exit code and whether numpy is loaded afterwards.
+# Imports lcn.cli first and records which of the start-up modules it loaded
+# (the interpreter's own start, with its site hooks, may load some of them
+# before); then runs each command line of argv[1] (JSON) in order, and
+# prints, per step, its exit code and whether numpy is loaded afterwards.
 CHILD = """
-import contextlib, io, json, sys
+import sys
 
+before = set(sys.modules)
 import lcn.cli
+
+STARTUP = ("dataclasses", "inspect", "json", "numpy")
+loaded = [m for m in STARTUP if m in sys.modules and m not in before]
+steps = [["import", 0, loaded, "lcn.critpoints" in sys.modules]]
+
+import contextlib, io, json
 
 def numpy_loaded():
     return "numpy" in sys.modules
 
-steps = [["import", 0, numpy_loaded(), "lcn.critpoints" in sys.modules]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         rc = lcn.cli.main(argv)
@@ -42,6 +52,8 @@ EXACT = [
     ["resultant", "-k", "3,2", "-s", "2,1"],
     ["compose", "-k", "2,2", "-s", "2,1"],
     ["eddeg", "--table", "3", "3"],
+    # json is imported on first use, here
+    ["compose", "-k", "2,2", "-s", "2,1", "--format", "json"],
 ]
 CRITPOINTS = ["critpoints", "-k", "2,2", "-s", "2,1", "--starts", "20"]
 
@@ -90,7 +102,8 @@ def fresh(commands, child: str = CHILD) -> list:
 
 
 def test_import_loads_critpoints_but_not_numpy():
-    assert fresh([]) == [["import", 0, False, True]]
+    # nor dataclasses (with inspect) nor json
+    assert fresh([]) == [["import", 0, [], True]]
 
 
 def test_exact_commands_never_load_numpy_and_critpoints_does():
