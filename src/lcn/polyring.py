@@ -37,14 +37,15 @@ on ``(rows, columns)`` and visits only the nonzero entries of each row,
 taking each one's sign from the number of columns of the minor before it.
 Each minor is built in one term dictionary: entry terms times cofactor
 terms are added into it directly (a fused multiply-accumulate), and it is
-copied without zeros only if some coefficient cancelled.
+copied without zeros only if some coefficient cancelled; each entry of a
+:func:`matrix_product` is built the same way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm
 from numbers import Integral
 from operator import add, mul
@@ -582,6 +583,34 @@ def _cofactor_expansion(rows: Sequence[Sequence[MultiPoly]]):
         return _packed(vars_, _nonzero(acc))
 
     return det
+
+
+def matrix_product(rows: Sequence[Sequence], cols: Sequence[Sequence], vars_: tuple) -> list:
+    """The rows of the product of the matrix ``rows`` and the matrix whose
+    columns are ``cols``, with entries that are polynomials over ``vars_`` or
+    the int 0.  Given by its columns, the right factor keeps its width when
+    it has no rows.
+
+    Each entry is built in one term dict: the terms of every product of two
+    nonzero entries are added into it, with no intermediate product or sum
+    polynomials.  Raises ``ValueError`` for another nonzero entry."""
+    for e in chain(*rows, *cols):
+        if e and getattr(e, "vars", None) != vars_:
+            raise ValueError(f"matrix entry {e!r} is neither zero nor a polynomial over {vars_}")
+    n = len(vars_)
+    cols = [[e._terms if e else {} for e in col] for col in cols]
+    out = []
+    for row in rows:
+        row = [e._terms if e else {} for e in row]
+        entries = []
+        for col in cols:
+            acc = {}
+            for a, b in zip(row, col):
+                if a and b:
+                    _add_product(acc, a, b, n)
+            entries.append(_packed(vars_, _nonzero(acc)))
+        out.append(entries)
+    return out
 
 
 def determinant(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:

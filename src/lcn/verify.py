@@ -5,11 +5,13 @@ sampled, once per resultant matrix: every layer entry becomes a fresh
 symbol, and at each merge level the reduced architecture's composed filter
 ``phi(theta)`` factors as ``A(x) * B(x^s1)``.  So each level matrix at
 ``phi`` must equal, as exact polynomials, the product ``M H`` of
-:func:`lcn.resultant.two_layer_factors` (:func:`nonfactoring_matrices`),
-and then all its minors of the generators' size vanish identically.  This
-proves image ⊆ V(gens), and so closure ⊆ V(gens), also for the typed
-architecture, whose image lies in its reduction's.  The tests keep the
-per-generator composition with ``phi`` as an oracle.
+:func:`lcn.resultant.two_layer_factors` (:func:`nonfactoring_matrices`,
+each entry of ``M H`` summed in one term dict by
+:func:`lcn.polyring.matrix_product`), and then all its minors of the
+generators' size vanish identically.  This proves image ⊆ V(gens), and so
+closure ⊆ V(gens), also for the typed architecture, whose image lies in its
+reduction's.  The tests keep the per-generator composition with ``phi`` as
+an oracle.
 
 The image must have the dimension ``sum k_i - (L - 1)`` of the reduced
 architecture's variety, which the generators cut out.  The dimension is
@@ -17,8 +19,11 @@ proved by the exact rank of the parametrization Jacobian at one rational
 sample, by fraction-free elimination in integers (:func:`exact_rank`).  The
 parametrization is unchanged by rescaling between layers, so no point has a
 larger rank, and the rank at any one point bounds the generic rank from
-below.  For a multilinear map the Jacobian is assembled column by column
-from unit-vector substitutions.
+below.  The map is multilinear: the Jacobian is assembled column by column
+from unit-vector substitutions, and scaling one layer by a nonzero constant
+scales the columns of every other layer by it.  So each sampled layer is
+first multiplied by the lcm of its denominators, which keeps the rank and
+gives a Jacobian of ints.
 
 The reverse inclusion, V(gens) ⊆ closure, is certified only by the test
 suite, by Gröbner bases on a fixed list of small architectures
@@ -26,6 +31,9 @@ suite, by Gröbner bases on a fixed list of small architectures
 ambient points must each violate a generator, a smoke test that evaluates
 the generator set at all its points with one call of
 :func:`lcn.polyring.evaluate_many`, each point up to its first nonzero value.
+The points are integer vectors.  Every generator is a minor of a matrix with
+linear entries, so it is homogeneous, and a rational point violates exactly
+the generators its cleared integer vector violates.
 """
 
 from __future__ import annotations
@@ -34,13 +42,15 @@ import random
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from operator import mul
 from typing import NamedTuple, Sequence
 
 from .arch import Architecture, _count, compose_filters, expected_dimension, reduce_arch, sample_neuromanifold
 from .idealgen import merge_levels, vanishing_generators
-from .polyring import MultiPoly, evaluate_many, symbols
+from .polyring import MultiPoly, evaluate_many, matrix_product, symbols
 from .resultant import IdealGenerators, two_layer_factors, two_layer_resultants
+
+# Nonmembership coordinates are nonzero ints in [-_BOUND, _BOUND]; see smoke_nonmembership.
+_BOUND = 2**20
 
 
 class VerificationReport(NamedTuple):
@@ -87,7 +97,7 @@ def nonfactoring_matrices(arch: Architecture, phi: Sequence) -> tuple:
     rest, so at that ``phi`` none is returned."""
     ks, ss = arch.filter_sizes, arch.strides
     layers = _symbolic_layers(arch)
-    zero = 0 * phi[0]
+    vars_ = layers[0][0].vars
     failures = []
     for j, (head, k1, k2, s1) in reversed(list(enumerate(merge_levels(arch)))):
         a = compose_filters(Architecture(ks[: j + 1], ss[: j + 1]), layers[: j + 1])
@@ -95,7 +105,7 @@ def nonfactoring_matrices(arch: Architecture, phi: Sequence) -> tuple:
         matrices = two_layer_resultants(k1, k2, s1, phi)
         for (name, l, _, rows), (M, H) in zip(matrices, two_layer_factors(k1, k2, s1, a, b)):
             cols = [[h[c] for h in H] for c in range(l + 1)]
-            if rows != [[sum(map(mul, row, col), zero) for col in cols] for row in M]:
+            if rows != matrix_product(M, cols, vars_):
                 failures.append(f"{head}({k1},{k2};{s1}):{name}")
     return tuple(failures)
 
@@ -116,20 +126,26 @@ def parametrization_jacobian(arch: Architecture, layer_filters: Sequence) -> tup
     return tuple(zip(*cols))
 
 
+def _cleared(values: Sequence) -> list:
+    """``values`` times the lcm of their denominators, as ints; a row of
+    ints as it is."""
+    if all(type(v) is int for v in values):
+        return list(values)
+    values = [Fraction(v) for v in values]
+    scale = lcm(*[v.denominator for v in values])
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
 def exact_rank(rows: Sequence[Sequence]) -> int:
     """Rank over the rationals, by fraction-free elimination in integers.
 
-    Each row is scaled by the lcm of its denominators, and each step is a
-    Bareiss step: ``row := (pivot * row - row[col] * top) / previous pivot``,
-    a division that is exact because every entry is then a minor of the
-    cleared matrix.  So no entry grows past the size of a minor and no gcd
-    is taken.
+    A row of ints is taken as it is; any other row is scaled by the lcm of
+    its denominators.  Each step is a Bareiss step:
+    ``row := (pivot * row - row[col] * top) / previous pivot``, a division
+    that is exact because every entry is then a minor of the cleared
+    matrix.  So no entry grows past the size of a minor and no gcd is taken.
     """
-    pending = []
-    for row in rows:
-        row = [Fraction(v) for v in row]
-        scale = lcm(*[v.denominator for v in row])
-        pending.append([v.numerator * (scale // v.denominator) for v in row])
+    pending = list(map(_cleared, rows))
     rank = 0
     previous = 1
     while pending:
@@ -154,10 +170,12 @@ def verify_ideal(arch: Architecture, n_samples: int = 100, seed: int = 0) -> Ver
     Failures are collected, not raised: ``failures`` holds the labels of
     the level matrices that do not factor (:func:`nonfactoring_matrices`),
     as ``IdealGenerators.raw_counts`` names them.  The Jacobian
-    is taken at a random sample; a sample of rank below the expected
-    dimension is retried once at a fresh one and the better rank is
-    reported.  Raises ``ValueError`` unless ``n_samples`` is an integer of
-    at least 1.
+    is taken at a random sample of :func:`lcn.arch.sample_neuromanifold`,
+    each layer multiplied by the lcm of its denominators (the rank is the
+    same, as the parametrization is multilinear, and the Jacobian is of
+    ints); a sample of rank below the expected dimension is retried once at
+    a fresh one and the better rank is reported.  Raises ``ValueError``
+    unless ``n_samples`` is an integer of at least 1.
     """
     n_samples = _count(n_samples, "samples")
     gens = vanishing_generators(arch)
@@ -168,6 +186,7 @@ def verify_ideal(arch: Architecture, n_samples: int = 100, seed: int = 0) -> Ver
     rank = -1
     for _ in range(2):
         layers, _ = sample_neuromanifold(arch, rng.randrange(2**62))
+        layers = list(map(_cleared, layers))
         rank = max(rank, exact_rank(parametrization_jacobian(arch, layers)))
         if rank == expected:
             break
@@ -182,18 +201,23 @@ def smoke_nonmembership(gens: IdealGenerators, n_trials: int, seed: int = 0) -> 
 
     Random points miss a lower-dimensional variety, so for the generators of
     a reduced architecture with at least two layers the expected return
-    value is ``n_trials``.  Coordinates are nonzero rationals drawn from a
-    large space, keeping accidental exact hits of the variety negligible
-    (small denominators with many zero entries do land on it occasionally).
-    Raises ``ValueError`` unless ``n_trials`` is an integer of at least 1.
+    value is ``n_trials``.  Each coordinate is a nonzero int, uniform in
+    ``±[1, 2^20]``: one ``randrange`` for its size and one
+    ``getrandbits(1)`` for its sign, so a seed always draws the same
+    points.  Integer points lose nothing, as the generators are homogeneous
+    and a rational point violates those its cleared vector does; and by
+    Schwartz–Zippel a nonzero generator of degree ``D`` vanishes at such a
+    point with probability at most ``D / 2^21``.  Raises ``ValueError``
+    unless ``n_trials`` is an integer of at least 1.
     """
     n_trials = _count(n_trials, "trials")
     if not gens.generators:
         raise ValueError("the architecture has no generators to violate")
     k = len(gens.variables)
     rng = random.Random(seed)
+    randrange, getrandbits = rng.randrange, rng.getrandbits
     points = (
-        [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9999), rng.randint(1, 99)) for _ in range(k)]
+        [randrange(1, _BOUND + 1) * (1 - 2 * getrandbits(1)) for _ in range(k)]
         for _ in range(n_trials)
     )
     return sum(map(any, evaluate_many(gens.generators, points)))

@@ -1,5 +1,6 @@
 import gc
 import json
+import operator
 import random
 import sys
 import threading
@@ -24,6 +25,7 @@ from lcn.polyring import (
     dedup_generators,
     determinant,
     evaluate_many,
+    matrix_product,
     minor_expansion,
     symbols,
 )
@@ -718,6 +720,51 @@ class TestFusedExpansion:
     def test_banded_rows_match_product_then_add(self, drawn):
         m, size = drawn
         assert list(minor_expansion(m, size)) == product_then_add_minors(m, size)
+
+
+@st.composite
+def product_factors(draw):
+    """``(rows, cols)``: a left factor by its rows and a right factor by its
+    columns, over ``u, v, w``, with an inner size of 0 to 3.  Entries repeat
+    sums of a few symbols next to int and ``Fraction`` constants, the int 0
+    and the zero polynomial, so coefficients of an entry cancel."""
+    u, v, w = symbols(VARS3)
+    pool = [u, v, w, u + v, 2 * u - w, u * v - Fraction(1, 3) * w, -u * v, 0, 0 * u,
+            MultiPoly.constant(VARS3, 3), MultiPoly.constant(VARS3, Fraction(-1, 2))]
+    inner = draw(st.integers(0, 3))
+    vectors = st.lists(st.lists(st.sampled_from(pool), min_size=inner, max_size=inner), max_size=3)
+    return draw(vectors), draw(vectors)
+
+
+class TestMatrixProduct:
+    """The one-dict product against products and sums of polynomials."""
+
+    @given(product_factors())
+    @example(([[symbols(VARS3)[0], -symbols(VARS3)[0]]], [[symbols(VARS3)[1]] * 2]))  # u v - u v
+    def test_matches_sum_of_products(self, drawn):
+        rows, cols = drawn
+        zero = MultiPoly(VARS3)
+        out = matrix_product(rows, cols, VARS3)
+        assert out == [[sum(map(operator.mul, row, col), zero) for col in cols] for row in rows]
+        for entry in (e for row in out for e in row):
+            assert entry.vars == VARS3
+            assert 0 not in entry._terms.values()
+
+    def test_right_factor_without_rows_keeps_its_width(self):
+        assert matrix_product([[], []], [[], [], []], VARS3) == [[MultiPoly(VARS3)] * 3] * 2
+
+    def test_exponent_overflow_raises(self):
+        u = symbols(VARS3)[0]
+        with pytest.raises(ValueError, match="exponent above 255"):
+            matrix_product([[u**200]], [[u**100]], VARS3)
+
+    @pytest.mark.parametrize("bad", [1, Fraction(1, 2), symbols(("u", "v"))[0]])
+    def test_entries_outside_the_ring_raise(self, bad):
+        u = symbols(VARS3)[0]
+        with pytest.raises(ValueError, match="neither zero nor a polynomial"):
+            matrix_product([[u, bad]], [[u, u]], VARS3)
+        with pytest.raises(ValueError, match="neither zero nor a polynomial"):
+            matrix_product([[u, u]], [[bad, u]], VARS3)
 
 
 def _rebuilt(p):

@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
+import sympy
+from hypothesis import given, strategies as st
 
 import lcn.verify
-from lcn.arch import Architecture, reduce_arch, sample_neuromanifold
+from lcn.arch import Architecture, compose_filters, reduce_arch, sample_neuromanifold
 from lcn.idealgen import merge_levels, vanishing_generators
-from lcn.polyring import MultiPoly, coefficient_symbols
+from lcn.polyring import MultiPoly, coefficient_symbols, evaluate_many
 from lcn.resultant import two_layer_resultants
 from lcn.verify import (
     exact_rank,
@@ -96,6 +99,28 @@ class TestExactRank:
             rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] or [0] * m for row in left]
             assert exact_rank(rows) == variety_oracle.exact_rank(rows), rows
 
+    @pytest.mark.parametrize("fractions", [False, True], ids=["int", "Fraction"])
+    def test_agrees_with_sympy(self, fractions):
+        # products of a random n x r and r x m factor, so the rank is often
+        # below min(n, m); entries up to 2^40 make Bareiss' divisions matter
+        rng = random.Random(11)
+
+        def entry(bound):
+            v = rng.choice((0, rng.randint(-bound, bound)))
+            return Fraction(v, rng.randint(1, 30)) if fractions else v
+
+        deficient = 0
+        for _ in range(150):
+            n, m, r = rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 6)
+            bound = rng.choice((3, 2**40))
+            left = [[entry(bound) for _ in range(r)] for _ in range(n)]
+            right = [[entry(bound) for _ in range(m)] for _ in range(r)]
+            rows = [[sum((a * b for a, b in zip(row, col)), 0) for col in zip(*right)] or [0] * m for row in left]
+            rank = sympy.Matrix(rows).rank()
+            assert exact_rank(rows) == rank, rows
+            deficient += rank < min(n, m)
+        assert deficient >= 40
+
 
 class TestJacobian:
     def test_rank_matches_dimension(self):
@@ -121,6 +146,61 @@ class TestJacobian:
             (5, 0, 0, Fraction(1, 3)),
             (0, 5, 0, 2),
         )
+
+
+# Small architectures of the integer-point property, two and three layers.
+POINT_ARCHITECTURES = [
+    Architecture((2, 2), (2, 1)),
+    Architecture((3, 2), (2, 1)),
+    Architecture((5, 2), (3, 1)),
+    Architecture((1, 3), (2, 1)),
+    Architecture((3, 2, 2), (2, 2, 1)),
+]
+small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+class TestIntegerPremises:
+    """Why ``verify`` may draw integer points and clear the Jacobian sample:
+    the generators are homogeneous and the parametrization is multilinear."""
+
+    def test_generators_are_homogeneous(self):
+        archs = small_architectures() + BENCHMARK_ARCHITECTURES
+        for arch in archs:
+            for g in cached_generators(arch).generators:
+                assert len({sum(exps) for exps in g.terms}) == 1, (arch, g)
+
+    @given(st.sampled_from(POINT_ARCHITECTURES), st.booleans(), st.data())
+    def test_rational_point_and_its_clearing_agree(self, arch, on_image, data):
+        # a degree-D generator's value at the cleared point is L^D times its
+        # value at the rational one, so the two vanish together; on the
+        # image every generator vanishes at both
+        gens = cached_generators(arch).generators
+        if on_image:
+            layers = [data.draw(st.lists(small_fractions, min_size=k, max_size=k)) for k in arch.filter_sizes]
+            point = list(compose_filters(arch, layers))
+        else:
+            point = data.draw(st.lists(small_fractions, min_size=arch.out_size, max_size=arch.out_size))
+        scale = lcm(*[Fraction(x).denominator for x in point])
+        cleared = [int(x * scale) for x in point]
+        rational, integer = map(list, evaluate_many(gens, [point, cleared]))
+        assert integer == [scale ** g.total_degree() * v for g, v in zip(gens, rational)]
+        assert any(rational) == any(integer)
+        assert not (on_image and any(integer))
+
+    def test_jacobian_rank_ignores_layer_scaling(self):
+        # column block l of the Jacobian is scaled by the product of the
+        # other layers' factors, a nonzero constant
+        rng = random.Random(7)
+        for arch in small_architectures():
+            layers, _ = sample_neuromanifold(arch, rng.randrange(2**62))
+            rank = exact_rank(parametrization_jacobian(arch, layers))
+            assert rank == variety_oracle.exact_rank(parametrization_jacobian(arch, layers)), arch
+            for scales in (
+                [lcm(*[v.denominator for v in w]) for w in layers],
+                [rng.choice((-1, 1)) * rng.randint(1, 10**6) for _ in layers],
+            ):
+                scaled = [[c * v for v in w] for c, w in zip(scales, layers)]
+                assert exact_rank(parametrization_jacobian(arch, scaled)) == rank, (arch, scales)
 
 
 class TestSymbolicFilter:
@@ -323,6 +403,28 @@ class TestVerifyIdeal:
             assert report.generators_tested == len(gens.generators)
             assert not report.ok
 
+    def test_jacobian_sample_is_the_cleared_neuromanifold_sample(self, monkeypatch):
+        # each layer of the sample times the lcm of its denominators: ints
+        arch = Architecture((5, 3, 2), (2, 2, 1))
+        seen = []
+        monkeypatch.setattr(
+            lcn.verify, "parametrization_jacobian",
+            lambda arch, layers: seen.append(layers) or parametrization_jacobian(arch, layers),
+        )
+        assert verify_ideal(arch, n_samples=3, seed=4).jacobian_rank == 8
+        layers, _ = sample_neuromanifold(arch, random.Random(4).randrange(2**62))
+        assert seen == [[[v * lcm(*[u.denominator for u in w]) for v in w] for w in layers]]
+        assert all(type(v) is int for w in seen[0] for v in w)
+
+    def test_low_rank_sample_is_retried_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(lcn.verify, "exact_rank", lambda rows: calls.append(rows) or 2)
+        report = verify_ideal(Architecture((5, 2), (3, 1)), n_samples=3, seed=0)
+        assert len(calls) == 2
+        assert calls[0] != calls[1]
+        assert (report.jacobian_rank, report.expected_dim) == (2, 6)
+        assert not report.ok
+
     def test_nonmembership_shortfall_is_not_ok(self, monkeypatch):
         monkeypatch.setattr(lcn.verify, "smoke_nonmembership", lambda gens, n, seed: n - 1)
         report = verify_ideal(Architecture((2, 2), (2, 1)), n_samples=7, seed=0)
@@ -352,6 +454,36 @@ class TestSmoke:
     def test_three_layer(self):
         gens = vanishing_generators(Architecture((3, 2, 2), (2, 2, 1)))
         assert smoke_nonmembership(gens, 20, seed=0) == 20
+
+    @staticmethod
+    def drawn(monkeypatch, gens, n, seed) -> tuple:
+        """The return value of ``smoke_nonmembership`` and its points."""
+        seen = []
+
+        def recording(polys, points):
+            seen.append([list(p) for p in points])
+            return evaluate_many(polys, seen[-1])
+
+        monkeypatch.setattr(lcn.verify, "evaluate_many", recording)
+        count = smoke_nonmembership(gens, n, seed)
+        return count, seen[0]
+
+    def test_points_are_nonzero_ints_within_the_bound(self, monkeypatch):
+        gens = cached_generators(Architecture((5, 3, 2), (2, 2, 1)))
+        count, points = self.drawn(monkeypatch, gens, 100, 3)
+        assert count == 100
+        assert len(points) == 100
+        coords = [x for p in points for x in p]
+        assert all(len(p) == 13 for p in points)
+        assert all(type(x) is int and 0 < abs(x) <= 2**20 for x in coords)
+        # both signs and the top half of the range are drawn
+        assert min(coords) < -(2**19) and max(coords) > 2**19
+
+    def test_same_seed_same_points(self, monkeypatch):
+        gens = vanishing_generators(Architecture((3, 2, 2), (2, 2, 1)))
+        first = self.drawn(monkeypatch, gens, 20, 5)
+        assert self.drawn(monkeypatch, gens, 20, 5) == first
+        assert self.drawn(monkeypatch, gens, 20, 6)[1] != first[1]
 
     def test_single_layer_has_nothing_to_violate(self):
         with pytest.raises(ValueError):
