@@ -15,14 +15,17 @@ critical points solve the square Lagrange system
 in ``(w, lambda)``.  We count its isolated complex solutions by Newton
 iteration from every one of many random complex starts and deduplicate
 converged points by ``w``; comparing the count with the predicted one is
-the caller's job.  Points on the singular locus (vanishing gradient) are
-discarded: the distance function is only defined on the smooth part.
-Starts are solved in batches, one numpy array per chunk of starts, with the
-same random draws as solving them one at a time.
+the caller's job, and the solver is never told it.  A start whose
+``|lambda|`` keeps growing is retired as diverging: it is walking towards
+the singular locus of ``f``, not towards a critical point.  Points on the
+singular locus (vanishing gradient) are discarded: the distance function
+is only defined on the smooth part.  Starts are solved in batches, one
+numpy array per chunk of starts, with the same random draws as solving
+them one at a time.
 
 Every Newton step is the full step, with the Jacobian built from the
-Hessian of ``f``: per step, the Hessian and the residuals are each
-evaluated once, on the rows being solved.  A batched step computes the
+Hessian of ``f``: per step, the Hessian is evaluated once on the live rows
+and the residuals once on those that moved.  A batched step computes the
 iterate that a one-start solve computes from the same point, up to
 rounding.  A path that wanders for tens of steps can amplify that rounding
 until the two solves end at different points, so the counts of a batched
@@ -137,13 +140,20 @@ def seeded_problem(arch: Architecture, data_seed: int, d_out: int):
 _MAX_NEWTON_STEPS = 100
 # Starts solved together as one set of arrays; which points are found
 # depends on it only through rounding.  On a 2-core Xeon, 2,000 starts on
-# (4,2)/(2,1) took 0.52-0.78 s and 39.0 MB peak RSS in chunks of 256,
-# 0.48-0.57 s and 49.0 MB at once.
+# (4,2)/(2,1) (data seed 0, seeds 0-4) took 0.33-0.41 s and 39.5 MB peak
+# RSS in chunks of 256, 0.29-0.38 s and 50.6 MB at once.
 _CHUNK = 256
 
-# Why a start adds no point: Newton's two ways to give up, a converged
+# Consecutive steps that each grow |lambda| at least 1.5-fold before a start
+# is retired as diverging.  Such a start walks towards the singular locus of
+# f with lambda growing without bound.  Over benchmark seeds 1-30 (72,000
+# starts) no converging start ran more than 23 such steps (99.9th
+# percentile 16).
+_DIVERGING_RUN = 30
+
+# Why a start adds no point: Newton's three ways to give up, a converged
 # point on the singular locus, and a point already found.
-FAILURE_KINDS = ("singular_jacobian", "step_limit", "singular_locus", "duplicate")
+FAILURE_KINDS = ("singular_jacobian", "step_limit", "diverging", "singular_locus", "duplicate")
 _CONVERGED = -1
 
 
@@ -265,34 +275,61 @@ def _newton(system, T, u, tol, Z):
     """Newton on the Lagrange system from every row ``(w, lambda)`` of ``Z``.
 
     Every row takes full Newton steps until its residual norm is below
-    ``tol``, and fails on a singular Jacobian or on the step limit.  Per
-    step, the Hessian and the residuals are each evaluated once, on the rows
-    being solved.  Returns the final ``Z``, grad f, residual norm and status
-    per row; ``status`` is ``_CONVERGED`` or an index into ``FAILURE_KINDS``.
+    ``tol``, and fails on a singular Jacobian, on ``_DIVERGING_RUN``
+    consecutive steps that each grow ``|lambda|`` at least 1.5-fold, or on
+    the step limit.  Only the live rows are kept, in compact arrays; a row
+    that leaves has its last state written back once.  Per step, the
+    Hessian is evaluated on the rows being solved and the residuals on
+    those of them that moved.  Returns the final ``Z``, grad f, residual
+    norm and status per row; ``status`` is ``_CONVERGED`` or an index into
+    ``FAILURE_KINDS``.
     """
     import numpy as np
     k = Z.shape[1] - 1
     Z = Z.copy()
     F, V = _residuals(system, T, u, Z)
+    G = V[:, 1:]
     nF = np.linalg.norm(F, axis=1)
     status = np.full(len(Z), _CONVERGED)
+    rows = np.flatnonzero(~(nF < tol))
+    z, f, g, nf = Z[rows], F[rows], G[rows], nF[rows]
+    lam_abs = np.abs(z[:, k])
+    run = np.zeros(len(rows), dtype=int)
+
+    def leave(out):
+        """Write back the live rows ``out`` and drop them."""
+        nonlocal rows, z, f, g, nf, lam_abs, run
+        gone, keep = rows[out], ~out
+        Z[gone], G[gone], nF[gone] = z[out], g[out], nf[out]
+        rows, z, f, g, nf = rows[keep], z[keep], f[keep], g[keep], nf[keep]
+        lam_abs, run = lam_abs[keep], run[keep]
+
     for _ in range(_MAX_NEWTON_STEPS):
-        act = np.flatnonzero((status == _CONVERGED) & ~(nF < tol))
-        if act.size == 0:
+        if not rows.size:
             break
-        G = V[act, 1:]
-        J = np.zeros((act.size, k + 1, k + 1), dtype=complex)
-        J[:, 0, :k] = G
-        J[:, 1:, :k] = T - Z[act, k, None, None] * system.hessian(Z[act, :k]).reshape(-1, k, k)
-        J[:, 1:, k] = -G
-        step, ok = _solve_rows(J, -F[act])
-        status[act[~ok]] = FAILURE_KINDS.index("singular_jacobian")
-        act = act[ok]
-        Z[act] += step[ok]
-        F[act], V[act] = _residuals(system, T, u, Z[act])
-        nF[act] = np.linalg.norm(F[act], axis=1)
-    status[(status == _CONVERGED) & ~(nF < tol)] = FAILURE_KINDS.index("step_limit")
-    return Z, V[:, 1:], nF, status
+        J = np.zeros((rows.size, k + 1, k + 1), dtype=complex)
+        J[:, 0, :k] = g
+        J[:, 1:, :k] = T - z[:, k, None, None] * system.hessian(z[:, :k]).reshape(-1, k, k)
+        J[:, 1:, k] = -g
+        step, ok = _solve_rows(J, -f)
+        if not ok.all():
+            status[rows[~ok]] = FAILURE_KINDS.index("singular_jacobian")
+            leave(~ok)
+            step = step[ok]
+        z += step
+        f, V = _residuals(system, T, u, z)
+        g, nf = V[:, 1:], np.linalg.norm(f, axis=1)
+        lam_abs, before = np.abs(z[:, k]), lam_abs
+        run = np.where(lam_abs >= 1.5 * before, run + 1, 0)
+        converged = nf < tol
+        diverging = ~converged & (run >= _DIVERGING_RUN)
+        status[rows[diverging]] = FAILURE_KINDS.index("diverging")
+        done = converged | diverging
+        if done.any():
+            leave(done)
+    status[rows] = FAILURE_KINDS.index("step_limit")
+    Z[rows], G[rows], nF[rows] = z, g, nf
+    return Z, G, nF, status
 
 
 def solve_critical_points(
@@ -334,6 +371,9 @@ def solve_critical_points(
     amp = max(1.0, float(np.linalg.norm(u)))
 
     found = []
+    # the w of every point found, one per row, and their norms
+    found_w = np.empty((0, k), dtype=complex)
+    found_norm = np.empty(0)
     failures = dict.fromkeys(FAILURE_KINDS, 0)
     for first in range(0, starts, _CHUNK):
         z = rng.standard_normal((min(_CHUNK, starts - first), 2, k))
@@ -345,14 +385,15 @@ def solve_critical_points(
         np.divide(num, denom, out=Z[:, k], where=np.abs(denom) > 1e-30)
         Z, G, nF, status = _newton(system, T, u, tol, Z)
         for vec, grad, res, st in zip(Z, G, nF, status):
-            w = vec[:k]
             if st != _CONVERGED:
                 failures[FAILURE_KINDS[st]] += 1
-            elif not np.linalg.norm(grad) >= 1e-8 * max(1.0, np.linalg.norm(w)):
+                continue
+            w = vec[:k]
+            norm_w = np.linalg.norm(w)
+            if not np.linalg.norm(grad) >= 1e-8 * max(1.0, norm_w):
                 failures["singular_locus"] += 1
-            elif any(
-                np.linalg.norm(w - p.w) < 1e-8 * max(1.0, np.linalg.norm(w), np.linalg.norm(p.w))
-                for p in found
+            elif np.any(
+                np.linalg.norm(found_w - w, axis=1) < 1e-8 * np.maximum(max(1.0, norm_w), found_norm)
             ):
                 # gradient nonzero, so on the smooth locus, but already found
                 failures["duplicate"] += 1
@@ -361,4 +402,6 @@ def solve_critical_points(
                     1.0, float(np.linalg.norm(vec))
                 )
                 found.append(CriticalPoint(w, complex(vec[k]), float(res) / scale, is_real))
+                found_w = np.vstack([found_w, w])
+                found_norm = np.append(found_norm, norm_w)
     return CriticalPointReport(found, failures)

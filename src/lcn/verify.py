@@ -50,7 +50,8 @@ from .polyring import MultiPoly, evaluate_many, matrix_product, symbols
 from .resultant import IdealGenerators, two_layer_factors, two_layer_resultants
 
 # Nonmembership coordinates are nonzero ints in [-_BOUND, _BOUND]; see smoke_nonmembership.
-_BOUND = 2**20
+_BITS = 20
+_BOUND = 1 << _BITS
 
 
 class VerificationReport(NamedTuple):
@@ -202,11 +203,11 @@ def smoke_nonmembership(gens: IdealGenerators, n_trials: int, seed: int = 0) -> 
     Random points miss a lower-dimensional variety, so for the generators of
     a reduced architecture with at least two layers the expected return
     value is ``n_trials``.  Each coordinate is a nonzero int, uniform in
-    ``±[1, 2^20]``: one ``randrange`` for its size and one
-    ``getrandbits(1)`` for its sign, so a seed always draws the same
-    points.  Integer points lose nothing, as the generators are homogeneous
-    and a rational point violates those its cleared vector does; and by
-    Schwartz–Zippel a nonzero generator of degree ``D`` vanishes at such a
+    ``±[1, 2^20]``, from one ``getrandbits(21)``: its low 20 bits plus 1
+    give the size and its top bit the sign, so a seed always draws the
+    same points.  Integer points lose nothing, as the generators are
+    homogeneous and a rational point violates those its cleared vector
+    does; and by Schwartz–Zippel a nonzero generator of degree ``D`` vanishes at such a
     point with probability at most ``D / 2^21``.  Raises ``ValueError``
     unless ``n_trials`` is an integer of at least 1.
     """
@@ -215,9 +216,9 @@ def smoke_nonmembership(gens: IdealGenerators, n_trials: int, seed: int = 0) -> 
         raise ValueError("the architecture has no generators to violate")
     k = len(gens.variables)
     rng = random.Random(seed)
-    randrange, getrandbits = rng.randrange, rng.getrandbits
+    draws, low = [_BITS + 1] * k, _BOUND - 1
     points = (
-        [randrange(1, _BOUND + 1) * (1 - 2 * getrandbits(1)) for _ in range(k)]
+        [(1 + (r & low)) * (1 - 2 * (r >> _BITS)) for r in map(rng.getrandbits, draws)]
         for _ in range(n_trials)
     )
     return sum(map(any, evaluate_many(gens.generators, points)))

@@ -2,9 +2,10 @@
 
 ``sequential_solve`` is the one-start-at-a-time Newton that
 ``lcn.critpoints.solve_critical_points`` batches: same draws, tolerances,
-full Newton steps, singular-locus test and deduplication by ``w``, with
-each start evaluated through ``w ** exps`` and solved by its own
-``np.linalg.solve``.  The only addition is the tally of lost starts, so the
+full Newton steps, retirement of diverging starts (the same run of
+1.5-fold growths of ``|lambda|``), singular-locus test and deduplication by
+``w``, with each start evaluated through ``w ** exps`` and solved by its
+own ``np.linalg.solve``.  The only addition is the tally of lost starts, so the
 batched failure counts are checked against it too.  ``newton`` is its
 Newton iteration for one start.  Each step matches the batched one up to
 rounding, which a long path can amplify, so whole reports agree only where
@@ -27,6 +28,7 @@ from lcn.critpoints import (
 from lcn.polyring import MultiPoly
 
 _MAX_NEWTON_STEPS = 100
+_DIVERGING_RUN = 30
 
 
 def training_loss(w: Sequence, X: np.ndarray, Y: np.ndarray, stride: int) -> float:
@@ -81,6 +83,8 @@ def residual_vec(system, T, u, w, lam):
 def newton(system, T, u, tol, w, lam):
     """Full Newton steps from one start ``(w, lam)``.
 
+    The start is retired as diverging once ``_DIVERGING_RUN`` consecutive
+    steps have each grown ``|lam|`` at least 1.5-fold without converging.
     Returns ``(failure, w, lam, grad f, residual norm)`` at the last
     iterate, where ``failure`` names the way the start was lost
     (``FAILURE_KINDS``), or is None once the residual is below ``tol``.
@@ -88,6 +92,7 @@ def newton(system, T, u, tol, w, lam):
     k = len(w)
     F, grad, H = residual_vec(system, T, u, w, lam)
     nF = np.linalg.norm(F)
+    run = 0
     for _ in range(_MAX_NEWTON_STEPS):
         if nF < tol:
             break
@@ -100,9 +105,12 @@ def newton(system, T, u, tol, w, lam):
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
             return "singular_jacobian", w, lam, grad, float(nF)
+        run = run + 1 if abs(lam + step[k]) >= 1.5 * abs(lam) else 0
         w, lam = w + step[:k], lam + step[k]
         F, grad, H = residual_vec(system, T, u, w, lam)
         nF = np.linalg.norm(F)
+        if run >= _DIVERGING_RUN and not nF < tol:
+            return "diverging", w, lam, grad, float(nF)
     return (None if nF < tol else "step_limit"), w, lam, grad, float(nF)
 
 

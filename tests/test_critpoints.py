@@ -6,6 +6,7 @@ import pytest
 from lcn.arch import Architecture
 from lcn.critpoints import (
     _CONVERGED,
+    _MAX_NEWTON_STEPS,
     FAILURE_KINDS,
     WeightedDistanceProblem,
     _CompiledSystem,
@@ -436,6 +437,25 @@ class TestBatchedNewton:
         assert tuple(report.failures) == FAILURE_KINDS
         assert report.distinct_count + sum(report.failures.values()) == starts
         assert expected is None or report.distinct_count == expected
+
+
+class TestDivergingRule:
+    """Retiring diverging starts loses no point that the step limit finds."""
+
+    @pytest.mark.parametrize("seed,data_seed", [(0, 1), (5, 7), (42, 3)])
+    @pytest.mark.parametrize("sizes", [(2, 2), (3, 2), (4, 2)])
+    def test_same_points_with_the_rule_off(self, monkeypatch, sizes, seed, data_seed):
+        _, _, prob = seeded_problem(Architecture(sizes, (2, 1)), data_seed, 3)
+        on = solve_critical_points(prob, starts=100, seed=seed)
+        monkeypatch.setattr("lcn.critpoints._DIVERGING_RUN", _MAX_NEWTON_STEPS + 1)
+        off = solve_critical_points(prob, starts=100, seed=seed)
+        assert (on.distinct_count, on.real_count) == (off.distinct_count, off.real_count)
+        for p in on.points:
+            assert any(np.linalg.norm(p.w - q.w) <= 1e-6 * np.linalg.norm(q.w) for q in off.points)
+        # every retired start would have run to the step limit
+        assert off.failures["diverging"] == 0
+        assert on.failures["diverging"] + on.failures["step_limit"] == off.failures["step_limit"]
+        assert sizes != (4, 2) or on.failures["diverging"] > 0
 
 
 class CountingSystem(_CompiledSystem):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -478,6 +479,21 @@ class TestSmoke:
         assert all(type(x) is int and 0 < abs(x) <= 2**20 for x in coords)
         # both signs and the top half of the range are drawn
         assert min(coords) < -(2**19) and max(coords) > 2**19
+
+    def test_each_coordinate_is_one_21_bit_draw(self, monkeypatch):
+        # low 20 bits plus 1 are the size, the top bit the sign: the four
+        # corners of the word give both ends of both halves of ±[1, 2^20]
+        words = iter([0, 2**20 - 1, 2**20, 2**21 - 1] * 2)
+
+        class Words(random.Random):
+            def getrandbits(self, n):
+                assert n == 21
+                return next(words)
+
+        monkeypatch.setattr(lcn.verify, "random", SimpleNamespace(Random=Words))
+        gens = vanishing_generators(Architecture((2, 2), (2, 1)))
+        _, points = self.drawn(monkeypatch, gens, 2, 0)
+        assert points == [[1, 2**20, -1, -(2**20)]] * 2
 
     def test_same_seed_same_points(self, monkeypatch):
         gens = vanishing_generators(Architecture((3, 2, 2), (2, 2, 1)))
